@@ -7,8 +7,8 @@ identity (evaluate the weighted identity at chosen weight points), fpoly
 (incidence-product expansion report), bound (degree-product bound vs the
 actual count).
 
-Exit codes: 0 success, 1 usage error, 2 graph-file parse error,
-3 invariant violation.
+Exit codes: 0 success, 1 usage error, 2 unparseable or unreadable graph or
+weights file, 3 invariant violation.
 """
 
 from __future__ import annotations
@@ -144,13 +144,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_graph(path: str) -> Multigraph:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return parse(text)
+
+
+def _load_graph(path: str) -> Multigraph:
+    return parse(_read_text(path))
 
 
 def _emit(doc: dict, as_json: bool, lines: list[str], quiet_lines: list[str], quiet: bool) -> None:
@@ -284,9 +287,10 @@ def _check_cross_method(g: Multigraph) -> tuple[bool, dict[str, int]]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        print("treecount verify: --trials must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+    for flag, value in (("--trials", args.trials), ("--points", args.points)):
+        if value < 1:
+            print(f"treecount verify: {flag} must be >= 1", file=sys.stderr)
+            return EXIT_USAGE
     counters = {
         "cross_method": [0, 0],
         "thomassen": [0, 0],
@@ -406,18 +410,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _weight_points(args: argparse.Namespace, m: int) -> list[list[int]]:
     if args.weights_file is not None:
-        with open(args.weights_file, "r", encoding="utf-8") as fh:
-            values = []
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                try:
-                    values.append(int(line))
-                except ValueError:
-                    raise ParseError(
-                        f"{args.weights_file}:{lineno}: not an integer: {line!r}"
-                    ) from None
+        values = []
+        text = _read_text(args.weights_file)
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            try:
+                values.append(int(line))
+            except ValueError:
+                raise ParseError(
+                    f"{args.weights_file}:{lineno}: not an integer: {line!r}"
+                ) from None
         return [values]
     source = args.weights
     if source == "ones":
@@ -438,6 +442,9 @@ def _weight_points(args: argparse.Namespace, m: int) -> list[list[int]]:
 
 
 def cmd_identity(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        print("treecount identity: --trials must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     g = _load_graph(args.file)
     if not g.is_connected():
         print("treecount identity: graph must be connected", file=sys.stderr)
@@ -502,14 +509,14 @@ def cmd_fpoly(args: argparse.Namespace) -> int:
         return EXIT_OK
     try:
         terms = expand_f(g, max_vertices=args.max_vertices, budget=args.budget)
+        nu_oracle = brute_force_matching(g)
+        rho_oracle = brute_force_edge_cover(g)
     except BudgetExceededError as exc:
         print(f"treecount fpoly: {exc}", file=sys.stderr)
         return EXIT_USAGE
     nu = matching_number_from_f(terms)
     rho = edge_cover_number_from_f(terms)
     matchings = perfect_matchings_from_f(terms)
-    nu_oracle = brute_force_matching(g)
-    rho_oracle = brute_force_edge_cover(g)
     agree = nu == nu_oracle and rho == rho_oracle
     doc = {
         "graph": {"n": g.n, "m": g.m},

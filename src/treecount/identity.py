@@ -6,6 +6,12 @@ every non-spanning subtree through the root, the subtree's weight product
 times the incidence product of what remains after deleting it. Both sides
 are evaluated independently here so random integer points can expose any
 implementation error exactly.
+
+A remainder with an isolated vertex has an incidence product of 0, so the
+correction walks only the vertex sets whose remainder keeps every vertex
+covered, the same sets the grouped degree formula keeps. The remainder's
+product is read off the original incidence lists; no remainder graph is
+built.
 """
 
 from __future__ import annotations
@@ -13,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .counting import tau_weighted_matrix_tree
-from .degree_formula import SubTree, enumerate_nst
-from .errors import LengthMismatchError
-from .graph import Multigraph, delete_vertices
+from .counting import enumerate_spanning_trees, tau_weighted_matrix_tree
+from .degree_formula import SubTree, _outside_degree_product, enumerate_connected_sets
+from .errors import DisconnectedError, LengthMismatchError
+from .graph import Multigraph, induced
 
 
 @dataclass(frozen=True)
@@ -68,25 +74,51 @@ def identity_lhs(g: Multigraph, u: int, weights: Sequence[int]) -> int:
     return product
 
 
+def _remainder_value(g: Multigraph, inside: frozenset[int], weights: Sequence[int]) -> int:
+    # f_value of G - inside with weights kept by original edge index: per
+    # outside vertex, the weight sum of its edges with no end inside
+    product = 1
+    for v in range(g.n):
+        if v in inside:
+            continue
+        product *= sum(
+            weights[j] for j in g._incidence[v] if g.other_end(j, v) not in inside
+        )
+        if product == 0:
+            return 0
+    return product
+
+
 def identity_rhs(g: Multigraph, u: int, weights: Sequence[int]) -> tuple[int, int]:
     """The two right-hand aggregates: weighted tree sum and subtree correction.
 
     The correction restricts weights to each deleted remainder by original
-    edge identity. Needs a connected graph.
+    edge identity. Vertex sets whose remainder has an isolated vertex, or
+    whose remainder product is 0 at these weights, contribute nothing and
+    their subtrees are never walked. Needs a connected graph.
     """
     if len(weights) != g.m:
         raise LengthMismatchError(f"expected {g.m} weights, got {len(weights)}")
     tau_term = tau_weighted_matrix_tree(g, weights)
-    remainder_value: dict[frozenset[int], int] = {}
+    if not g.is_connected():
+        raise DisconnectedError("subtree enumeration needs a connected graph")
+    g._check_vertex(u)
     nst_sum = 0
-    for subtree in enumerate_nst(g, u):
-        fv = remainder_value.get(subtree.vertices)
-        if fv is None:
-            rest = delete_vertices(g, subtree.vertices)
-            fv = f_value(rest.graph, [weights[j] for j in rest.edge_origin])
-            remainder_value[subtree.vertices] = fv
-        if fv != 0:
-            nst_sum += tree_weight(subtree, weights) * fv
+    # a set of n-1 vertices leaves one isolated vertex, so stop at n-2
+    for s in enumerate_connected_sets(g, u, g.n - 2):
+        if _outside_degree_product(g, s) == 0:
+            continue
+        fv = _remainder_value(g, s, weights)
+        if fv == 0:
+            continue
+        piece = induced(g, s)
+        tree_sum = 0
+        for tree in enumerate_spanning_trees(piece.graph):
+            product = 1
+            for j in tree:
+                product *= weights[piece.edge_origin[j]]
+            tree_sum += product
+        nst_sum += tree_sum * fv
     return tau_term, nst_sum
 
 

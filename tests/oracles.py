@@ -3,11 +3,23 @@
 Everything here favors obviousness over speed and deliberately avoids the
 library's own algorithms: determinants by cofactor expansion, subset
 enumeration by powerset filtering, tree checks by explicit union-find.
+The one exception is `identity_rhs_by_subtrees`, the library's earlier
+per-subtree route to the identity, kept as the reference for the faster
+one.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+
+from treecount import (
+    delete_vertices,
+    enumerate_nst,
+    f_value,
+    tau_weighted_matrix_tree,
+    tree_weight,
+)
+from treecount.errors import LengthMismatchError
 
 
 def naive_determinant(matrix) -> int:
@@ -162,3 +174,17 @@ def perfect_matchings_brute(g):
         if ok and len(used) == g.n:
             found.add(frozenset(chosen))
     return found
+
+
+def identity_rhs_by_subtrees(g, u, weights):
+    """identity_rhs the slow way: every non-spanning subtree through u, each
+    with its own remainder graph, zero remainders included."""
+    if len(weights) != g.m:
+        raise LengthMismatchError(f"expected {g.m} weights, got {len(weights)}")
+    tau_term = tau_weighted_matrix_tree(g, weights)
+    nst_sum = 0
+    for subtree in enumerate_nst(g, u):
+        rest = delete_vertices(g, subtree.vertices)
+        fv = f_value(rest.graph, [weights[j] for j in rest.edge_origin])
+        nst_sum += tree_weight(subtree, weights) * fv
+    return tau_term, nst_sum

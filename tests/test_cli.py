@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from treecount import FamilySpec, generate_family, parse, serialize
+from treecount import FamilySpec, build, generate_family, parse, serialize
 from treecount.cli import main
 
 
@@ -241,6 +241,46 @@ def test_identity_rejects_disconnected(capsys, disconnected_file):
     assert "connected" in err
 
 
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_verify_rejects_non_positive_points(capsys, points):
+    code, out, err = run(
+        capsys, ["verify", "--n", "5", "--m", "8", "--trials", "2", "--points", points]
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "treecount verify: --points must be >= 1\n"
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_identity_rejects_non_positive_trials(capsys, figure_one_file, trials):
+    code, out, err = run(
+        capsys,
+        ["identity", figure_one_file, "--weights", "random:3", "--trials", trials],
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "treecount identity: --trials must be >= 1\n"
+
+
+def test_identity_missing_weights_file_is_parse_error(capsys, figure_one_file, tmp_path):
+    missing = str(tmp_path / "missing.txt")
+    code, out, err = run(capsys, ["identity", figure_one_file, "--weights-file", missing])
+    assert code == 2
+    assert out == ""
+    assert f"cannot read {missing}" in err
+
+
+def test_undecodable_files_are_parse_errors(capsys, figure_one_file, tmp_path):
+    binary = tmp_path / "bin.dat"
+    binary.write_bytes(b"\xff\xfe\x00")
+    code, _, err = run(capsys, ["count", str(binary)])
+    assert code == 2
+    assert f"cannot read {binary}" in err
+    code, _, err = run(capsys, ["identity", figure_one_file, "--weights-file", str(binary)])
+    assert code == 2
+    assert f"cannot read {binary}" in err
+
+
 def test_identity_bad_weight_list(capsys, figure_one_file):
     code, _, err = run(capsys, ["identity", figure_one_file, "--weights", "1,x,3"])
     assert code == 2
@@ -280,6 +320,15 @@ def test_fpoly_isolated_vertex(capsys, tmp_path):
     code, out, _ = run(capsys, ["fpoly", str(path)])
     assert code == 0
     assert "identically 0" in out
+
+
+def test_fpoly_beyond_the_oracle_cap_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "c16.graph"
+    path.write_text(serialize(build(16, [(i, (i + 1) % 16) for i in range(16)])))
+    code, out, err = run(capsys, ["fpoly", str(path), "--max-vertices", "16"])
+    assert code == 1
+    assert out == ""
+    assert err == "treecount fpoly: brute-force matching guarded at 14 vertices\n"
 
 
 def test_bound_wheel(capsys, wheel4_file):

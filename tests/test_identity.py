@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+import treecount.identity
 from conftest import seeded_suite
+from oracles import identity_rhs_by_subtrees
 from treecount import (
     Multigraph,
     SubTree,
@@ -19,7 +21,24 @@ from treecount import (
     thomassen_bound,
     tree_weight,
 )
-from treecount.errors import DisconnectedError, LengthMismatchError
+from treecount.errors import (
+    DisconnectedError,
+    EmptyGraphError,
+    LengthMismatchError,
+    VertexOutOfRangeError,
+)
+
+
+def _count_tree_walks(monkeypatch):
+    walked = []
+    real = treecount.identity.enumerate_spanning_trees
+
+    def counting(g):
+        walked.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(treecount.identity, "enumerate_spanning_trees", counting)
+    return walked
 
 
 def test_f_value_figure_one_all_ones(figure_one):
@@ -130,3 +149,63 @@ def test_identity_holds_at_signed_random_points():
             w = [rng.randint(-1000, 1000) for _ in range(g.m)]
             report = check_identity(g, u, w)
             assert report.holds, (g, u, w)
+
+
+def test_identity_rhs_one_and_two_vertices():
+    cases = [
+        (build(1, []), 0, []),
+        (build(2, [(0, 1)]), 0, [-4]),
+        (build(2, [(0, 1), (0, 1)]), 1, [3, -3]),
+        (build(2, [(0, 1), (0, 1), (1, 0)]), 0, [0, 2, 5]),
+    ]
+    for g, u, w in cases:
+        assert identity_rhs(g, u, w) == identity_rhs_by_subtrees(g, u, w)
+        assert identity_rhs(g, u, w)[1] == 0
+
+
+def test_identity_rhs_vanishing_remainder_without_isolated_vertex(monkeypatch):
+    # root 0: the sets {0} and {0, 1} leave vertex 3 joined to 2 by a parallel
+    # pair weighted 5 and -5, so their remainder products are 0
+    g = build(4, [(0, 1), (1, 2), (2, 3), (2, 3)])
+    w = [7, 11, 5, -5]
+    walked = _count_tree_walks(monkeypatch)
+    assert identity_rhs(g, 0, w) == identity_rhs_by_subtrees(g, 0, w) == (0, 0)
+    assert walked == []
+    assert check_identity(g, 0, w).holds
+
+
+def test_identity_rhs_walks_only_sets_with_a_covered_remainder(monkeypatch):
+    # rooted at the centre of a star every remainder has an isolated leaf
+    star = build(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    walked = _count_tree_walks(monkeypatch)
+    assert identity_rhs(star, 0, [2, 3, 4, 5]) == (120, 0)
+    assert walked == []
+
+
+@pytest.mark.parametrize(
+    "g, u, w, error",
+    [
+        (build(0, []), 0, [1], LengthMismatchError),
+        (build(3, [(0, 1)]), 5, [1, 2], LengthMismatchError),
+        (build(0, []), 0, [], EmptyGraphError),
+        (build(3, [(0, 1)]), 5, [1], DisconnectedError),
+        (build(3, [(0, 1), (1, 2)]), 3, [1, 1], VertexOutOfRangeError),
+        (build(1, []), -1, [], VertexOutOfRangeError),
+    ],
+)
+def test_identity_rhs_error_order_is_unchanged(g, u, w, error):
+    with pytest.raises(error):
+        identity_rhs(g, u, w)
+    with pytest.raises(error):
+        identity_rhs_by_subtrees(g, u, w)
+
+
+def test_identity_rhs_matches_the_subtree_route_with_zeros_and_parallel_edges(
+    figure_one, multiwheel4
+):
+    rng = random.Random(4242)
+    suite = seeded_suite(25, seed=2468, max_n=7, max_m=13, parallel_prob=0.6)
+    for g in [figure_one, multiwheel4] + suite:
+        u = rng.randrange(g.n)
+        w = [rng.choice([0, 0, 1, -1, rng.randint(-9, 9)]) for _ in range(g.m)]
+        assert identity_rhs(g, u, w) == identity_rhs_by_subtrees(g, u, w)

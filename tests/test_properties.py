@@ -4,6 +4,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import identity_rhs_by_subtrees
 from treecount import (
     Multigraph,
     build,
@@ -12,6 +13,7 @@ from treecount import (
     delete_vertices,
     enumerate_spanning_trees,
     f_value,
+    identity_rhs,
     induced,
     parse,
     serialize,
@@ -115,3 +117,20 @@ def test_identity_holds_at_arbitrary_integer_points(g, data):
 @given(multigraphs(max_n=5, max_m=8))
 def test_f_value_at_ones_is_the_degree_product(g):
     assert f_value(g, [1] * g.m) == math.prod(g.degrees())
+
+
+@settings(max_examples=80, deadline=None)
+@given(connected_multigraphs(max_n=6, max_m=10), st.data())
+def test_identity_rhs_matches_the_per_subtree_route(g, data):
+    # small weights make zero weights and cancelling incidence sums common,
+    # so remainders vanish without an isolated vertex
+    u = data.draw(st.integers(0, g.n - 1), label="root")
+    w = data.draw(
+        st.lists(
+            st.one_of(st.integers(-2, 2), st.integers(-1000, 1000)),
+            min_size=g.m,
+            max_size=g.m,
+        ),
+        label="weights",
+    )
+    assert identity_rhs(g, u, w) == identity_rhs_by_subtrees(g, u, w)
