@@ -30,10 +30,12 @@ from .degree_formula import (
 )
 from .fpoly import (
     CoverTerm,
+    ExpansionSummary,
     brute_force_edge_cover,
     brute_force_matching,
     edge_cover_number_from_f,
     expand_f,
+    expansion_summary,
     matching_number_from_f,
     perfect_matchings_from_f,
 )
@@ -61,6 +63,7 @@ from .randgraph import RandomSpec, random_multigraph
 __all__ = [
     "CappedPoly",
     "CoverTerm",
+    "ExpansionSummary",
     "FamilySpec",
     "IdentityReport",
     "InducedPiece",
@@ -86,6 +89,7 @@ __all__ = [
     "enumerate_spanning_trees",
     "evaluate_poly",
     "expand_f",
+    "expansion_summary",
     "f_value",
     "generate_family",
     "identity_lhs",

@@ -2,8 +2,11 @@
 
 Everything here is exact: determinants use fraction-free elimination over
 Python integers, and polynomial expansion keeps full arbitrary-precision
-coefficients. Monomials are sparse (index, exponent) tuples sorted by
-index, with exponents capped at 2 because an edge has two endpoints.
+coefficients. A monomial is one int holding a 2-bit exponent field per
+variable: bits 2i and 2i+1 carry the exponent of variable i, which is
+capped at 2 because an edge has two endpoints. A field therefore reads
+0b00, 0b01 or 0b10, multiplying by variable i adds 1 << 2i, and the
+constant monomial is 0.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, ExponentOverflowError, LengthMismatchError
 
-Monomial = tuple[tuple[int, int], ...]
+Monomial = int
 
 DEFAULT_TERM_BUDGET = 10_000_000
 
@@ -57,29 +60,16 @@ def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
 
 @dataclass(frozen=True)
 class CappedPoly:
-    """Sparse multivariate polynomial with per-variable exponent at most 2."""
+    """Sparse multivariate polynomial with per-variable exponent at most 2.
+
+    `terms` maps each monomial, packed as described in the module docstring,
+    to its nonzero coefficient.
+    """
 
     terms: dict[Monomial, int]
 
     def __len__(self) -> int:
         return len(self.terms)
-
-
-def _raise_power(mono: Monomial, var: int) -> Monomial:
-    items = list(mono)
-    for pos, (idx, exp) in enumerate(items):
-        if idx == var:
-            if exp >= 2:
-                raise ExponentOverflowError(
-                    f"variable {var} would exceed exponent 2"
-                )
-            items[pos] = (idx, 2)
-            return tuple(items)
-        if idx > var:
-            items.insert(pos, (var, 1))
-            return tuple(items)
-    items.append((var, 1))
-    return tuple(items)
 
 
 def multiply_forms(
@@ -93,14 +83,20 @@ def multiply_forms(
     expansion grows past `budget` monomials, ExponentOverflow if a variable
     occurs in more than two forms.
     """
-    terms: dict[Monomial, int] = {(): 1}
+    terms: dict[Monomial, int] = {0: 1}
     for form in forms:
         nxt: dict[Monomial, int] = {}
-        variables = sorted(form)
-        for mono, coef in terms.items():
-            for var in variables:
-                key = _raise_power(mono, var)
-                nxt[key] = nxt.get(key, 0) + coef
+        get = nxt.get
+        for var in sorted(form):
+            one, two = 1 << 2 * var, 2 << 2 * var
+            for mono, coef in terms.items():
+                # the field already holds 2: a third occurrence of var
+                if mono & two:
+                    raise ExponentOverflowError(
+                        f"variable {var} would exceed exponent 2"
+                    )
+                key = mono + one
+                nxt[key] = get(key, 0) + coef
         if len(nxt) > budget:
             raise BudgetExceededError(
                 f"expansion exceeded the {budget}-monomial budget"
@@ -114,12 +110,17 @@ def evaluate_poly(p: CappedPoly, weights: Sequence[int]) -> int:
     total = 0
     for mono, coef in p.terms.items():
         value = coef
-        for idx, exp in mono:
-            if idx >= len(weights):
-                raise LengthMismatchError(
-                    f"monomial uses variable {idx} but only "
-                    f"{len(weights)} weights were given"
-                )
-            value *= weights[idx] ** exp
+        idx = 0
+        while mono:
+            exp = mono & 3
+            if exp:
+                if idx >= len(weights):
+                    raise LengthMismatchError(
+                        f"monomial uses variable {idx} but only "
+                        f"{len(weights)} weights were given"
+                    )
+                value *= weights[idx] ** exp
+            mono >>= 2
+            idx += 1
         total += value
     return total

@@ -52,8 +52,8 @@ from .fpoly import (
     brute_force_matching,
     edge_cover_number_from_f,
     expand_f,
+    expansion_summary,
     matching_number_from_f,
-    perfect_matchings_from_f,
 )
 from .graph import Multigraph, parse, serialize
 from .identity import check_identity
@@ -250,15 +250,20 @@ def cmd_family(args: argparse.Namespace) -> int:
         "closed_form": closed,
         "output": args.output,
     }
-    if args.json:
-        print(json.dumps(doc, sort_keys=True))
-        if args.output:
+    if args.output:
+        # written before anything is printed, so a failed write prints no document
+        try:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(serialize(g))
-        return EXIT_OK
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(serialize(g))
+        except OSError as exc:
+            print(
+                f"treecount family: cannot write {args.output}: {exc.strerror or exc}",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
+    if args.json:
+        print(json.dumps(doc, sort_keys=True))
+    elif args.output:
         if not args.quiet:
             print(f"wrote {args.output} (n={g.n}, m={g.m})")
         print(f"closed form: {closed_text}")
@@ -508,45 +513,48 @@ def cmd_fpoly(args: argparse.Namespace) -> int:
         _emit(doc, args.json, [line], [line], args.quiet)
         return EXIT_OK
     try:
-        terms = expand_f(g, max_vertices=args.max_vertices, budget=args.budget)
+        summary = expansion_summary(g, max_vertices=args.max_vertices, budget=args.budget)
         nu_oracle = brute_force_matching(g)
         rho_oracle = brute_force_edge_cover(g)
+        # only the listing needs the decoded, sorted terms
+        terms = []
+        if args.dump:
+            terms = expand_f(g, max_vertices=args.max_vertices, budget=args.budget)
     except BudgetExceededError as exc:
         print(f"treecount fpoly: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    nu = matching_number_from_f(terms)
-    rho = edge_cover_number_from_f(terms)
-    matchings = perfect_matchings_from_f(terms)
+    nu = summary.matching_number
+    rho = summary.edge_cover_number
+    matchings = summary.perfect_matchings
     agree = nu == nu_oracle and rho == rho_oracle
     doc = {
         "graph": {"n": g.n, "m": g.m},
         "cost_estimate": estimate,
-        "terms": len(terms),
-        "coefficient_sum": sum(t.coefficient for t in terms),
+        "terms": summary.terms,
+        "coefficient_sum": summary.coefficient_sum,
         "matching_number": nu,
         "edge_cover_number": rho,
         "matching_oracle": nu_oracle,
         "edge_cover_oracle": rho_oracle,
-        "perfect_matchings": [sorted(pm) for pm in matchings],
+        "perfect_matchings": [list(pm) for pm in matchings],
         "oracle_agreement": agree,
     }
     lines = [
         f"graph: n={g.n} m={g.m}",
         f"cost estimate: {estimate} (degree product)",
-        f"terms: {len(terms)} (coefficient sum {doc['coefficient_sum']})",
+        f"terms: {summary.terms} (coefficient sum {summary.coefficient_sum})",
         f"matching number: {nu} (brute force {nu_oracle})",
         f"edge cover number: {rho} (brute force {rho_oracle})",
         "perfect matchings: "
-        + (" ".join("{" + ",".join(map(str, sorted(pm))) + "}" for pm in matchings) or "none"),
+        + (" ".join("{" + ",".join(map(str, pm)) + "}" for pm in matchings) or "none"),
         f"oracle agreement: {'yes' if agree else 'NO'}",
     ]
-    if args.dump:
-        for t in terms:
-            lines.append(
-                "2:{" + ",".join(map(str, sorted(t.doubled))) + "} "
-                "1:{" + ",".join(map(str, sorted(t.single))) + "} "
-                f"c:{t.coefficient}"
-            )
+    for t in terms:
+        lines.append(
+            "2:{" + ",".join(map(str, sorted(t.doubled))) + "} "
+            "1:{" + ",".join(map(str, sorted(t.single))) + "} "
+            f"c:{t.coefficient}"
+        )
     quiet_lines = [f"nu={nu} rho={rho} agree={'yes' if agree else 'NO'}"]
     _emit(doc, args.json, lines, quiet_lines, args.quiet)
     return EXIT_OK if agree else EXIT_VIOLATION

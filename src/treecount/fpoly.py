@@ -7,15 +7,22 @@ gives the matching number (largest squared part) and the edge-cover number
 (fewest distinct edges), and the all-squared terms are exactly the perfect
 matchings. Exhaustive searches are provided as independent oracles for
 both numbers.
+
+`expansion_summary` reads those statistics off the packed monomials of
+`algebra.multiply_forms` in one pass. `expand_f` decodes every monomial
+into a sorted `CoverTerm` list, which the `*_from_f` readers work on; it
+serves a full listing of the terms and callers that want the terms
+themselves.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .algebra import DEFAULT_TERM_BUDGET, multiply_forms
+from .algebra import DEFAULT_TERM_BUDGET, CappedPoly, multiply_forms
 from .errors import BudgetExceededError, EmptyExpansionError, IsolatedVertexError
 from .graph import Multigraph
 
@@ -31,6 +38,86 @@ class CoverTerm:
     coefficient: int
 
 
+class ExpansionSummary(
+    namedtuple(
+        "ExpansionSummary",
+        "terms coefficient_sum matching_number edge_cover_number perfect_matchings",
+    )
+):
+    """The expansion's size and the statistics read off it.
+
+    `terms`, `coefficient_sum`, `matching_number` and `edge_cover_number`
+    are ints. `perfect_matchings` is a tuple holding, for each perfect
+    matching, its sorted edge indices as a tuple, in ascending order of
+    those index tuples. It is a namedtuple subclass because building a
+    frozen dataclass or a typing.NamedTuple class takes about a millisecond
+    more of every CLI start (Python 3.11).
+    """
+
+    __slots__ = ()
+
+
+def _incidence_poly(g: Multigraph, max_vertices: int, budget: int) -> CappedPoly | None:
+    # None when some vertex is isolated: its empty form zeroes the product
+    if g.n > max_vertices:
+        raise BudgetExceededError(
+            f"expansion guarded at {max_vertices} vertices, graph has {g.n}"
+        )
+    if g.has_isolated_vertex():
+        return None
+    return multiply_forms([g.incident_edges(v) for v in range(g.n)], budget=budget)
+
+
+def _squared_bits(m: int) -> int:
+    # the high bit of each of the m fields, set exactly where a variable is squared
+    return int("10" * m, 2) if m else 0
+
+
+def _fields(bits: int) -> tuple[int, ...]:
+    # ascending variable indices of the set bits; a field holds one set bit at most
+    found = []
+    while bits:
+        low = bits & -bits
+        found.append((low.bit_length() - 1) >> 1)
+        bits ^= low
+    return tuple(found)
+
+
+def expansion_summary(
+    g: Multigraph,
+    max_vertices: int = DEFAULT_MAX_VERTICES,
+    budget: int = DEFAULT_TERM_BUDGET,
+) -> ExpansionSummary:
+    """Term count, coefficient sum, matching and edge-cover numbers, and the
+    perfect matchings, read in one pass over the expansion.
+
+    Agrees with the `*_from_f` readers applied to `expand_f`, without
+    decoding or sorting the terms. Raises EmptyExpansionError when some
+    vertex is isolated, and has the same vertex guard as `expand_f`.
+    """
+    poly = _incidence_poly(g, max_vertices, budget)
+    if poly is None:
+        raise EmptyExpansionError("an isolated vertex makes the expansion empty")
+    squared = _squared_bits(g.m)
+    single = squared >> 1
+    total = 0
+    nu = 0
+    rho = g.m
+    perfect = []
+    for mono, coef in poly.terms.items():
+        total += coef
+        doubled = (mono & squared).bit_count()
+        if doubled > nu:
+            nu = doubled
+        support = mono.bit_count()
+        if support < rho:
+            rho = support
+        if not mono & single:
+            perfect.append(_fields(mono))
+    perfect.sort()
+    return ExpansionSummary(len(poly), total, nu, rho, tuple(perfect))
+
+
 def expand_f(
     g: Multigraph,
     max_vertices: int = DEFAULT_MAX_VERTICES,
@@ -42,24 +129,18 @@ def expand_f(
     identically zero then). The vertex guard exists because the expansion
     is inherently exponential; raise it explicitly for bigger graphs.
     """
-    if g.n > max_vertices:
-        raise BudgetExceededError(
-            f"expansion guarded at {max_vertices} vertices, graph has {g.n}"
-        )
-    if g.has_isolated_vertex():
+    poly = _incidence_poly(g, max_vertices, budget)
+    if poly is None:
         return []
-    forms = [g.incident_edges(v) for v in range(g.n)]
-    poly = multiply_forms(forms, budget=budget)
-    terms = [
-        CoverTerm(
-            doubled=frozenset(i for i, e in mono if e == 2),
-            single=frozenset(i for i, e in mono if e == 1),
-            coefficient=coef,
-        )
+    squared = _squared_bits(g.m)
+    decoded = sorted(
+        (_fields(mono & squared), _fields(mono & (squared >> 1)), coef)
         for mono, coef in poly.terms.items()
+    )
+    return [
+        CoverTerm(frozenset(doubled), frozenset(single), coef)
+        for doubled, single, coef in decoded
     ]
-    terms.sort(key=lambda t: (sorted(t.doubled), sorted(t.single)))
-    return terms
 
 
 def matching_number_from_f(terms: Sequence[CoverTerm]) -> int:

@@ -25,27 +25,43 @@ MAX_VERTICES = 64
 
 @dataclass(frozen=True)
 class Multigraph:
-    """Loopless undirected multigraph with positionally indexed edges."""
+    """Loopless undirected multigraph with positionally indexed edges.
+
+    The vertex count and every endpoint must be a plain int; anything else,
+    bool included, raises TypeError naming `n` or the edge index.
+    """
 
     n: int
     edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
-        if self.n > MAX_VERTICES:
+        n = self.n
+        # `type(...) is int` rather than isinstance, which lets bool through
+        if type(n) is not int:
+            raise TypeError(f"vertex count n must be an int, got {n!r}")
+        if n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        if n > MAX_VERTICES:
             raise GraphTooLargeError(
-                f"at most {MAX_VERTICES} vertices supported, got {self.n}"
+                f"at most {MAX_VERTICES} vertices supported, got {n}"
             )
         norm = []
         for j, (a, b) in enumerate(self.edges):
-            if a == b:
+            if type(a) is not int or type(b) is not int:
+                raise TypeError(f"edge {j} endpoints must be ints, got ({a!r}, {b!r})")
+            # one ordering test finds loops and orients the edge, so the
+            # type checks above leave the per-edge cost flat
+            if a < b:
+                lo, hi = a, b
+            elif b < a:
+                lo, hi = b, a
+            else:
                 raise LoopEdgeError(f"edge {j} is a loop at vertex {a}")
-            if not (0 <= a < self.n and 0 <= b < self.n):
+            if lo < 0 or hi >= n:
                 raise VertexOutOfRangeError(
                     f"edge {j} endpoint out of range: ({a}, {b})"
                 )
-            norm.append((a, b) if a < b else (b, a))
+            norm.append((lo, hi))
         object.__setattr__(self, "edges", tuple(norm))
 
     @property

@@ -3,9 +3,10 @@
 Everything here favors obviousness over speed and deliberately avoids the
 library's own algorithms: determinants by cofactor expansion, subset
 enumeration by powerset filtering, tree checks by explicit union-find.
-The one exception is `identity_rhs_by_subtrees`, the library's earlier
-per-subtree route to the identity, kept as the reference for the faster
-one.
+The exceptions are the library's earlier routes, kept as references for
+the faster ones: `identity_rhs_by_subtrees`, the per-subtree route to the
+identity, and `multiply_forms_by_tuples`, the expansion on sorted
+(index, exponent) tuple monomials.
 """
 
 from __future__ import annotations
@@ -19,7 +20,11 @@ from treecount import (
     tau_weighted_matrix_tree,
     tree_weight,
 )
-from treecount.errors import LengthMismatchError
+from treecount.errors import (
+    BudgetExceededError,
+    ExponentOverflowError,
+    LengthMismatchError,
+)
 
 
 def naive_determinant(matrix) -> int:
@@ -188,3 +193,39 @@ def identity_rhs_by_subtrees(g, u, weights):
         fv = f_value(rest.graph, [weights[j] for j in rest.edge_origin])
         nst_sum += tree_weight(subtree, weights) * fv
     return tau_term, nst_sum
+
+
+def _raise_power(mono, var):
+    items = list(mono)
+    for pos, (idx, exp) in enumerate(items):
+        if idx == var:
+            if exp >= 2:
+                raise ExponentOverflowError(
+                    f"variable {var} would exceed exponent 2"
+                )
+            items[pos] = (idx, 2)
+            return tuple(items)
+        if idx > var:
+            items.insert(pos, (var, 1))
+            return tuple(items)
+    items.append((var, 1))
+    return tuple(items)
+
+
+def multiply_forms_by_tuples(forms, budget=10_000_000):
+    """multiply_forms on sorted (index, exponent) tuple monomials: a dict
+    from each monomial tuple to its coefficient, same errors."""
+    terms = {(): 1}
+    for form in forms:
+        nxt = {}
+        variables = sorted(form)
+        for mono, coef in terms.items():
+            for var in variables:
+                key = _raise_power(mono, var)
+                nxt[key] = nxt.get(key, 0) + coef
+        if len(nxt) > budget:
+            raise BudgetExceededError(
+                f"expansion exceeded the {budget}-monomial budget"
+            )
+        terms = nxt
+    return terms

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -115,6 +116,16 @@ def test_family_to_file(capsys, tmp_path):
     assert "closed form: 125" in out
     g = parse(out_path.read_text())
     assert g.n == 5 and g.m == 10
+
+
+def test_family_unwritable_output_is_one_line(capsys, tmp_path):
+    target = tmp_path / "missing" / "x"
+    for extra in ([], ["--json"], ["--quiet"]):
+        code, out, err = run(capsys, ["family", "complete", "4", "-o", str(target)] + extra)
+        assert code == 1
+        assert out == ""
+        assert err == f"treecount family: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
 
 
 def test_family_stdout_keeps_format_parseable(capsys):
@@ -329,6 +340,105 @@ def test_fpoly_beyond_the_oracle_cap_is_usage_error(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err == "treecount fpoly: brute-force matching guarded at 14 vertices\n"
+
+
+# fpoly output of the tuple-monomial expansion, which the packed one must
+# reproduce byte for byte; the --dump listings are pinned by their sha256
+FPOLY_TEXT = {
+    "figure-one": (
+        "graph: n=4 m=6\n"
+        "cost estimate: 64 (degree product)\n"
+        "terms: 51 (coefficient sum 64)\n"
+        "matching number: 2 (brute force 2)\n"
+        "edge cover number: 2 (brute force 2)\n"
+        "perfect matchings: {0,4} {1,5}\n"
+        "oracle agreement: yes\n"
+    ),
+    "wheel-5": (
+        "graph: n=6 m=10\n"
+        "cost estimate: 1215 (degree product)\n"
+        "terms: 1010 (coefficient sum 1215)\n"
+        "matching number: 3 (brute force 3)\n"
+        "edge cover number: 3 (brute force 3)\n"
+        "perfect matchings: {0,2,9} {0,3,7} {1,3,5} {1,4,8} {2,4,6}\n"
+        "oracle agreement: yes\n"
+    ),
+    "multiwheel-4": (
+        "graph: n=5 m=12\n"
+        "cost estimate: 2048 (degree product)\n"
+        "terms: 1448 (coefficient sum 2048)\n"
+        "matching number: 2 (brute force 2)\n"
+        "edge cover number: 3 (brute force 3)\n"
+        "perfect matchings: none\n"
+        "oracle agreement: yes\n"
+    ),
+}
+FPOLY_JSON = {
+    "figure-one": (
+        '{"coefficient_sum": 64, "cost_estimate": 64, "edge_cover_number": 2, '
+        '"edge_cover_oracle": 2, "graph": {"m": 6, "n": 4}, "matching_number": 2, '
+        '"matching_oracle": 2, "oracle_agreement": true, '
+        '"perfect_matchings": [[0, 4], [1, 5]], "terms": 51}\n'
+    ),
+    "wheel-5": (
+        '{"coefficient_sum": 1215, "cost_estimate": 1215, "edge_cover_number": 3, '
+        '"edge_cover_oracle": 3, "graph": {"m": 10, "n": 6}, "matching_number": 3, '
+        '"matching_oracle": 3, "oracle_agreement": true, '
+        '"perfect_matchings": [[0, 2, 9], [0, 3, 7], [1, 3, 5], [1, 4, 8], [2, 4, 6]], '
+        '"terms": 1010}\n'
+    ),
+    "multiwheel-4": (
+        '{"coefficient_sum": 2048, "cost_estimate": 2048, "edge_cover_number": 3, '
+        '"edge_cover_oracle": 3, "graph": {"m": 12, "n": 5}, "matching_number": 2, '
+        '"matching_oracle": 2, "oracle_agreement": true, "perfect_matchings": [], '
+        '"terms": 1448}\n'
+    ),
+}
+FPOLY_QUIET = {
+    "figure-one": "nu=2 rho=2 agree=yes\n",
+    "wheel-5": "nu=3 rho=3 agree=yes\n",
+    "multiwheel-4": "nu=2 rho=3 agree=yes\n",
+}
+FPOLY_DUMP = {
+    "figure-one": (51, "eb0a1da970ea9a6c4c56fbe6d1f080cb851e7500e07194b3fd5f47147afbb9c4"),
+    "wheel-5": (1010, "8e7234baca01b0b3b2353970f01b93a47d79b0f43ec4df3a2d9ad770cb302e24"),
+    "multiwheel-4": (1448, "6acd5b5493ce7e34ebfeaa2c3b8209a1a382fc17cf1bed68b635a67c9b281ca4"),
+}
+
+
+@pytest.fixture
+def pinned_graph_file(request, tmp_path, figure_one):
+    graphs = {
+        "figure-one": figure_one,
+        "wheel-5": generate_family(FamilySpec("wheel", (5,))),
+        "multiwheel-4": generate_family(FamilySpec("multiwheel", (4,))),
+    }
+    path = tmp_path / f"{request.param}.graph"
+    path.write_text(serialize(graphs[request.param]))
+    return request.param, str(path)
+
+
+@pytest.mark.parametrize("pinned_graph_file", list(FPOLY_TEXT), indirect=True)
+def test_fpoly_output_is_pinned(capsys, pinned_graph_file):
+    name, path = pinned_graph_file
+    assert run(capsys, ["fpoly", path]) == (0, FPOLY_TEXT[name], "")
+    assert run(capsys, ["fpoly", path, "--json"]) == (0, FPOLY_JSON[name], "")
+    assert run(capsys, ["fpoly", path, "--quiet"]) == (0, FPOLY_QUIET[name], "")
+    code, out, err = run(capsys, ["fpoly", path, "--dump"])
+    terms, digest = FPOLY_DUMP[name]
+    assert (code, err) == (0, "")
+    assert out.startswith(FPOLY_TEXT[name])
+    assert len(out.splitlines()) == 7 + terms
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_fpoly_budget_exceeded_prints_only_the_message(capsys, tmp_path):
+    path = tmp_path / "w5.graph"
+    path.write_text(serialize(generate_family(FamilySpec("wheel", (5,)))))
+    code, out, err = run(capsys, ["fpoly", str(path), "--budget", "3"])
+    assert code == 1
+    assert out == ""
+    assert err == "treecount fpoly: expansion exceeded the 3-monomial budget\n"
 
 
 def test_bound_wheel(capsys, wheel4_file):

@@ -8,12 +8,14 @@ from conftest import seeded_suite
 from oracles import max_matching_brute, min_edge_cover_brute, perfect_matchings_brute
 from treecount import (
     CoverTerm,
+    ExpansionSummary,
     Multigraph,
     brute_force_edge_cover,
     brute_force_matching,
     build,
     edge_cover_number_from_f,
     expand_f,
+    expansion_summary,
     matching_number_from_f,
     perfect_matchings_from_f,
 )
@@ -87,6 +89,47 @@ def test_expand_term_structure_on_suite():
 
 def test_expand_is_deterministic(figure_one):
     assert expand_f(figure_one) == expand_f(figure_one)
+
+
+def test_expansion_summary_figure_one(figure_one):
+    assert expansion_summary(figure_one) == ExpansionSummary(
+        terms=51,
+        coefficient_sum=64,
+        matching_number=2,
+        edge_cover_number=2,
+        perfect_matchings=((0, 4), (1, 5)),
+    )
+
+
+def test_expansion_summary_small_cases(path3, triangle):
+    assert expansion_summary(build(2, [(0, 1)])) == ExpansionSummary(1, 1, 1, 1, ((0,),))
+    assert expansion_summary(path3) == ExpansionSummary(2, 2, 1, 2, ())
+    assert expansion_summary(triangle).perfect_matchings == ()
+    assert expansion_summary(cycle(4)).perfect_matchings == ((0, 2), (1, 3))
+    # the empty product: one constant term, the empty matching is perfect
+    assert expansion_summary(Multigraph(0)) == ExpansionSummary(1, 1, 0, 0, ((),))
+
+
+def test_expansion_summary_guards(figure_one):
+    with pytest.raises(EmptyExpansionError):
+        expansion_summary(build(3, [(0, 1)]))
+    with pytest.raises(BudgetExceededError):
+        expansion_summary(Multigraph(15), max_vertices=14)
+    with pytest.raises(BudgetExceededError):
+        expansion_summary(figure_one, budget=3)
+
+
+def test_expansion_summary_matches_the_term_readers_on_suite():
+    for g in seeded_suite(25, seed=4242, max_n=8, max_m=14):
+        terms = expand_f(g)
+        summary = expansion_summary(g)
+        assert summary.terms == len(terms)
+        assert summary.coefficient_sum == math.prod(g.degrees())
+        assert summary.matching_number == matching_number_from_f(terms)
+        assert summary.edge_cover_number == edge_cover_number_from_f(terms)
+        assert summary.perfect_matchings == tuple(
+            tuple(sorted(pm)) for pm in perfect_matchings_from_f(terms)
+        )
 
 
 def test_matching_number_from_f(figure_one, path3):

@@ -53,6 +53,26 @@ def test_build_rejects_negative_vertex_count():
         build(-1, [])
 
 
+@pytest.mark.parametrize(
+    "pairs, named",
+    [
+        ([(0, 1.0), (True, 2)], "edge 0"),
+        ([(0, 1.0)], "edge 0"),
+        ([(0, 1), (True, 2)], "edge 1"),
+        ([(0, 1), (2, False)], "edge 1"),
+    ],
+)
+def test_build_rejects_non_int_endpoints(pairs, named):
+    with pytest.raises(TypeError, match=named):
+        build(3, pairs)
+
+
+@pytest.mark.parametrize("n", [2.0, True, "3"])
+def test_constructor_rejects_non_int_vertex_count(n):
+    with pytest.raises(TypeError, match="vertex count n"):
+        Multigraph(n)
+
+
 def test_build_rejects_oversized_graph():
     with pytest.raises(GraphTooLargeError):
         build(65, [])

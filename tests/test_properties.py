@@ -2,20 +2,27 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import identity_rhs_by_subtrees
+from oracles import identity_rhs_by_subtrees, multiply_forms_by_tuples
 from treecount import (
     Multigraph,
     build,
     check_identity,
     contract_edge,
     delete_vertices,
+    edge_cover_number_from_f,
     enumerate_spanning_trees,
+    expand_f,
+    expansion_summary,
     f_value,
     identity_rhs,
     induced,
+    matching_number_from_f,
+    multiply_forms,
     parse,
+    perfect_matchings_from_f,
     serialize,
     tau_deletion_contraction,
     tau_matrix_tree,
@@ -24,6 +31,7 @@ from treecount import (
     tau_weighted_matrix_tree,
     thomassen_bound,
 )
+from treecount.errors import EmptyExpansionError, ExponentOverflowError
 
 
 @st.composite
@@ -36,6 +44,18 @@ def multigraphs(draw, min_n=1, max_n=6, max_m=10):
     )
     pairs = draw(st.lists(pair, max_size=max_m))
     return build(n, pairs)
+
+
+@st.composite
+def parallel_multigraphs(draw, max_n=6, max_m=10):
+    """Multigraphs in which some edges are repeated, at shuffled indices."""
+    n = draw(st.integers(2, max_n))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda t: t[0] != t[1]
+    )
+    base = draw(st.lists(pair, min_size=1, max_size=max_m // 2))
+    copies = draw(st.lists(st.sampled_from(base), min_size=1, max_size=max_m - len(base)))
+    return build(n, draw(st.permutations(base + copies)))
 
 
 def connected_multigraphs(**kwargs):
@@ -134,3 +154,52 @@ def test_identity_rhs_matches_the_per_subtree_route(g, data):
         label="weights",
     )
     assert identity_rhs(g, u, w) == identity_rhs_by_subtrees(g, u, w)
+
+
+def _unpack(mono, m):
+    # packed monomial -> the sorted (index, exponent) tuple of the reference
+    return tuple(
+        (i, (mono >> 2 * i) & 3) for i in range(m) if (mono >> 2 * i) & 3
+    )
+
+
+def _incidence_forms(g):
+    return [g.incident_edges(v) for v in range(g.n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(parallel_multigraphs())
+def test_packed_expansion_matches_the_tuple_reference(g):
+    forms = _incidence_forms(g)
+    packed = multiply_forms(forms).terms
+    assert {_unpack(k, g.m): c for k, c in packed.items()} == multiply_forms_by_tuples(forms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(parallel_multigraphs().filter(lambda g: not g.has_isolated_vertex()), st.data())
+def test_both_expansions_overflow_on_a_third_occurrence(g, data):
+    j = data.draw(st.integers(0, g.m - 1), label="edge")
+    forms = _incidence_forms(g)
+    forms.insert(data.draw(st.integers(0, len(forms)), label="at"), frozenset({j}))
+    with pytest.raises(ExponentOverflowError):
+        multiply_forms(forms)
+    with pytest.raises(ExponentOverflowError):
+        multiply_forms_by_tuples(forms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(parallel_multigraphs())
+def test_expansion_summary_matches_the_term_readers(g):
+    terms = expand_f(g)
+    if not terms:
+        with pytest.raises(EmptyExpansionError):
+            expansion_summary(g)
+        return
+    summary = expansion_summary(g)
+    assert summary.terms == len(terms)
+    assert summary.coefficient_sum == sum(t.coefficient for t in terms)
+    assert summary.matching_number == matching_number_from_f(terms)
+    assert summary.edge_cover_number == edge_cover_number_from_f(terms)
+    assert summary.perfect_matchings == tuple(
+        tuple(sorted(pm)) for pm in perfect_matchings_from_f(terms)
+    )
