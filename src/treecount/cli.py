@@ -46,6 +46,7 @@ from .errors import (
     LengthMismatchError,
     ParseError,
     TreecountError,
+    VertexOutOfRangeError,
 )
 from .fpoly import (
     brute_force_edge_cover,
@@ -201,6 +202,16 @@ def _run_method(name: str, g: Multigraph, root: int | None) -> dict:
 
 def cmd_count(args: argparse.Namespace) -> int:
     g = _load_graph(args.file)
+    if args.root is not None:
+        # checked once here, as `bound` does, rather than per degree method
+        if g.n == 0:
+            print("treecount count: the empty graph has no vertices to root at", file=sys.stderr)
+            return EXIT_USAGE
+        try:
+            g._check_vertex(args.root)
+        except VertexOutOfRangeError as exc:
+            print(f"treecount count: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     names = COUNT_METHODS if args.method == "all" else (args.method,)
     methods = {name: _run_method(name, g, args.root) for name in names}
     values = {e["value"] for e in methods.values() if "value" in e}

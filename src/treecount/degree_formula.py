@@ -6,8 +6,23 @@ the degree product of what is left after deleting the subtree's vertices.
 Two evaluations of that correction are provided. The direct form walks
 every rooted non-spanning subtree; the grouped form buckets subtrees by
 their vertex set S, replacing each bucket with tau(G[S]) times the degree
-product outside S, and skips buckets whose remainder has an isolated
-vertex since those contribute a zero factor anyway.
+product outside S.
+
+Both, and the weighted identity, walk one private kernel. Vertex sets are
+int masks (bit v for vertex v), with a neighbour mask and (neighbour,
+multiplicity) pairs per vertex. The walk keeps the remainder's degrees as
+S grows and shrinks, and yields only sets whose remainder has no isolated
+vertex, since the others contribute a zero factor. It tries candidates in
+ascending order and bans each one after its branch, so sets come out in
+`enumerate_connected_sets` order; once a banned vertex is isolated in the
+remainder it can never join S, and the branch is cut. The grouped form
+counts tau(G[S]) without building a subgraph: vertices with one distinct
+neighbour inside S are stripped, each multiplying by its edge class, and
+the core left over gets a Laplacian minor sliced from the multiplicity
+table, computed once per core within one call. The direct form still
+enumerates the spanning trees of a relabelled G[S] for each kept set.
+`enumerate_connected_sets` and `enumerate_nst` remain the public reference
+walks.
 """
 
 from __future__ import annotations
@@ -15,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .counting import enumerate_spanning_trees, tau_matrix_tree
+from .algebra import bareiss_determinant
+from .counting import enumerate_spanning_trees
 from .errors import DisconnectedError
 from .graph import Multigraph, induced
 
@@ -71,38 +87,157 @@ def enumerate_connected_sets(
     yield from grow(frozenset([u]), frozenset())
 
 
-def _outside_degree_product(g: Multigraph, inside: frozenset[int]) -> int:
-    # product over v outside `inside` of v's degree after deleting `inside`;
-    # an isolated remainder vertex makes the whole product 0
-    product = 1
-    for v in range(g.n):
-        if v in inside:
+def _mask_tables(
+    g: Multigraph,
+) -> tuple[list[int], list[list[tuple[int, int]]], list[list[int]]]:
+    # per vertex: neighbour mask, (neighbour, multiplicity) pairs in
+    # ascending order, and the row of the multiplicity table
+    n = g.n
+    mult = [[0] * n for _ in range(n)]
+    for a, b in g.edges:
+        mult[a][b] += 1
+        mult[b][a] += 1
+    links = [[(w, c) for w, c in enumerate(row) if c] for row in mult]
+    nbr = [sum(1 << w for w, _ in pairs) for pairs in links]
+    return nbr, links, mult
+
+
+def _members(mask: int) -> list[int]:
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return found
+
+
+def _correction_sets(g: Multigraph, u: int, max_size: int) -> Iterator[tuple[int, int]]:
+    # (S mask, degree product of G - S) for every connected S through u with
+    # |S| <= max_size whose remainder has no isolated vertex, in
+    # enumerate_connected_sets order. Remainder degrees follow S on add and
+    # undo; `iso` masks the remainder vertices they leave at 0. An isolated
+    # remainder vertex that is banned can never join S and stays isolated,
+    # so the branch holding it is cut whole.
+    if max_size <= 0:
+        return
+    nbr, links, _ = _mask_tables(g)
+    rdeg = list(g.degrees())
+    start = 1 << u
+    iso = 0
+    for w, c in links[u]:
+        rdeg[w] -= c
+    for w in range(g.n):
+        if w != u and rdeg[w] == 0:
+            iso |= 1 << w
+    full = (1 << g.n) - 1
+    # a vertex without edges never joins S: banned from the start
+    banned = iso & ~nbr[u]
+
+    def product(s: int) -> int:
+        value = 1
+        rest = full ^ s
+        while rest:
+            low = rest & -rest
+            value *= rdeg[low.bit_length() - 1]
+            rest ^= low
+        return value
+
+    def grow(
+        s: int, banned: int, frontier: int, iso: int, size: int
+    ) -> Iterator[tuple[int, int]]:
+        if not iso:
+            yield s, product(s)
+        if size == max_size:
+            return
+        candidates = frontier & ~banned
+        while candidates:
+            low = candidates & -candidates
+            v = low.bit_length() - 1
+            grown = s | low
+            child_iso = iso & ~low
+            for w, c in links[v]:
+                d = rdeg[w] - c
+                rdeg[w] = d
+                if not d and not grown >> w & 1:
+                    child_iso |= 1 << w
+            if not child_iso & banned:
+                yield from grow(
+                    grown, banned, (frontier | nbr[v]) & ~grown, child_iso, size + 1
+                )
+            for w, c in links[v]:
+                rdeg[w] += c
+            if iso & low:
+                # v is isolated here and banned in every later sibling
+                return
+            banned |= low
+            candidates ^= low
+
+    if not iso & banned:
+        yield from grow(start, banned, nbr[u], iso, 1)
+
+
+def _tau_inside(
+    s: int, nbr: list[int], mult: list[list[int]], by_core: dict[int, int]
+) -> int:
+    # tau(G[S]): each vertex with one distinct neighbour inside S is stripped
+    # and its edge class multiplies the count; the core left over is counted
+    # by a Laplacian minor sliced from the multiplicity table, once per core.
+    # A vertex's inside degree only falls, so each leaf is queued once.
+    leaves = []
+    rest = s
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        inside = nbr[low.bit_length() - 1] & s
+        if inside and not inside & (inside - 1):
+            leaves.append(low.bit_length() - 1)
+    core = s
+    tau = 1
+    while leaves:
+        v = leaves.pop()
+        inside = nbr[v] & core
+        if not inside:
+            # the last vertex of a tree
             continue
-        d = 0
-        for j in g._incidence[v]:
-            if g.other_end(j, v) not in inside:
-                d += 1
-        if d == 0:
-            return 0
-        product *= d
-    return product
+        w = inside.bit_length() - 1
+        tau *= mult[v][w]
+        core ^= 1 << v
+        inside = nbr[w] & core
+        if inside and not inside & (inside - 1):
+            leaves.append(w)
+    if not core & (core - 1):
+        return tau
+    count = by_core.get(core)
+    if count is None:
+        vs = _members(core)
+        minor = []
+        for i, a in enumerate(vs[:-1]):
+            row = [-mult[a][b] for b in vs[:-1]]
+            row[i] = sum(mult[a][b] for b in vs)
+            minor.append(row)
+        count = by_core[core] = bareiss_determinant(minor)
+    return tau * count
+
+
+def _grouped_terms(g: Multigraph, u: int) -> Iterator[tuple[int, int, int]]:
+    # (S mask, tau(G[S]), degree product of G - S) for every kept set
+    nbr, _, mult = _mask_tables(g)
+    by_core: dict[int, int] = {}
+    for s, outside_product in _correction_sets(g, u, g.n - 2):
+        yield s, _tau_inside(s, nbr, mult, by_core), outside_product
 
 
 def c_pieces(g: Multigraph, u: int) -> Iterator[InducedPiece]:
     """Yield the grouped correction terms for root u.
 
     Covers connected sets S with u in S and 1 <= |S| <= n-2 whose deletion
-    leaves no isolated vertex; tau inside comes from the Laplacian route.
+    leaves no isolated vertex, in enumerate_connected_sets order.
     """
     if not g.is_connected():
         raise DisconnectedError("grouped formula needs a connected graph")
     g._check_vertex(u)
-    for s in enumerate_connected_sets(g, u, g.n - 2):
-        product = _outside_degree_product(g, s)
-        if product == 0:
-            continue
-        piece = induced(g, s)
-        yield InducedPiece(s, tau_matrix_tree(piece.graph), product)
+    for s, tau, outside_product in _grouped_terms(g, u):
+        yield InducedPiece(frozenset(_members(s)), tau, outside_product)
 
 
 def thomassen_bound(g: Multigraph, u: int) -> int:
@@ -140,8 +275,8 @@ def tau_via_grouped_formula(g: Multigraph, u: int) -> int:
     if g.n == 1:
         return 1
     correction = 0
-    for piece in c_pieces(g, u):
-        correction += piece.tau_inside * piece.outside_degree_product
+    for _, tau, outside_product in _grouped_terms(g, u):
+        correction += tau * outside_product
     return thomassen_bound(g, u) - correction
 
 
@@ -171,14 +306,10 @@ def direct_formula_value(g: Multigraph, u: int) -> int:
     if g.n == 1:
         return 1
     correction = 0
-    for s in enumerate_connected_sets(g, u, g.n - 1):
-        product = _outside_degree_product(g, s)
-        if product == 0:
-            # every subtree on this vertex set contributes a zero term
-            continue
-        sub = induced(g, s)
+    for s, outside_product in _correction_sets(g, u, g.n - 1):
+        sub = induced(g, _members(s))
         for _tree in enumerate_spanning_trees(sub.graph):
-            correction += product
+            correction += outside_product
     return thomassen_bound(g, u) - correction
 
 

@@ -9,9 +9,12 @@ implementation error exactly.
 
 A remainder with an isolated vertex has an incidence product of 0, so the
 correction walks only the vertex sets whose remainder keeps every vertex
-covered, the same sets the grouped degree formula keeps. The remainder's
-product is read off the original incidence lists; no remainder graph is
-built.
+covered: it shares the degree formulas' walk over int vertex masks, which
+cuts a branch once a vertex that can no longer join the set is isolated.
+The remainder's product is read off the original incidence lists with
+that mask; no remainder graph is built. The spanning trees inside each
+kept set are still enumerated on a relabelled induced subgraph, once per
+weight point.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .counting import enumerate_spanning_trees, tau_weighted_matrix_tree
-from .degree_formula import SubTree, _outside_degree_product, enumerate_connected_sets
+from .degree_formula import SubTree, _correction_sets, _members
 from .errors import DisconnectedError, LengthMismatchError
 from .graph import Multigraph, induced
 
@@ -74,15 +77,16 @@ def identity_lhs(g: Multigraph, u: int, weights: Sequence[int]) -> int:
     return product
 
 
-def _remainder_value(g: Multigraph, inside: frozenset[int], weights: Sequence[int]) -> int:
-    # f_value of G - inside with weights kept by original edge index: per
-    # outside vertex, the weight sum of its edges with no end inside
+def _remainder_value(g: Multigraph, inside: int, weights: Sequence[int]) -> int:
+    # f_value of G - inside (a vertex mask) with weights kept by original
+    # edge index: per outside vertex, the weight sum of its edges with no
+    # end inside
     product = 1
     for v in range(g.n):
-        if v in inside:
+        if inside >> v & 1:
             continue
         product *= sum(
-            weights[j] for j in g._incidence[v] if g.other_end(j, v) not in inside
+            weights[j] for j in g._incidence[v] if not inside >> g.other_end(j, v) & 1
         )
         if product == 0:
             return 0
@@ -105,13 +109,11 @@ def identity_rhs(g: Multigraph, u: int, weights: Sequence[int]) -> tuple[int, in
     g._check_vertex(u)
     nst_sum = 0
     # a set of n-1 vertices leaves one isolated vertex, so stop at n-2
-    for s in enumerate_connected_sets(g, u, g.n - 2):
-        if _outside_degree_product(g, s) == 0:
-            continue
+    for s, _ in _correction_sets(g, u, g.n - 2):
         fv = _remainder_value(g, s, weights)
         if fv == 0:
             continue
-        piece = induced(g, s)
+        piece = induced(g, _members(s))
         tree_sum = 0
         for tree in enumerate_spanning_trees(piece.graph):
             product = 1

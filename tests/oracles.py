@@ -5,8 +5,10 @@ library's own algorithms: determinants by cofactor expansion, subset
 enumeration by powerset filtering, tree checks by explicit union-find.
 The exceptions are the library's earlier routes, kept as references for
 the faster ones: `identity_rhs_by_subtrees`, the per-subtree route to the
-identity, and `multiply_forms_by_tuples`, the expansion on sorted
-(index, exponent) tuple monomials.
+identity; `multiply_forms_by_tuples`, the expansion on sorted
+(index, exponent) tuple monomials; and `c_pieces_by_frozensets` and
+`direct_value_by_frozensets`, the degree formulas' corrections over
+frozenset vertex sets with a relabelled subgraph per set.
 """
 
 from __future__ import annotations
@@ -14,14 +16,21 @@ from __future__ import annotations
 from itertools import combinations
 
 from treecount import (
+    InducedPiece,
     delete_vertices,
+    enumerate_connected_sets,
     enumerate_nst,
+    enumerate_spanning_trees,
     f_value,
+    induced,
+    tau_matrix_tree,
     tau_weighted_matrix_tree,
+    thomassen_bound,
     tree_weight,
 )
 from treecount.errors import (
     BudgetExceededError,
+    DisconnectedError,
     ExponentOverflowError,
     LengthMismatchError,
 )
@@ -193,6 +202,47 @@ def identity_rhs_by_subtrees(g, u, weights):
         fv = f_value(rest.graph, [weights[j] for j in rest.edge_origin])
         nst_sum += tree_weight(subtree, weights) * fv
     return tau_term, nst_sum
+
+
+def outside_degree_product(g, inside):
+    # degree product of G - inside; an isolated remainder vertex gives 0
+    product = 1
+    for v in range(g.n):
+        if v in inside:
+            continue
+        d = sum(1 for j in g._incidence[v] if g.other_end(j, v) not in inside)
+        if d == 0:
+            return 0
+        product *= d
+    return product
+
+
+def c_pieces_by_frozensets(g, u):
+    """c_pieces the slow way: every connected set through u of size <= n-2,
+    its remainder's degree product, and tau of a relabelled induced graph."""
+    if not g.is_connected():
+        raise DisconnectedError("grouped formula needs a connected graph")
+    g._check_vertex(u)
+    for s in enumerate_connected_sets(g, u, g.n - 2):
+        product = outside_degree_product(g, s)
+        if product:
+            yield InducedPiece(s, tau_matrix_tree(induced(g, s).graph), product)
+
+
+def direct_value_by_frozensets(g, u):
+    """direct_formula_value the slow way: one correction term per spanning
+    tree of a relabelled induced graph, over every connected set through u
+    of size <= n-1."""
+    g._check_vertex(u)
+    if g.n == 1:
+        return 1
+    correction = 0
+    for s in enumerate_connected_sets(g, u, g.n - 1):
+        product = outside_degree_product(g, s)
+        if product:
+            trees = sum(1 for _ in enumerate_spanning_trees(induced(g, s).graph))
+            correction += trees * product
+    return thomassen_bound(g, u) - correction
 
 
 def _raise_power(mono, var):

@@ -87,6 +87,30 @@ def test_count_disconnected_reports_errors_honestly(capsys, disconnected_file):
     assert code == 0
 
 
+@pytest.mark.parametrize("root", ["5", "-1"])
+@pytest.mark.parametrize(
+    "extra", [[], ["--json"], ["--method", "degree"], ["--method", "degree", "--json"]]
+)
+def test_count_rejects_an_out_of_range_root(capsys, wheel4_file, root, extra):
+    code, out, err = run(capsys, ["count", wheel4_file, "--root", root, *extra])
+    assert code == 1
+    assert out == ""
+    assert err == f"treecount count: vertex {root} not in 0..4\n"
+    # the line `bound` prints for the same root
+    bound = run(capsys, ["bound", wheel4_file, "--root", root])
+    assert bound[::2] == (1, f"treecount bound: vertex {root} not in 0..4\n")
+
+
+def test_count_rejects_a_root_on_the_empty_graph(capsys, tmp_path):
+    path = tmp_path / "empty.graph"
+    path.write_text("n 0\n")
+    code, out, err = run(capsys, ["count", str(path), "--root", "0"])
+    assert (code, out) == (1, "")
+    assert err == "treecount count: the empty graph has no vertices to root at\n"
+    # without a root the empty graph still reports one error per method
+    assert run(capsys, ["count", str(path)])[0] == 0
+
+
 def test_count_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.graph"
     bad.write_text("nonsense\n")

@@ -5,7 +5,15 @@ from collections import Counter
 import pytest
 
 from conftest import seeded_suite
-from oracles import connected_sets_brute, is_tree_on, subtrees_brute
+import treecount.degree_formula as degree_formula
+from oracles import (
+    c_pieces_by_frozensets,
+    connected_sets_brute,
+    direct_value_by_frozensets,
+    is_tree_on,
+    outside_degree_product,
+    subtrees_brute,
+)
 from treecount import (
     best_thomassen_bound,
     build,
@@ -13,6 +21,7 @@ from treecount import (
     direct_formula_value,
     enumerate_connected_sets,
     enumerate_nst,
+    identity_rhs,
     induced,
     tau_matrix_tree,
     tau_via_direct_formula,
@@ -104,6 +113,107 @@ def test_c_pieces_partition_the_small_connected_sets():
             for s in small - pieces:
                 rest = induced(g, set(range(g.n)) - s).graph if len(s) < g.n else None
                 assert rest is not None and rest.has_isolated_vertex()
+
+
+def _piece(g, u, vertices):
+    return next(p for p in c_pieces(g, u) if p.vertices == frozenset(vertices))
+
+
+def test_pendant_class_multiplies_by_its_multiplicity():
+    # triangle 0-1-2 with vertex 3 hanging off 0 by a class of 3 parallel
+    # edges; 4-5 keeps the remainder covered
+    g = build(6, [(0, 1), (1, 2), (0, 2)] + [(0, 3)] * 3 + [(1, 4), (4, 5)])
+    piece = _piece(g, 0, {0, 1, 2, 3})
+    assert piece.tau_inside == 3 * 3
+    assert piece.tau_inside == tau_matrix_tree(induced(g, piece.vertices).graph)
+
+
+def test_tree_shaped_set_gives_the_product_of_its_multiplicities():
+    # path 0 =2= 1 =3= 2, then a covered tail 3-4
+    g = build(5, [(0, 1)] * 2 + [(1, 2)] * 3 + [(2, 3), (3, 4)])
+    assert _piece(g, 0, {0, 1, 2}).tau_inside == 2 * 3
+    assert _piece(g, 1, {0, 1}).tau_inside == 2
+
+
+def test_core_cache_hit_equals_a_fresh_determinant(monkeypatch):
+    # K4 on 0..3 with pendant 4 (double edge) off 1 and pendant 5 off 2;
+    # {0..4} and {0..3, 5} strip to the same core, counted once
+    k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    g = build(8, k4 + [(1, 4)] * 2 + [(2, 5), (4, 6), (5, 7), (6, 7)])
+    calls = []
+    real = degree_formula.bareiss_determinant
+    monkeypatch.setattr(
+        degree_formula, "bareiss_determinant", lambda m: calls.append(m) or real(m)
+    )
+    pieces = {p.vertices: p.tau_inside for p in c_pieces(g, 0)}
+    assert pieces[frozenset({0, 1, 2, 3, 4})] == 16 * 2
+    assert pieces[frozenset({0, 1, 2, 3, 5})] == 16
+    for vertices, tau_inside in pieces.items():
+        assert tau_inside == tau_matrix_tree(induced(g, vertices).graph)
+    # the cache lives for one call: the K4 minor is evaluated once in it
+    assert sum(1 for m in calls if len(m) == 3) == 1
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        build(1, []),
+        build(2, [(0, 1)] * 3),
+        build(3, [(0, 1)] * 2 + [(1, 2)]),
+        build(3, [(0, 1), (1, 2), (0, 2), (0, 2)]),
+    ],
+)
+def test_grouped_terms_on_one_to_three_vertices(g):
+    for u in range(g.n):
+        assert list(c_pieces(g, u)) == list(c_pieces_by_frozensets(g, u))
+        assert tau_via_grouped_formula(g, u) == tau_matrix_tree(g)
+        assert direct_formula_value(g, u) == direct_value_by_frozensets(g, u)
+
+
+@pytest.mark.parametrize("pendant", [1, 3, 5])
+def test_pruned_walk_yields_the_reference_sets(pendant):
+    # the pendant vertex hangs off root 0, so once it is banned it is
+    # isolated and the whole branch is cut
+    others = [v for v in range(1, 7) if v != pendant]
+    ring = list(zip(others, others[1:] + others[:1]))
+    g = build(7, [(0, pendant), (0, others[0]), (0, others[2])] + ring + [ring[1]])
+    for cap in (g.n - 2, g.n - 1):
+        got = [
+            (frozenset(degree_formula._members(s)), product)
+            for s, product in degree_formula._correction_sets(g, 0, cap)
+        ]
+        reference = [
+            (t, outside_degree_product(g, t)) for t in enumerate_connected_sets(g, 0, cap)
+        ]
+        assert got == [(t, product) for t, product in reference if product]
+        assert all(pendant in s for s, _ in got)
+    assert list(c_pieces(g, 0)) == list(c_pieces_by_frozensets(g, 0))
+    assert direct_formula_value(g, 0) == direct_value_by_frozensets(g, 0)
+
+
+DISCONNECTED = build(4, [(0, 1), (2, 3)])
+CONNECTED = build(3, [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize(
+    "route, g, u, error",
+    [
+        (lambda g, u: list(c_pieces(g, u)), DISCONNECTED, 9, DisconnectedError),
+        (lambda g, u: list(c_pieces(g, u)), CONNECTED, 3, VertexOutOfRangeError),
+        (tau_via_grouped_formula, DISCONNECTED, 9, DisconnectedError),
+        (tau_via_grouped_formula, CONNECTED, -1, VertexOutOfRangeError),
+        (tau_via_direct_formula, DISCONNECTED, 9, DisconnectedError),
+        (tau_via_direct_formula, CONNECTED, 3, VertexOutOfRangeError),
+        # the raw direct value has no connectivity requirement
+        (direct_formula_value, DISCONNECTED, 9, VertexOutOfRangeError),
+        (direct_formula_value, CONNECTED, -1, VertexOutOfRangeError),
+        (lambda g, u: identity_rhs(g, u, [1] * g.m), DISCONNECTED, 9, DisconnectedError),
+        (lambda g, u: identity_rhs(g, u, [1] * g.m), CONNECTED, 3, VertexOutOfRangeError),
+    ],
+)
+def test_error_order_is_disconnected_then_vertex_range(route, g, u, error):
+    with pytest.raises(error):
+        route(g, u)
 
 
 def test_grouped_formula_paper_wheels(wheel4, multiwheel4, multiwheel5):

@@ -5,13 +5,20 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import identity_rhs_by_subtrees, multiply_forms_by_tuples
+from oracles import (
+    c_pieces_by_frozensets,
+    direct_value_by_frozensets,
+    identity_rhs_by_subtrees,
+    multiply_forms_by_tuples,
+)
 from treecount import (
     Multigraph,
     build,
+    c_pieces,
     check_identity,
     contract_edge,
     delete_vertices,
+    direct_formula_value,
     edge_cover_number_from_f,
     enumerate_spanning_trees,
     expand_f,
@@ -31,7 +38,7 @@ from treecount import (
     tau_weighted_matrix_tree,
     thomassen_bound,
 )
-from treecount.errors import EmptyExpansionError, ExponentOverflowError
+from treecount.errors import DisconnectedError, EmptyExpansionError, ExponentOverflowError
 
 
 @st.composite
@@ -154,6 +161,28 @@ def test_identity_rhs_matches_the_per_subtree_route(g, data):
         label="weights",
     )
     assert identity_rhs(g, u, w) == identity_rhs_by_subtrees(g, u, w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(parallel_multigraphs(max_n=7, max_m=12))
+def test_grouped_pieces_match_the_frozenset_route(g):
+    for u in range(g.n):
+        if not g.is_connected():
+            with pytest.raises(DisconnectedError):
+                list(c_pieces(g, u))
+            with pytest.raises(DisconnectedError):
+                list(c_pieces_by_frozensets(g, u))
+            continue
+        # same pieces in the same order: vertices, tau inside and product
+        assert list(c_pieces(g, u)) == list(c_pieces_by_frozensets(g, u))
+
+
+@settings(max_examples=80, deadline=None)
+@given(parallel_multigraphs(max_n=7, max_m=12))
+def test_direct_value_matches_the_frozenset_route(g):
+    # disconnected graphs included: `verify --allow-disconnected` probes them
+    for u in range(g.n):
+        assert direct_formula_value(g, u) == direct_value_by_frozensets(g, u)
 
 
 def _unpack(mono, m):
