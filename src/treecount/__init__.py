@@ -10,6 +10,7 @@ from .algebra import CappedPoly, bareiss_determinant, evaluate_poly, multiply_fo
 from .counting import (
     FamilySpec,
     closed_form_tau,
+    count_spanning_trees,
     enumerate_spanning_trees,
     generate_family,
     tau_deletion_contraction,
@@ -81,6 +82,7 @@ __all__ = [
     "check_identity",
     "closed_form_tau",
     "contract_edge",
+    "count_spanning_trees",
     "delete_vertices",
     "direct_formula_value",
     "edge_cover_number_from_f",

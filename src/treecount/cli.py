@@ -25,6 +25,7 @@ from .algebra import DEFAULT_TERM_BUDGET
 from .counting import (
     FamilySpec,
     closed_form_tau,
+    count_spanning_trees,
     enumerate_spanning_trees,
     generate_family,
     tau_deletion_contraction,
@@ -184,7 +185,7 @@ def _run_method(name: str, g: Multigraph, root: int | None) -> dict:
                 raise BudgetExceededError(
                     f"enumeration skipped: n={g.n} exceeds the cap of {ENUM_VERTEX_CAP}"
                 )
-            entry["value"] = sum(1 for _ in enumerate_spanning_trees(g))
+            entry["value"] = count_spanning_trees(g)
         else:
             if g.n == 0:
                 raise EmptyGraphError("tau needs at least one vertex")
@@ -294,7 +295,9 @@ def _check_cross_method(g: Multigraph) -> tuple[bool, dict[str, int]]:
         "del-con-alt": tau_deletion_contraction(g, "first-edge"),
     }
     if g.n <= ENUM_VERTEX_CAP:
+        # the reference walk beside the class walk `count --method enum` runs
         values["enum"] = sum(1 for _ in enumerate_spanning_trees(g))
+        values["enum-classes"] = count_spanning_trees(g)
     if g.is_connected():
         root = best_thomassen_bound(g)[0]
         values["degree"] = tau_via_grouped_formula(g, root)
@@ -462,6 +465,9 @@ def cmd_identity(args: argparse.Namespace) -> int:
         print("treecount identity: --trials must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     g = _load_graph(args.file)
+    if g.n == 0:
+        print("treecount identity: the empty graph has no vertices to root at", file=sys.stderr)
+        return EXIT_USAGE
     if not g.is_connected():
         print("treecount identity: graph must be connected", file=sys.stderr)
         return EXIT_USAGE

@@ -3,6 +3,15 @@
 Three independent routes to tau(G): a Laplacian minor determinant
 (unweighted and weighted), the delete/contract recursion refined to handle
 parallel classes in one step, and plain enumeration for small graphs.
+
+Enumeration runs on one private kernel, `_tree_sum`, that walks the
+spanning trees of the simple graph underlying a vertex set, one parallel
+class per edge, over int masks (bit v for vertex v, one bit per class):
+each tree contributes the product of its classes' values. With class
+multiplicities as values it counts tau(G[S]), which `count_spanning_trees`
+and the direct degree formula use; with class weight sums it gives the
+weighted tree sum the identity needs. `enumerate_spanning_trees` remains
+the public reference walk, one edge-index set per tree of the multigraph.
 """
 
 from __future__ import annotations
@@ -113,6 +122,84 @@ def _tau_dc(g: Multigraph, pick: Callable[[Multigraph], int]) -> int:
         cls = frozenset(k for k, e in enumerate(g.edges) if e == pair)
         total += len(cls) * _tau_dc(contract_edge(g, j), pick)
         g = _drop_edges(g, cls)
+
+
+def _class_links(
+    g: Multigraph, weights: Sequence[int] | None = None
+) -> list[list[tuple[int, int]]]:
+    # per vertex, ascending (neighbour, class value) pairs with a nonzero
+    # value: the class's multiplicity, or its weight sum when weights are
+    # given (a zero sum drops the class, whose trees all contribute 0)
+    sums: list[dict[int, int]] = [{} for _ in range(g.n)]
+    for j, (a, b) in enumerate(g.edges):
+        w = 1 if weights is None else weights[j]
+        sums[a][b] = sums[a].get(b, 0) + w
+        sums[b][a] = sums[b].get(a, 0) + w
+    return [sorted((w, c) for w, c in row.items() if c) for row in sums]
+
+
+def _tree_sum(s: int, links: Sequence[Sequence[tuple[int, int]]]) -> int:
+    # Sum over the spanning trees of the simple graph underlying G[S] of the
+    # product of their class values; `links` holds each vertex's ascending
+    # (neighbour, value) pairs, and classes leaving S are ignored. The walk
+    # (Gabow & Myers, SIAM J. Comput. 7(3), 1978) grows a tree from the
+    # lowest vertex of S. The lowest frontier class is either included,
+    # which recurses with its outer vertex added, or excluded, which loops
+    # in place, so the recursion depth stays below |S|. The tree's vertex
+    # mask, its frontier class mask and the excluded class mask carry the
+    # state; once an excluded class's outer vertex has no class left, no
+    # tree remains and the branch stops.
+    if not s & (s - 1):
+        return 1
+    inc = [0] * len(links)
+    ends: list[int] = []
+    values: list[int] = []
+    rest = s
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        for w, c in links[v]:
+            if w > v and s >> w & 1:
+                bit = 1 << len(values)
+                inc[v] |= bit
+                inc[w] |= bit
+                ends.append(low | 1 << w)
+                values.append(c)
+
+    def walk(tree: int, frontier: int, excluded: int) -> int:
+        total = 0
+        while frontier:
+            low = frontier & -frontier
+            x = low.bit_length() - 1
+            outer = ends[x] & ~tree
+            y = outer.bit_length() - 1
+            grown = tree | outer
+            if grown == s:
+                total += values[x]
+            else:
+                total += values[x] * walk(grown, (frontier ^ inc[y]) & ~excluded, excluded)
+            excluded |= low
+            frontier ^= low
+            if not inc[y] & ~excluded:
+                break
+        return total
+
+    root = s & -s
+    return walk(root, inc[root.bit_length() - 1], 0)
+
+
+def count_spanning_trees(g: Multigraph) -> int:
+    """Spanning-tree count by enumeration.
+
+    Walks the spanning trees of the simple graph underlying g, each parallel
+    class standing for all its edges, and adds up the products of their
+    class multiplicities: one leaf of the walk per simple spanning tree. Only sensible for small graphs; the number of
+    trees walked grows superexponentially.
+    """
+    if g.n == 0:
+        raise EmptyGraphError("spanning trees need at least one vertex")
+    return _tree_sum((1 << g.n) - 1, _class_links(g))
 
 
 def enumerate_spanning_trees(g: Multigraph) -> Iterator[frozenset[int]]:

@@ -19,8 +19,9 @@ remainder it can never join S, and the branch is cut. The grouped form
 counts tau(G[S]) without building a subgraph: vertices with one distinct
 neighbour inside S are stripped, each multiplying by its edge class, and
 the core left over gets a Laplacian minor sliced from the multiplicity
-table, computed once per core within one call. The direct form still
-enumerates the spanning trees of a relabelled G[S] for each kept set.
+table, computed once per core within one call. The direct form walks the
+spanning trees of each kept set one parallel class per step, multiplying
+in its multiplicity (`counting._tree_sum`), with no subgraph built either.
 `enumerate_connected_sets` and `enumerate_nst` remain the public reference
 walks.
 """
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .algebra import bareiss_determinant
-from .counting import enumerate_spanning_trees
+from .counting import _class_links, _tree_sum, enumerate_spanning_trees
 from .errors import DisconnectedError
 from .graph import Multigraph, induced
 
@@ -92,13 +93,12 @@ def _mask_tables(
 ) -> tuple[list[int], list[list[tuple[int, int]]], list[list[int]]]:
     # per vertex: neighbour mask, (neighbour, multiplicity) pairs in
     # ascending order, and the row of the multiplicity table
-    n = g.n
-    mult = [[0] * n for _ in range(n)]
-    for a, b in g.edges:
-        mult[a][b] += 1
-        mult[b][a] += 1
-    links = [[(w, c) for w, c in enumerate(row) if c] for row in mult]
+    links = _class_links(g)
     nbr = [sum(1 << w for w, _ in pairs) for pairs in links]
+    mult = [[0] * g.n for _ in range(g.n)]
+    for v, pairs in enumerate(links):
+        for w, c in pairs:
+            mult[v][w] = c
     return nbr, links, mult
 
 
@@ -305,11 +305,10 @@ def direct_formula_value(g: Multigraph, u: int) -> int:
     g._check_vertex(u)
     if g.n == 1:
         return 1
+    links = _class_links(g)
     correction = 0
     for s, outside_product in _correction_sets(g, u, g.n - 1):
-        sub = induced(g, _members(s))
-        for _tree in enumerate_spanning_trees(sub.graph):
-            correction += outside_product
+        correction += _tree_sum(s, links) * outside_product
     return thomassen_bound(g, u) - correction
 
 

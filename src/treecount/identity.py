@@ -11,10 +11,11 @@ A remainder with an isolated vertex has an incidence product of 0, so the
 correction walks only the vertex sets whose remainder keeps every vertex
 covered: it shares the degree formulas' walk over int vertex masks, which
 cuts a branch once a vertex that can no longer join the set is isolated.
-The remainder's product is read off the original incidence lists with
-that mask; no remainder graph is built. The spanning trees inside each
-kept set are still enumerated on a relabelled induced subgraph, once per
-weight point.
+Each weight point first sums the weights of every parallel class. The
+remainder's product is read off those sums with the set's mask, and the
+weighted tree sum inside a kept set comes from the class walk that
+`count --method enum` runs, each class valued by its sum; neither a
+remainder graph nor an induced subgraph is built.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .counting import enumerate_spanning_trees, tau_weighted_matrix_tree
-from .degree_formula import SubTree, _correction_sets, _members
+from .counting import _class_links, _tree_sum, tau_weighted_matrix_tree
+from .degree_formula import SubTree, _correction_sets
 from .errors import DisconnectedError, LengthMismatchError
-from .graph import Multigraph, induced
+from .graph import Multigraph
 
 
 @dataclass(frozen=True)
@@ -77,17 +78,14 @@ def identity_lhs(g: Multigraph, u: int, weights: Sequence[int]) -> int:
     return product
 
 
-def _remainder_value(g: Multigraph, inside: int, weights: Sequence[int]) -> int:
-    # f_value of G - inside (a vertex mask) with weights kept by original
-    # edge index: per outside vertex, the weight sum of its edges with no
-    # end inside
+def _remainder_value(inside: int, links: list[list[tuple[int, int]]]) -> int:
+    # f_value of G - inside (a vertex mask): per outside vertex, the weight
+    # sums of its parallel classes with no end inside
     product = 1
-    for v in range(g.n):
+    for v, pairs in enumerate(links):
         if inside >> v & 1:
             continue
-        product *= sum(
-            weights[j] for j in g._incidence[v] if not inside >> g.other_end(j, v) & 1
-        )
+        product *= sum(c for w, c in pairs if not inside >> w & 1)
         if product == 0:
             return 0
     return product
@@ -107,20 +105,13 @@ def identity_rhs(g: Multigraph, u: int, weights: Sequence[int]) -> tuple[int, in
     if not g.is_connected():
         raise DisconnectedError("subtree enumeration needs a connected graph")
     g._check_vertex(u)
+    links = _class_links(g, weights)
     nst_sum = 0
     # a set of n-1 vertices leaves one isolated vertex, so stop at n-2
     for s, _ in _correction_sets(g, u, g.n - 2):
-        fv = _remainder_value(g, s, weights)
-        if fv == 0:
-            continue
-        piece = induced(g, _members(s))
-        tree_sum = 0
-        for tree in enumerate_spanning_trees(piece.graph):
-            product = 1
-            for j in tree:
-                product *= weights[piece.edge_origin[j]]
-            tree_sum += product
-        nst_sum += tree_sum * fv
+        fv = _remainder_value(s, links)
+        if fv:
+            nst_sum += _tree_sum(s, links) * fv
     return tau_term, nst_sum
 
 

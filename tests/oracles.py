@@ -6,9 +6,10 @@ enumeration by powerset filtering, tree checks by explicit union-find.
 The exceptions are the library's earlier routes, kept as references for
 the faster ones: `identity_rhs_by_subtrees`, the per-subtree route to the
 identity; `multiply_forms_by_tuples`, the expansion on sorted
-(index, exponent) tuple monomials; and `c_pieces_by_frozensets` and
+(index, exponent) tuple monomials; `c_pieces_by_frozensets` and
 `direct_value_by_frozensets`, the degree formulas' corrections over
-frozenset vertex sets with a relabelled subgraph per set.
+frozenset vertex sets with a relabelled subgraph per set; and
+`tree_sum_by_induced`, the per-set tree sum the class walk replaced.
 """
 
 from __future__ import annotations
@@ -243,6 +244,21 @@ def direct_value_by_frozensets(g, u):
             trees = sum(1 for _ in enumerate_spanning_trees(induced(g, s).graph))
             correction += trees * product
     return thomassen_bound(g, u) - correction
+
+
+def tree_sum_by_induced(g, vertices, weights=None):
+    """The sum over the spanning trees of G[vertices] of their edge-weight
+    products (the tree count when weights is None), the old way: a
+    relabelled induced subgraph and one step per tree of the multigraph."""
+    piece = induced(g, vertices)
+    total = 0
+    for tree in enumerate_spanning_trees(piece.graph):
+        product = 1
+        if weights is not None:
+            for j in tree:
+                product *= weights[piece.edge_origin[j]]
+        total += product
+    return total
 
 
 def _raise_power(mono, var):

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import treecount.cli
 from treecount import FamilySpec, build, generate_family, parse, serialize
 from treecount.cli import main
 
@@ -109,6 +110,16 @@ def test_count_rejects_a_root_on_the_empty_graph(capsys, tmp_path):
     assert err == "treecount count: the empty graph has no vertices to root at\n"
     # without a root the empty graph still reports one error per method
     assert run(capsys, ["count", str(path)])[0] == 0
+
+
+def test_count_enum_on_the_empty_graph_keeps_its_error_entry(capsys, tmp_path):
+    path = tmp_path / "empty.graph"
+    path.write_text("n 0\n")
+    code, out, _ = run(capsys, ["count", str(path), "--method", "enum", "--json"])
+    assert code == 0
+    entry = json.loads(out)["methods"]["enum"]
+    assert entry.keys() == {"error", "ms"}
+    assert entry["error"] == "spanning trees need at least one vertex"
 
 
 def test_count_parse_error_exit_code(capsys, tmp_path):
@@ -268,6 +279,26 @@ def test_identity_weights_file(capsys, figure_one_file, tmp_path):
     doc = json.loads(out)
     assert doc["reports"][0]["weights"] == [3, 1, 1, 1, 2, 1]
     assert doc["all_hold"] is True
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_identity_rejects_the_empty_graph(capsys, tmp_path, extra):
+    path = tmp_path / "empty.graph"
+    path.write_text("n 0\n")
+    code, out, err = run(capsys, ["identity", str(path), *extra])
+    assert (code, out) == (1, "")
+    assert err == "treecount identity: the empty graph has no vertices to root at\n"
+
+
+def test_verify_checks_the_class_walk_against_enumeration(capsys, monkeypatch):
+    argv = ["verify", "--n", "5", "--m", "8", "--trials", "2", "--seed", "1"]
+    assert run(capsys, argv)[0] == 0
+    real = treecount.cli.count_spanning_trees
+    monkeypatch.setattr(treecount.cli, "count_spanning_trees", lambda g: real(g) + 1)
+    code, out, _ = run(capsys, argv)
+    assert code == 3
+    assert out.count("violation[cross_method]") == 2
+    assert "'enum-classes': " in out
 
 
 def test_identity_rejects_disconnected(capsys, disconnected_file):

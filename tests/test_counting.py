@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from conftest import seeded_suite
@@ -9,12 +11,14 @@ from treecount import (
     Multigraph,
     build,
     closed_form_tau,
+    count_spanning_trees,
     enumerate_spanning_trees,
     generate_family,
     tau_deletion_contraction,
     tau_matrix_tree,
     tau_weighted_matrix_tree,
 )
+from treecount.counting import _class_links, _tree_sum
 from treecount.errors import EmptyGraphError, InvalidSpecError, LengthMismatchError
 
 
@@ -152,6 +156,60 @@ def test_cross_method_agreement_on_suite():
         expected = tau_matrix_tree(g)
         assert tau_deletion_contraction(g) == expected
         assert sum(1 for _ in enumerate_spanning_trees(g)) == expected
+        assert count_spanning_trees(g) == expected
+
+
+def test_class_walk_single_vertex_is_one(figure_one):
+    assert count_spanning_trees(build(1, [])) == 1
+    links = _class_links(figure_one)
+    assert [_tree_sum(1 << v, links) for v in range(4)] == [1, 1, 1, 1]
+
+
+def test_class_walk_disconnected_set_is_zero(figure_one):
+    # {1, 3} has no class inside; {0, 1, 3} is joined through 0
+    links = _class_links(figure_one)
+    assert _tree_sum(0b1010, links) == 0
+    assert _tree_sum(0b1011, links) == 1
+    assert count_spanning_trees(build(4, [(0, 1), (2, 3), (2, 3)])) == 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_class_walk_parallel_pair_gives_its_multiplicity(k):
+    assert count_spanning_trees(build(2, [(0, 1)] * k)) == k
+
+
+def test_class_walk_complete_four():
+    assert count_spanning_trees(complete(4)) == 16
+
+
+def test_class_walk_weighs_each_tree_by_its_class_sums(figure_one):
+    # the simple graph is K4 less the 1-3 edge: 8 trees, 4 of them through
+    # the 0-2 class, which carries 5 + 6
+    w = [1, 1, 5, 6, 1, 1]
+    assert _tree_sum(0b1111, _class_links(figure_one, w)) == 4 * 1 + 4 * 11
+    assert tau_weighted_matrix_tree(figure_one, w) == 48
+
+
+def test_class_walk_depth_stays_below_the_vertex_count():
+    # only inclusion recurses: the 64-cycle needs under 64 nested walk
+    # frames, far fewer than a walk that recursed on exclusion too
+    cycle = build(64, [(v, (v + 1) % 64) for v in range(64)])
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 72)
+    try:
+        assert count_spanning_trees(cycle) == 64
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_class_walk_rejects_the_empty_graph():
+    with pytest.raises(EmptyGraphError, match="spanning trees need at least one vertex"):
+        count_spanning_trees(Multigraph(0))
 
 
 def test_wheel_shape(wheel4):

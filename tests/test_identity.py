@@ -30,14 +30,15 @@ from treecount.errors import (
 
 
 def _count_tree_walks(monkeypatch):
+    # records the size of every vertex set whose trees the identity walks
     walked = []
-    real = treecount.identity.enumerate_spanning_trees
+    real = treecount.identity._tree_sum
 
-    def counting(g):
-        walked.append(g.n)
-        return real(g)
+    def counting(s, links):
+        walked.append(s.bit_count())
+        return real(s, links)
 
-    monkeypatch.setattr(treecount.identity, "enumerate_spanning_trees", counting)
+    monkeypatch.setattr(treecount.identity, "_tree_sum", counting)
     return walked
 
 

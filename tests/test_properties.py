@@ -10,6 +10,7 @@ from oracles import (
     direct_value_by_frozensets,
     identity_rhs_by_subtrees,
     multiply_forms_by_tuples,
+    tree_sum_by_induced,
 )
 from treecount import (
     Multigraph,
@@ -17,6 +18,7 @@ from treecount import (
     c_pieces,
     check_identity,
     contract_edge,
+    count_spanning_trees,
     delete_vertices,
     direct_formula_value,
     edge_cover_number_from_f,
@@ -38,6 +40,7 @@ from treecount import (
     tau_weighted_matrix_tree,
     thomassen_bound,
 )
+from treecount.counting import _class_links, _tree_sum
 from treecount.errors import DisconnectedError, EmptyExpansionError, ExponentOverflowError
 
 
@@ -232,3 +235,45 @@ def test_expansion_summary_matches_the_term_readers(g):
     assert summary.perfect_matchings == tuple(
         tuple(sorted(pm)) for pm in perfect_matchings_from_f(terms)
     )
+
+
+# small weights make zero weights and class sums that cancel common
+small_signed_weights = st.one_of(st.integers(-2, 2), st.integers(-1000, 1000))
+
+
+def _links_keeping_zero_classes(g, weights):
+    # class weight sums with every class kept, a zero sum included
+    sums = [{} for _ in range(g.n)]
+    for j, (a, b) in enumerate(g.edges):
+        sums[a][b] = sums[a].get(b, 0) + weights[j]
+        sums[b][a] = sums[b].get(a, 0) + weights[j]
+    return [sorted(row.items()) for row in sums]
+
+
+@settings(max_examples=80, deadline=None)
+@given(parallel_multigraphs(max_n=7, max_m=12))
+def test_class_walk_counts_the_enumerated_trees(g):
+    assert count_spanning_trees(g) == sum(1 for _ in enumerate_spanning_trees(g))
+
+
+@settings(max_examples=80, deadline=None)
+@given(parallel_multigraphs(max_n=7, max_m=12), st.data())
+def test_class_walk_weighted_sum_matches_the_matrix_tree(g, data):
+    w = data.draw(st.lists(small_signed_weights, min_size=g.m, max_size=g.m), label="weights")
+    full = (1 << g.n) - 1
+    expected = tau_weighted_matrix_tree(g, w)
+    assert _tree_sum(full, _class_links(g, w)) == expected
+    assert _tree_sum(full, _links_keeping_zero_classes(g, w)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(parallel_multigraphs(max_n=7, max_m=12), st.data())
+def test_class_walk_matches_the_induced_route_on_every_vertex_set(g, data):
+    # disconnected sets included: both routes give 0 there
+    w = data.draw(st.lists(small_signed_weights, min_size=g.m, max_size=g.m), label="weights")
+    multiplicities = _class_links(g)
+    weight_sums = _class_links(g, w)
+    for s in range(1, 1 << g.n):
+        vertices = [v for v in range(g.n) if s >> v & 1]
+        assert _tree_sum(s, multiplicities) == tree_sum_by_induced(g, vertices)
+        assert _tree_sum(s, weight_sums) == tree_sum_by_induced(g, vertices, w)
