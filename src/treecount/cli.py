@@ -7,8 +7,12 @@ identity (evaluate the weighted identity at chosen weight points), fpoly
 (incidence-product expansion report), bound (degree-product bound vs the
 actual count).
 
-Exit codes: 0 success, 1 usage error, 2 unparseable or unreadable graph or
-weights file, 3 invariant violation.
+Each command returns a report: an exit code, a JSON document, its text
+lines and its --quiet lines. `main` renders it and is the one place errors
+are reported: a deliberate library error becomes one stderr line,
+`treecount <command>: <message>`, with `parse error: ` before the message
+for exit 2. Exit codes: 0 success, 1 usage error, 2 unparseable or
+unreadable graph or weights file, 3 invariant violation.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from typing import Sequence
 
 from .algebra import DEFAULT_TERM_BUDGET
 from .counting import (
+    FAMILY_KINDS,
     FamilySpec,
     closed_form_tau,
     count_spanning_trees,
@@ -30,7 +35,6 @@ from .counting import (
     generate_family,
     tau_deletion_contraction,
     tau_matrix_tree,
-    tau_weighted_matrix_tree,
 )
 from .degree_formula import (
     best_thomassen_bound,
@@ -43,11 +47,8 @@ from .errors import (
     BudgetExceededError,
     DisconnectedError,
     EmptyGraphError,
-    InvalidSpecError,
-    LengthMismatchError,
     ParseError,
     TreecountError,
-    VertexOutOfRangeError,
 )
 from .fpoly import (
     brute_force_edge_cover,
@@ -70,6 +71,11 @@ ENUM_VERTEX_CAP = 12
 FPOLY_VERIFY_CAP = 10
 
 COUNT_METHODS = ("matrix-tree", "del-con", "degree", "degree-direct", "enum")
+
+
+# what a command returns for `main` to render: exit code, JSON document, text
+# lines and --quiet lines
+_Report = tuple[int, dict, list[str], list[str]]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,7 +111,7 @@ def _build_parser() -> _Parser:
     p_count.add_argument("--root", type=int, default=None, help="root vertex for degree methods")
 
     p_family = sub.add_parser("family", parents=[shared], help="generate a family graph")
-    p_family.add_argument("kind", choices=("complete", "multipartite", "hypercube", "wheel", "multiwheel"))
+    p_family.add_argument("kind", choices=FAMILY_KINDS)
     p_family.add_argument("sizes", type=int, nargs="+", help="size parameters")
     p_family.add_argument("-o", "--output", default=None, help="write the graph here instead of stdout")
 
@@ -158,15 +164,15 @@ def _load_graph(path: str) -> Multigraph:
     return parse(_read_text(path))
 
 
-def _emit(doc: dict, as_json: bool, lines: list[str], quiet_lines: list[str], quiet: bool) -> None:
-    if as_json:
-        print(json.dumps(doc, sort_keys=True))
-    elif quiet:
-        for line in quiet_lines:
-            print(line)
-    else:
-        for line in lines:
-            print(line)
+def _require_positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise TreecountError(f"{flag} must be >= 1")
+
+
+def _require_root(g: Multigraph) -> None:
+    # `count --root`, `identity` and `bound` all need a vertex to root at
+    if g.n == 0:
+        raise EmptyGraphError("the empty graph has no vertices to root at")
 
 
 # ---------------------------------------------------------------- count
@@ -201,18 +207,12 @@ def _run_method(name: str, g: Multigraph, root: int | None) -> dict:
     return entry
 
 
-def cmd_count(args: argparse.Namespace) -> int:
+def cmd_count(args: argparse.Namespace) -> _Report:
     g = _load_graph(args.file)
     if args.root is not None:
-        # checked once here, as `bound` does, rather than per degree method
-        if g.n == 0:
-            print("treecount count: the empty graph has no vertices to root at", file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            g._check_vertex(args.root)
-        except VertexOutOfRangeError as exc:
-            print(f"treecount count: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        # checked once here rather than per degree method, whose errors are output
+        _require_root(g)
+        g._check_vertex(args.root)
     names = COUNT_METHODS if args.method == "all" else (args.method,)
     methods = {name: _run_method(name, g, args.root) for name in names}
     values = {e["value"] for e in methods.values() if "value" in e}
@@ -238,19 +238,14 @@ def cmd_count(args: argparse.Namespace) -> int:
     lines.append(f"agreement: {'yes' if agreement else 'NO'}")
     if bound is not None:
         lines.append(f"thomassen: root={root} bound={bound}")
-    _emit(doc, args.json, lines, quiet_lines, args.quiet)
-    return EXIT_OK if agreement else EXIT_VIOLATION
+    return (EXIT_OK if agreement else EXIT_VIOLATION), doc, lines, quiet_lines
 
 
 # ---------------------------------------------------------------- family
 
 
-def cmd_family(args: argparse.Namespace) -> int:
-    try:
-        spec = FamilySpec(args.kind, tuple(args.sizes))
-    except InvalidSpecError as exc:
-        print(f"treecount family: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_family(args: argparse.Namespace) -> _Report:
+    spec = FamilySpec(args.kind, tuple(args.sizes))
     g = generate_family(spec)
     closed = closed_form_tau(spec)
     closed_text = "unavailable" if closed is None else str(closed)
@@ -262,27 +257,17 @@ def cmd_family(args: argparse.Namespace) -> int:
         "closed_form": closed,
         "output": args.output,
     }
-    if args.output:
-        # written before anything is printed, so a failed write prints no document
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(serialize(g))
-        except OSError as exc:
-            print(
-                f"treecount family: cannot write {args.output}: {exc.strerror or exc}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-    if args.json:
-        print(json.dumps(doc, sort_keys=True))
-    elif args.output:
-        if not args.quiet:
-            print(f"wrote {args.output} (n={g.n}, m={g.m})")
-        print(f"closed form: {closed_text}")
-    else:
-        sys.stdout.write(serialize(g))
-        print(f"# closed form: {closed_text}")
-    return EXIT_OK
+    if not args.output:
+        lines = serialize(g).splitlines() + [f"# closed form: {closed_text}"]
+        return EXIT_OK, doc, lines, lines
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(serialize(g))
+    except OSError as exc:
+        raise TreecountError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
+    closed_line = f"closed form: {closed_text}"
+    lines = [f"wrote {args.output} (n={g.n}, m={g.m})", closed_line]
+    return EXIT_OK, doc, lines, [closed_line]
 
 
 # ---------------------------------------------------------------- verify
@@ -305,11 +290,9 @@ def _check_cross_method(g: Multigraph) -> tuple[bool, dict[str, int]]:
     return len(set(values.values())) == 1, values
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    for flag, value in (("--trials", args.trials), ("--points", args.points)):
-        if value < 1:
-            print(f"treecount verify: {flag} must be >= 1", file=sys.stderr)
-            return EXIT_USAGE
+def cmd_verify(args: argparse.Namespace) -> _Report:
+    _require_positive("--trials", args.trials)
+    _require_positive("--points", args.points)
     counters = {
         "cross_method": [0, 0],
         "thomassen": [0, 0],
@@ -336,60 +319,56 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
         return ok
 
-    try:
-        for t in range(args.trials):
-            trial_seed = args.seed + t
-            g = random_multigraph(
-                RandomSpec(
-                    n=args.n,
-                    m=args.m,
-                    parallel_prob=args.parallel_prob,
-                    seed=trial_seed,
-                    require_connected=not args.allow_disconnected,
-                )
+    for t in range(args.trials):
+        trial_seed = args.seed + t
+        g = random_multigraph(
+            RandomSpec(
+                n=args.n,
+                m=args.m,
+                parallel_prob=args.parallel_prob,
+                seed=trial_seed,
+                require_connected=not args.allow_disconnected,
             )
-            trial_ok = True
+        )
+        trial_ok = True
 
-            agree, values = _check_cross_method(g)
-            trial_ok &= record("cross_method", agree, trial_seed, f"values={values}")
+        agree, values = _check_cross_method(g)
+        trial_ok &= record("cross_method", agree, trial_seed, f"values={values}")
 
-            tau = values["matrix-tree"]
-            bound_ok = all(tau <= thomassen_bound(g, u) for u in range(g.n))
-            trial_ok &= record("thomassen", bound_ok, trial_seed, f"tau={tau}")
+        tau = values["matrix-tree"]
+        bound_ok = all(tau <= thomassen_bound(g, u) for u in range(g.n))
+        trial_ok &= record("thomassen", bound_ok, trial_seed, f"tau={tau}")
 
-            if g.is_connected() and g.n >= 2:
-                root = best_thomassen_bound(g)[0]
-                rng_w = random.Random(trial_seed + 10_000_019)
-                ok = True
-                for _ in range(args.points):
-                    w = [rng_w.randint(-1000, 1000) for _ in range(g.m)]
-                    report = check_identity(g, root, w)
-                    if not report.holds:
-                        ok = False
-                        break
-                trial_ok &= record("identity", ok, trial_seed, f"root={root}")
+        if g.is_connected() and g.n >= 2:
+            root = best_thomassen_bound(g)[0]
+            rng_w = random.Random(trial_seed + 10_000_019)
+            ok = True
+            for _ in range(args.points):
+                w = [rng_w.randint(-1000, 1000) for _ in range(g.m)]
+                report = check_identity(g, root, w)
+                if not report.holds:
+                    ok = False
+                    break
+            trial_ok &= record("identity", ok, trial_seed, f"root={root}")
 
-            if not g.has_isolated_vertex() and 2 <= g.n <= FPOLY_VERIFY_CAP:
-                terms = expand_f(g, max_vertices=FPOLY_VERIFY_CAP, budget=args.budget)
-                degree_product = math.prod(g.degrees())
-                ok = (
-                    matching_number_from_f(terms) == brute_force_matching(g)
-                    and edge_cover_number_from_f(terms) == brute_force_edge_cover(g)
-                    and sum(t.coefficient for t in terms) == degree_product
-                )
-                trial_ok &= record("fpoly", ok, trial_seed, "expansion vs oracles")
+        if not g.has_isolated_vertex() and 2 <= g.n <= FPOLY_VERIFY_CAP:
+            terms = expand_f(g, max_vertices=FPOLY_VERIFY_CAP, budget=args.budget)
+            degree_product = math.prod(g.degrees())
+            ok = (
+                matching_number_from_f(terms) == brute_force_matching(g)
+                and edge_cover_number_from_f(terms) == brute_force_edge_cover(g)
+                and sum(t.coefficient for t in terms) == degree_product
+            )
+            trial_ok &= record("fpoly", ok, trial_seed, "expansion vs oracles")
 
-            if args.allow_disconnected and not g.is_connected():
-                probe_ok = all(direct_formula_value(g, u) == 0 for u in range(g.n))
-                trial_ok &= record(
-                    "disconnected_probe", probe_ok, trial_seed, "degree expression vs tau=0"
-                )
+        if args.allow_disconnected and not g.is_connected():
+            probe_ok = all(direct_formula_value(g, u) == 0 for u in range(g.n))
+            trial_ok &= record(
+                "disconnected_probe", probe_ok, trial_seed, "degree expression vs tau=0"
+            )
 
-            if trial_ok:
-                clean_trials += 1
-    except InvalidSpecError as exc:
-        print(f"treecount verify: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if trial_ok:
+            clean_trials += 1
 
     summary = f"{clean_trials}/{args.trials} agreements, {violations} violations"
     doc = {
@@ -420,8 +399,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if total:
             lines.append(f"{name.replace('_', '-')}: {ok}/{total} ok")
     lines.append(summary)
-    _emit(doc, args.json, lines, [summary], args.quiet)
-    return EXIT_VIOLATION if violations else EXIT_OK
+    return (EXIT_VIOLATION if violations else EXIT_OK), doc, lines, [summary]
 
 
 # ---------------------------------------------------------------- identity
@@ -460,30 +438,14 @@ def _weight_points(args: argparse.Namespace, m: int) -> list[list[int]]:
         raise ParseError(f"bad weight list {source!r}") from None
 
 
-def cmd_identity(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        print("treecount identity: --trials must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_identity(args: argparse.Namespace) -> _Report:
+    _require_positive("--trials", args.trials)
     g = _load_graph(args.file)
-    if g.n == 0:
-        print("treecount identity: the empty graph has no vertices to root at", file=sys.stderr)
-        return EXIT_USAGE
+    _require_root(g)
     if not g.is_connected():
-        print("treecount identity: graph must be connected", file=sys.stderr)
-        return EXIT_USAGE
+        raise DisconnectedError("graph must be connected")
     root = best_thomassen_bound(g)[0] if args.root is None else args.root
-    try:
-        points = _weight_points(args, g.m)
-    except ParseError as exc:
-        print(f"treecount identity: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    reports = []
-    try:
-        for w in points:
-            reports.append(check_identity(g, root, w))
-    except (LengthMismatchError, TreecountError) as exc:
-        print(f"treecount identity: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    reports = [check_identity(g, root, w) for w in _weight_points(args, g.m)]
     all_hold = all(r.holds for r in reports)
     doc = {
         "graph": {"n": g.n, "m": g.m},
@@ -508,18 +470,15 @@ def cmd_identity(args: argparse.Namespace) -> int:
         )
     verdict = f"{sum(r.holds for r in reports)}/{len(reports)} points hold"
     lines.append(verdict)
-    _emit(doc, args.json, lines, [verdict], args.quiet)
-    return EXIT_OK if all_hold else EXIT_VIOLATION
+    return (EXIT_OK if all_hold else EXIT_VIOLATION), doc, lines, [verdict]
 
 
 # ---------------------------------------------------------------- fpoly
 
 
-def cmd_fpoly(args: argparse.Namespace) -> int:
+def cmd_fpoly(args: argparse.Namespace) -> _Report:
     g = _load_graph(args.file)
-    estimate = 1
-    for v in range(g.n):
-        estimate *= g.degree(v)
+    estimate = math.prod(g.degrees())
     if g.has_isolated_vertex():
         doc = {
             "graph": {"n": g.n, "m": g.m},
@@ -527,19 +486,14 @@ def cmd_fpoly(args: argparse.Namespace) -> int:
             "terms": 0,
         }
         line = "isolated vertex present: the incidence product is identically 0"
-        _emit(doc, args.json, [line], [line], args.quiet)
-        return EXIT_OK
-    try:
-        summary = expansion_summary(g, max_vertices=args.max_vertices, budget=args.budget)
-        nu_oracle = brute_force_matching(g)
-        rho_oracle = brute_force_edge_cover(g)
-        # only the listing needs the decoded, sorted terms
-        terms = []
-        if args.dump:
-            terms = expand_f(g, max_vertices=args.max_vertices, budget=args.budget)
-    except BudgetExceededError as exc:
-        print(f"treecount fpoly: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_OK, doc, [line], [line]
+    summary = expansion_summary(g, max_vertices=args.max_vertices, budget=args.budget)
+    nu_oracle = brute_force_matching(g)
+    rho_oracle = brute_force_edge_cover(g)
+    # only the listing needs the decoded, sorted terms
+    terms = []
+    if args.dump:
+        terms = expand_f(g, max_vertices=args.max_vertices, budget=args.budget)
     nu = summary.matching_number
     rho = summary.edge_cover_number
     matchings = summary.perfect_matchings
@@ -573,25 +527,17 @@ def cmd_fpoly(args: argparse.Namespace) -> int:
             f"c:{t.coefficient}"
         )
     quiet_lines = [f"nu={nu} rho={rho} agree={'yes' if agree else 'NO'}"]
-    _emit(doc, args.json, lines, quiet_lines, args.quiet)
-    return EXIT_OK if agree else EXIT_VIOLATION
+    return (EXIT_OK if agree else EXIT_VIOLATION), doc, lines, quiet_lines
 
 
 # ---------------------------------------------------------------- bound
 
 
-def cmd_bound(args: argparse.Namespace) -> int:
+def cmd_bound(args: argparse.Namespace) -> _Report:
     g = _load_graph(args.file)
-    if g.n == 0:
-        print("treecount bound: the empty graph has no vertices to root at", file=sys.stderr)
-        return EXIT_USAGE
+    _require_root(g)
     if args.root is not None:
-        root = args.root
-        try:
-            bound = thomassen_bound(g, root)
-        except TreecountError as exc:
-            print(f"treecount bound: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        root, bound = args.root, thomassen_bound(g, args.root)
     else:
         root, bound = best_thomassen_bound(g)
     tau = tau_matrix_tree(g)
@@ -604,8 +550,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         "gap": gap,
     }
     line = f"root {root}: bound={bound} tau={tau} gap={gap}"
-    _emit(doc, args.json, [f"graph: n={g.n} m={g.m}", line], [line], args.quiet)
-    return EXIT_OK
+    return EXIT_OK, doc, [f"graph: n={g.n} m={g.m}", line], [line]
 
 
 # ---------------------------------------------------------------- main
@@ -623,13 +568,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         "bound": cmd_bound,
     }
     try:
-        return handlers[args.command](args)
-    except ParseError as exc:
-        print(f"treecount: parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DisconnectedError as exc:
-        print(f"treecount: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, doc, lines, quiet_lines = handlers[args.command](args)
+    except TreecountError as exc:
+        parse_error = isinstance(exc, ParseError)
+        prefix = "parse error: " if parse_error else ""
+        print(f"treecount {args.command}: {prefix}{exc}", file=sys.stderr)
+        return EXIT_PARSE if parse_error else EXIT_USAGE
+    if args.json:
+        print(json.dumps(doc, sort_keys=True))
+    else:
+        for line in quiet_lines if args.quiet else lines:
+            print(line)
+    return code
 
 
 def console_main() -> None:

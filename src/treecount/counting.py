@@ -126,13 +126,15 @@ def _tau_dc(g: Multigraph, pick: Callable[[Multigraph], int]) -> int:
 
 def _class_links(
     g: Multigraph, weights: Sequence[int] | None = None
-) -> list[list[tuple[int, int]]]:
+) -> Sequence[Sequence[tuple[int, int]]]:
     # per vertex, ascending (neighbour, class value) pairs with a nonzero
-    # value: the class's multiplicity, or its weight sum when weights are
-    # given (a zero sum drops the class, whose trees all contribute 0)
+    # value: the class's multiplicity, cached on the graph, or its weight sum
+    # when weights are given (a zero sum drops the class: its trees give 0)
+    if weights is None:
+        return g._class_table
     sums: list[dict[int, int]] = [{} for _ in range(g.n)]
     for j, (a, b) in enumerate(g.edges):
-        w = 1 if weights is None else weights[j]
+        w = weights[j]
         sums[a][b] = sums[a].get(b, 0) + w
         sums[b][a] = sums[b].get(a, 0) + w
     return [sorted((w, c) for w, c in row.items() if c) for row in sums]
@@ -269,6 +271,12 @@ class FamilySpec:
             raise InvalidSpecError(f"{self.kind} takes exactly one size parameter")
         if self.kind in ("wheel", "multiwheel") and self.sizes[0] < 3:
             raise InvalidSpecError("wheel rim needs at least 3 vertices")
+        if self.kind == "hypercube" and self.sizes[0] > 6:
+            # Q_6 is the largest cube within MAX_VERTICES; 2**d is never built
+            # for a d that could be too large to compute or print
+            raise InvalidSpecError(
+                f"family would have 2^{self.sizes[0]} vertices, maximum is {MAX_VERTICES}"
+            )
         if self.vertex_count() > MAX_VERTICES:
             raise InvalidSpecError(
                 f"family would have {self.vertex_count()} vertices, "

@@ -29,7 +29,7 @@ walks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .algebra import bareiss_determinant
 from .counting import _class_links, _tree_sum, enumerate_spanning_trees
@@ -88,20 +88,6 @@ def enumerate_connected_sets(
     yield from grow(frozenset([u]), frozenset())
 
 
-def _mask_tables(
-    g: Multigraph,
-) -> tuple[list[int], list[list[tuple[int, int]]], list[list[int]]]:
-    # per vertex: neighbour mask, (neighbour, multiplicity) pairs in
-    # ascending order, and the row of the multiplicity table
-    links = _class_links(g)
-    nbr = [sum(1 << w for w, _ in pairs) for pairs in links]
-    mult = [[0] * g.n for _ in range(g.n)]
-    for v, pairs in enumerate(links):
-        for w, c in pairs:
-            mult[v][w] = c
-    return nbr, links, mult
-
-
 def _members(mask: int) -> list[int]:
     found = []
     while mask:
@@ -120,7 +106,7 @@ def _correction_sets(g: Multigraph, u: int, max_size: int) -> Iterator[tuple[int
     # so the branch holding it is cut whole.
     if max_size <= 0:
         return
-    nbr, links, _ = _mask_tables(g)
+    nbr, links = g._neighbor_masks, g._class_table
     rdeg = list(g.degrees())
     start = 1 << u
     iso = 0
@@ -177,7 +163,7 @@ def _correction_sets(g: Multigraph, u: int, max_size: int) -> Iterator[tuple[int
 
 
 def _tau_inside(
-    s: int, nbr: list[int], mult: list[list[int]], by_core: dict[int, int]
+    s: int, nbr: Sequence[int], mult: Sequence[Sequence[int]], by_core: dict[int, int]
 ) -> int:
     # tau(G[S]): each vertex with one distinct neighbour inside S is stripped
     # and its edge class multiplies the count; the core left over is counted
@@ -221,7 +207,7 @@ def _tau_inside(
 
 def _grouped_terms(g: Multigraph, u: int) -> Iterator[tuple[int, int, int]]:
     # (S mask, tau(G[S]), degree product of G - S) for every kept set
-    nbr, _, mult = _mask_tables(g)
+    nbr, mult = g._neighbor_masks, g._multiplicities
     by_core: dict[int, int] = {}
     for s, outside_product in _correction_sets(g, u, g.n - 2):
         yield s, _tau_inside(s, nbr, mult, by_core), outside_product

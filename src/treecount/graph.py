@@ -77,12 +77,29 @@ class Multigraph:
         return tuple(tuple(js) for js in inc)
 
     @cached_property
-    def _neighbor_table(self) -> tuple[tuple[int, ...], ...]:
-        nbr: list[set[int]] = [set() for _ in range(self.n)]
+    def _class_table(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        # per vertex, ascending (neighbour, multiplicity) pairs, one per parallel class
+        counts: list[dict[int, int]] = [{} for _ in range(self.n)]
         for a, b in self.edges:
-            nbr[a].add(b)
-            nbr[b].add(a)
-        return tuple(tuple(sorted(s)) for s in nbr)
+            counts[a][b] = counts[a].get(b, 0) + 1
+            counts[b][a] = counts[b].get(a, 0) + 1
+        return tuple(tuple(sorted(row.items())) for row in counts)
+
+    @cached_property
+    def _neighbor_masks(self) -> tuple[int, ...]:
+        # bit w of entry v is set iff v and w are adjacent; built from the edges,
+        # as delete/contract asks `is_connected` of every graph it builds
+        masks = [0] * self.n
+        for a, b in self.edges:
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+        return tuple(masks)
+
+    @cached_property
+    def _multiplicities(self) -> tuple[tuple[int, ...], ...]:
+        # entry [v][w] counts the v-w edges
+        rows = map(dict, self._class_table)
+        return tuple(tuple(row.get(w, 0) for w in range(self.n)) for row in rows)
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -104,7 +121,7 @@ class Multigraph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Distinct adjacent vertices in ascending order."""
         self._check_vertex(v)
-        return self._neighbor_table[v]
+        return tuple(w for w, _ in self._class_table[v])
 
     def other_end(self, j: int, v: int) -> int:
         a, b = self.edges[j]
@@ -114,18 +131,15 @@ class Multigraph:
         """True iff every vertex is reachable from vertex 0; n <= 1 counts as connected."""
         if self.n <= 1:
             return True
-        seen = [False] * self.n
-        seen[0] = True
-        stack = [0]
-        reached = 1
+        nbr = self._neighbor_masks
+        seen = stack = 1
         while stack:
-            v = stack.pop()
-            for w in self._neighbor_table[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    reached += 1
-                    stack.append(w)
-        return reached == self.n
+            low = stack & -stack
+            stack ^= low
+            new = nbr[low.bit_length() - 1] & ~seen
+            seen |= new
+            stack |= new
+        return seen == (1 << self.n) - 1
 
     def has_isolated_vertex(self) -> bool:
         return any(len(js) == 0 for js in self._incidence)

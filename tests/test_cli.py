@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cached_property
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import treecount.cli
-from treecount import FamilySpec, build, generate_family, parse, serialize
-from treecount.cli import main
+from treecount import FamilySpec, Multigraph, build, generate_family, parse, serialize
+from treecount.cli import COUNT_METHODS, main
+from treecount.counting import FAMILY_KINDS
 
 
 @pytest.fixture
@@ -528,3 +534,222 @@ def test_quiet_mode_is_terse(capsys, wheel4_file):
     assert code == 0
     assert "matrix-tree 45" in out
     assert "thomassen" not in out
+
+
+# exact outputs of the other commands in every mode; `count`'s timings are
+# masked, since they are the only part that changes between runs
+def _mask_ms(text):
+    return re.sub(r'(?<="ms": )[0-9.e-]+|[0-9.]+(?= ms)', "X", text)
+
+
+COUNT_OUT = {
+    (): (
+        "graph: n=5 m=8 connected=yes\n"
+        "matrix-tree    45   X ms\n"
+        "del-con        45   X ms\n"
+        "degree         45   X ms  root=4\n"
+        "degree-direct  45   X ms  root=4\n"
+        "enum           45   X ms\n"
+        "agreement: yes\n"
+        "thomassen: root=4 bound=81\n"
+    ),
+    ("--json",): (
+        '{"agreement": true, "bound": {"root": 4, "value": 81}, '
+        '"graph": {"connected": true, "m": 8, "n": 5}, "methods": {'
+        '"degree": {"ms": X, "root": 4, "value": 45}, '
+        '"degree-direct": {"ms": X, "root": 4, "value": 45}, '
+        '"del-con": {"ms": X, "value": 45}, "enum": {"ms": X, "value": 45}, '
+        '"matrix-tree": {"ms": X, "value": 45}}}\n'
+    ),
+    ("--quiet",): "matrix-tree 45\ndel-con 45\ndegree 45\ndegree-direct 45\nenum 45\n",
+}
+BOUND_OUT = {
+    (): "graph: n=5 m=8\nroot 4: bound=81 tau=45 gap=36\n",
+    ("--json",): '{"bound": 81, "gap": 36, "graph": {"m": 8, "n": 5}, "root": 4, "tau": 45}\n',
+    ("--quiet",): "root 4: bound=81 tau=45 gap=36\n",
+}
+IDENTITY_OUT = {
+    (): (
+        "graph: n=4 m=6 root=0\n"
+        "point 1: weights=[-513, 213, 114, -733, -243, 875] "
+        "lhs=123050400 tau=112091892 nst=10958508 holds=yes\n"
+        "point 2: weights=[236, -30, 281, 189, -866, 240] "
+        "lhs=54935256 tau=-98992280 nst=153927536 holds=yes\n"
+        "2/2 points hold\n"
+    ),
+    ("--json",): (
+        '{"all_hold": true, "graph": {"m": 6, "n": 4}, "reports": ['
+        '{"holds": true, "lhs": 123050400, "nst": 10958508, "tau": 112091892, '
+        '"weights": [-513, 213, 114, -733, -243, 875]}, '
+        '{"holds": true, "lhs": 54935256, "nst": 153927536, "tau": -98992280, '
+        '"weights": [236, -30, 281, 189, -866, 240]}], "root": 0}\n'
+    ),
+    ("--quiet",): "2/2 points hold\n",
+}
+WHEEL4_TEXT = "n 5\ne 0 1\ne 1 2\ne 2 3\ne 0 3\ne 0 4\ne 1 4\ne 2 4\ne 3 4\n"
+FAMILY_OUT = {
+    (): WHEEL4_TEXT + "# closed form: unavailable\n",
+    ("--json",): (
+        '{"closed_form": null, "kind": "wheel", "m": 8, "n": 5, "output": null, '
+        '"sizes": [4]}\n'
+    ),
+    ("--quiet",): WHEEL4_TEXT + "# closed form: unavailable\n",
+}
+FAMILY_TO_FILE_OUT = {
+    (): "wrote {path} (n=5, m=8)\nclosed form: unavailable\n",
+    ("--json",): (
+        '{{"closed_form": null, "kind": "wheel", "m": 8, "n": 5, "output": "{path}", '
+        '"sizes": [4]}}\n'
+    ),
+    ("--quiet",): "closed form: unavailable\n",
+}
+VERIFY_OUT = {
+    (): (
+        "verify: n=7 m=12 trials=5 seed=1 parallel-prob=0.3 connected=required\n"
+        "cross-method: 5/5 ok\n"
+        "thomassen: 5/5 ok\n"
+        "identity: 5/5 ok\n"
+        "fpoly: 5/5 ok\n"
+        "5/5 agreements, 0 violations\n"
+    ),
+    ("--json",): (
+        '{"checks": {"cross_method": {"ok": 5, "total": 5}, '
+        '"fpoly": {"ok": 5, "total": 5}, "identity": {"ok": 5, "total": 5}, '
+        '"thomassen": {"ok": 5, "total": 5}}, "clean_trials": 5, '
+        '"spec": {"allow_disconnected": false, "m": 12, "n": 7, "parallel_prob": 0.3, '
+        '"points": 3, "seed": 1, "trials": 5}, "violations": 0}\n'
+    ),
+    ("--quiet",): "5/5 agreements, 0 violations\n",
+}
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",), ("--quiet",)])
+def test_command_outputs_are_pinned(capsys, wheel4_file, figure_one_file, tmp_path, mode):
+    code, out, err = run(capsys, ["count", wheel4_file, *mode])
+    assert (code, _mask_ms(out), err) == (0, COUNT_OUT[mode], "")
+    assert run(capsys, ["bound", wheel4_file, *mode]) == (0, BOUND_OUT[mode], "")
+    argv = ["identity", figure_one_file, "--weights", "random:3", "--trials", "2", *mode]
+    assert run(capsys, argv) == (0, IDENTITY_OUT[mode], "")
+    assert run(capsys, ["family", "wheel", "4", *mode]) == (0, FAMILY_OUT[mode], "")
+    path = tmp_path / "out.graph"
+    argv = ["family", "wheel", "4", "-o", str(path), *mode]
+    assert run(capsys, argv) == (0, FAMILY_TO_FILE_OUT[mode].format(path=path), "")
+    assert path.read_text() == WHEEL4_TEXT
+    argv = ["verify", "--trials", "5", "--seed", "1", *mode]
+    assert run(capsys, argv) == (0, VERIFY_OUT[mode], "")
+
+
+def test_family_hypercube_beyond_the_vertex_cap_is_one_line(capsys):
+    # 2**1000000 has too many digits to format; the dimension is refused first
+    for d in ("7", "1000000"):
+        code, out, err = run(capsys, ["family", "hypercube", d])
+        assert (code, out) == (1, "")
+        assert err == f"treecount family: family would have 2^{d} vertices, maximum is 64\n"
+
+
+def test_budget_errors_in_verify_are_one_line(capsys):
+    code, out, err = run(capsys, ["verify", "--budget", "0", "--trials", "2"])
+    assert (code, out) == (1, "")
+    assert err == "treecount verify: expansion exceeded the 0-monomial budget\n"
+
+
+def test_every_parse_error_names_its_command(capsys, figure_one_file, tmp_path):
+    bad = tmp_path / "bad.graph"
+    bad.write_text("nonsense\n")
+    code, out, err = run(capsys, ["bound", str(bad), "--json"])
+    assert (code, out) == (2, "")
+    assert err == "treecount bound: parse error: line 1: unknown directive 'nonsense'\n"
+    code, out, err = run(capsys, ["identity", figure_one_file, "--weights", "1,x"])
+    assert (code, out) == (2, "")
+    assert err == "treecount identity: parse error: bad weight list '1,x'\n"
+
+
+# random argv: file arguments are drawn as @-names, resolved to real paths
+ARGV_FILES = ("@good", "@empty", "@disconnected", "@loop", "@missing", "@non-utf8")
+SMALL_INTS = st.integers(-3, 8).map(str)
+TRIALS = st.integers(-3, 3).map(str)
+
+
+@pytest.fixture(scope="module")
+def argv_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    texts = {
+        "@good": serialize(generate_family(FamilySpec("wheel", (4,)))),
+        "@empty": "n 0\n",
+        "@disconnected": "n 4\ne 0 1\ne 2 3\n",
+        "@loop": "n 2\ne 1 1\n",
+    }
+    paths = {name: root / name[1:] for name in ARGV_FILES + ("@out", "@unwritable")}
+    for name, text in texts.items():
+        paths[name].write_text(text)
+    paths["@non-utf8"].write_bytes(b"\xff\xfe\x00")
+    paths["@unwritable"] = paths["@missing"] / "out.graph"
+    return {name: str(path) for name, path in paths.items()}
+
+
+@st.composite
+def cli_argv(draw):
+    def flag(name, values):
+        return [name, draw(values)] if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(["count", "family", "verify", "identity", "fpoly", "bound"]))
+    file = draw(st.sampled_from(ARGV_FILES))
+    if command == "count":
+        argv = [file, *flag("--root", SMALL_INTS), *flag("--method", st.sampled_from(COUNT_METHODS))]
+    elif command == "family":
+        argv = [draw(st.sampled_from(FAMILY_KINDS)), *draw(st.lists(SMALL_INTS, min_size=1, max_size=3))]
+        argv += flag("-o", st.sampled_from(["@out", "@unwritable"]))
+    elif command == "verify":
+        # --trials defaults to 100, so it is always drawn
+        argv = ["--trials", draw(TRIALS), *flag("--n", SMALL_INTS), *flag("--m", SMALL_INTS)]
+        argv += flag("--seed", SMALL_INTS) + flag("--points", TRIALS)
+        argv += draw(st.sampled_from([[], ["--allow-disconnected"]]))
+    elif command == "identity":
+        argv = [file, *flag("--root", SMALL_INTS), *flag("--trials", TRIALS)]
+        argv += flag("--weights-file", st.sampled_from(ARGV_FILES))
+        weights = st.text(max_size=12) | st.from_regex(r"random:-?\d{1,3}|-?\d(,-?\d){0,9}", fullmatch=True)
+        argv += [f"--weights={w}" for w in draw(st.lists(weights, max_size=1))]
+    elif command == "fpoly":
+        argv = [file, *flag("--max-vertices", SMALL_INTS), *draw(st.sampled_from([[], ["--dump"]]))]
+    else:
+        argv = [file, *flag("--root", SMALL_INTS), *draw(st.sampled_from([[], ["--best"]]))]
+    argv += flag("--budget", SMALL_INTS) + draw(st.sampled_from([[], ["--json"], ["--quiet"]]))
+    return [command, *argv]
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv())
+@example(["verify", "--budget", "0", "--trials", "2"])
+def test_random_argv_exits_with_a_documented_code(argv_paths, argv):
+    argv = [argv_paths.get(arg, arg) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            # argparse's usage path, remapped to exit 1
+            assert exc.code == 1
+            return
+    assert code in {0, 1, 2, 3}
+    if code in (1, 2):
+        prefix = f"treecount {argv[0]}: " + ("parse error: " if code == 2 else "")
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(prefix)
+        assert err.getvalue().count("\n") == 1
+
+
+def test_count_builds_the_class_tables_once_per_graph(capsys, monkeypatch, wheel4_file):
+    # enum, degree and degree-direct all read the parsed graph's tables
+    built = []
+    for name in ("_class_table", "_multiplicities"):
+        real = Multigraph.__dict__[name].func
+
+        def spy(g, real=real, name=name):
+            built.append(name)
+            return real(g)
+
+        prop = cached_property(spy)
+        prop.__set_name__(Multigraph, name)
+        monkeypatch.setattr(Multigraph, name, prop)
+    assert run(capsys, ["count", wheel4_file, "--root", "4"])[0] == 0
+    assert sorted(built) == ["_class_table", "_multiplicities"]
