@@ -90,12 +90,6 @@ def _build_parser() -> _Parser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true", help="emit one JSON document")
     shared.add_argument("--quiet", action="store_true", help="only the essential lines")
-    shared.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_TERM_BUDGET,
-        help="monomial budget for polynomial expansion",
-    )
 
     parser = _Parser(prog="treecount", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -148,6 +142,10 @@ def _build_parser() -> _Parser:
     p_bound.add_argument("file", help="graph file")
     p_bound.add_argument("--root", type=int, default=None)
     p_bound.add_argument("--best", action="store_true", help="pick the root minimizing the bound")
+    for p in (p_verify, p_fpoly):
+        p.add_argument(
+            "--budget", type=int, default=DEFAULT_TERM_BUDGET, help="monomial budget for polynomial expansion"
+        )
 
     return parser
 

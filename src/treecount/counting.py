@@ -10,8 +10,9 @@ class per edge, over int masks (bit v for vertex v, one bit per class):
 each tree contributes the product of its classes' values. With class
 multiplicities as values it counts tau(G[S]), which `count_spanning_trees`
 and the direct degree formula use; with class weight sums it gives the
-weighted tree sum the identity needs. `enumerate_spanning_trees` remains
-the public reference walk, one edge-index set per tree of the multigraph.
+weighted tree sum the identity needs, with a class whose sum is 0
+skipped. `enumerate_spanning_trees` remains the public reference walk,
+one edge-index set per tree of the multigraph.
 """
 
 from __future__ import annotations
@@ -127,9 +128,9 @@ def _tau_dc(g: Multigraph, pick: Callable[[Multigraph], int]) -> int:
 def _class_links(
     g: Multigraph, weights: Sequence[int] | None = None
 ) -> Sequence[Sequence[tuple[int, int]]]:
-    # per vertex, ascending (neighbour, class value) pairs with a nonzero
-    # value: the class's multiplicity, cached on the graph, or its weight sum
-    # when weights are given (a zero sum drops the class: its trees give 0)
+    # per vertex, ascending (neighbour, class value) pairs, one per parallel
+    # class: the class's multiplicity, cached on the graph, or its weight sum
+    # when weights are given (a zero sum is kept, so every class is seen)
     if weights is None:
         return g._class_table
     sums: list[dict[int, int]] = [{} for _ in range(g.n)]
@@ -137,7 +138,7 @@ def _class_links(
         w = weights[j]
         sums[a][b] = sums[a].get(b, 0) + w
         sums[b][a] = sums[b].get(a, 0) + w
-    return [sorted((w, c) for w, c in row.items() if c) for row in sums]
+    return [sorted(row.items()) for row in sums]
 
 
 def _tree_sum(s: int, links: Sequence[Sequence[tuple[int, int]]]) -> int:
@@ -162,7 +163,7 @@ def _tree_sum(s: int, links: Sequence[Sequence[tuple[int, int]]]) -> int:
         rest ^= low
         v = low.bit_length() - 1
         for w, c in links[v]:
-            if w > v and s >> w & 1:
+            if w > v and s >> w & 1 and c:  # a class valued 0 adds no tree
                 bit = 1 << len(values)
                 inc[v] |= bit
                 inc[w] |= bit
@@ -196,8 +197,9 @@ def count_spanning_trees(g: Multigraph) -> int:
 
     Walks the spanning trees of the simple graph underlying g, each parallel
     class standing for all its edges, and adds up the products of their
-    class multiplicities: one leaf of the walk per simple spanning tree. Only sensible for small graphs; the number of
-    trees walked grows superexponentially.
+    class multiplicities: one leaf of the walk per simple spanning tree.
+    Only sensible for small graphs; the number of trees walked grows
+    superexponentially.
     """
     if g.n == 0:
         raise EmptyGraphError("spanning trees need at least one vertex")

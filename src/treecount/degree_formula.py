@@ -9,21 +9,22 @@ their vertex set S, replacing each bucket with tau(G[S]) times the degree
 product outside S.
 
 Both, and the weighted identity, walk one private kernel. Vertex sets are
-int masks (bit v for vertex v), with a neighbour mask and (neighbour,
-multiplicity) pairs per vertex. The walk keeps the remainder's degrees as
-S grows and shrinks, and yields only sets whose remainder has no isolated
-vertex, since the others contribute a zero factor. It tries candidates in
-ascending order and bans each one after its branch, so sets come out in
-`enumerate_connected_sets` order; once a banned vertex is isolated in the
-remainder it can never join S, and the branch is cut. The grouped form
-counts tau(G[S]) without building a subgraph: vertices with one distinct
-neighbour inside S are stripped, each multiplying by its edge class, and
-the core left over gets a Laplacian minor sliced from the multiplicity
-table, computed once per core within one call. The direct form walks the
-spanning trees of each kept set one parallel class per step, multiplying
-in its multiplicity (`counting._tree_sum`), with no subgraph built either.
-`enumerate_connected_sets` and `enumerate_nst` remain the public reference
-walks.
+int masks (bit v for vertex v), with a neighbour mask and (neighbour, class
+value) pairs per vertex: multiplicities, or weight sums in the identity.
+The walk keeps the remainder's value sums as S grows and shrinks, and
+yields their product with each set whose remainder has no isolated vertex
+(read off the masks), since the others contribute a zero factor. It tries
+candidates in ascending order and bans each one after its branch, so sets
+come out in `enumerate_connected_sets` order; once a banned vertex is
+isolated in the remainder it can never join S, and the branch is cut. The
+grouped form counts tau(G[S]) without building a subgraph: vertices with
+one distinct neighbour inside S are stripped, each multiplying by its
+edge class, and the core left over gets a Laplacian minor sliced from the
+multiplicity table, computed once per core within one call. The direct
+form walks the spanning trees of each kept set one parallel class per
+step, multiplying in its multiplicity (`counting._tree_sum`), with no
+subgraph built either. `enumerate_connected_sets` and `enumerate_nst`
+remain the public reference walks.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .algebra import bareiss_determinant
-from .counting import _class_links, _tree_sum, enumerate_spanning_trees
+from .counting import _tree_sum, enumerate_spanning_trees
 from .errors import DisconnectedError
 from .graph import Multigraph, induced
 
@@ -97,23 +98,26 @@ def _members(mask: int) -> list[int]:
     return found
 
 
-def _correction_sets(g: Multigraph, u: int, max_size: int) -> Iterator[tuple[int, int]]:
-    # (S mask, degree product of G - S) for every connected S through u with
-    # |S| <= max_size whose remainder has no isolated vertex, in
-    # enumerate_connected_sets order. Remainder degrees follow S on add and
-    # undo; `iso` masks the remainder vertices they leave at 0. An isolated
-    # remainder vertex that is banned can never join S and stays isolated,
-    # so the branch holding it is cut whole.
+def _correction_sets(
+    g: Multigraph, u: int, max_size: int, links: Sequence[Sequence[tuple[int, int]]]
+) -> Iterator[tuple[int, int]]:
+    # (S mask, product over G - S of each vertex's `links` values leaving S)
+    # for every connected S through u with |S| <= max_size whose remainder
+    # has no isolated vertex, in enumerate_connected_sets order; with weight
+    # sums as values that is the remainder's incidence product. The sums
+    # follow S on add and undo. `iso` masks the remainder vertices with no
+    # neighbour left (a zero sum, confirmed on the masks as sums can cancel);
+    # a banned isolated remainder vertex never joins S, so its branch is cut.
     if max_size <= 0:
         return
-    nbr, links = g._neighbor_masks, g._class_table
-    rdeg = list(g.degrees())
+    nbr = g._neighbor_masks
+    rdeg = [sum(c for _, c in pairs) for pairs in links]
     start = 1 << u
     iso = 0
     for w, c in links[u]:
         rdeg[w] -= c
     for w in range(g.n):
-        if w != u and rdeg[w] == 0:
+        if w != u and not nbr[w] & ~start:
             iso |= 1 << w
     full = (1 << g.n) - 1
     # a vertex without edges never joins S: banned from the start
@@ -142,9 +146,8 @@ def _correction_sets(g: Multigraph, u: int, max_size: int) -> Iterator[tuple[int
             grown = s | low
             child_iso = iso & ~low
             for w, c in links[v]:
-                d = rdeg[w] - c
-                rdeg[w] = d
-                if not d and not grown >> w & 1:
+                rdeg[w] -= c
+                if not rdeg[w] and not nbr[w] & ~grown and not grown >> w & 1:
                     child_iso |= 1 << w
             if not child_iso & banned:
                 yield from grow(
@@ -209,7 +212,7 @@ def _grouped_terms(g: Multigraph, u: int) -> Iterator[tuple[int, int, int]]:
     # (S mask, tau(G[S]), degree product of G - S) for every kept set
     nbr, mult = g._neighbor_masks, g._multiplicities
     by_core: dict[int, int] = {}
-    for s, outside_product in _correction_sets(g, u, g.n - 2):
+    for s, outside_product in _correction_sets(g, u, g.n - 2, g._class_table):
         yield s, _tau_inside(s, nbr, mult, by_core), outside_product
 
 
@@ -291,9 +294,9 @@ def direct_formula_value(g: Multigraph, u: int) -> int:
     g._check_vertex(u)
     if g.n == 1:
         return 1
-    links = _class_links(g)
+    links = g._class_table
     correction = 0
-    for s, outside_product in _correction_sets(g, u, g.n - 1):
+    for s, outside_product in _correction_sets(g, u, g.n - 2, links):
         correction += _tree_sum(s, links) * outside_product
     return thomassen_bound(g, u) - correction
 

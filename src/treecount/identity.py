@@ -7,15 +7,16 @@ times the incidence product of what remains after deleting it. Both sides
 are evaluated independently here so random integer points can expose any
 implementation error exactly.
 
-A remainder with an isolated vertex has an incidence product of 0, so the
-correction walks only the vertex sets whose remainder keeps every vertex
-covered: it shares the degree formulas' walk over int vertex masks, which
-cuts a branch once a vertex that can no longer join the set is isolated.
-Each weight point first sums the weights of every parallel class. The
-remainder's product is read off those sums with the set's mask, and the
-weighted tree sum inside a kept set comes from the class walk that
-`count --method enum` runs, each class valued by its sum; neither a
-remainder graph nor an induced subgraph is built.
+This is the direct degree formula with every degree replaced by an
+incident weight sum. Each weight point first sums the weights of every
+parallel class, zero sums kept, and the correction is one sum over the
+degree formulas' walk of int vertex masks run on those sums. The walk
+yields every vertex set whose remainder keeps each vertex covered, with
+that remainder's incidence product, and cuts a branch once a vertex that
+can no longer join the set is isolated. Sets whose product is 0 are
+skipped; for the others the weighted tree sum inside comes from the class
+walk that `count --method enum` runs, each class valued by its sum.
+Neither a remainder graph nor an induced subgraph is built.
 """
 
 from __future__ import annotations
@@ -78,19 +79,6 @@ def identity_lhs(g: Multigraph, u: int, weights: Sequence[int]) -> int:
     return product
 
 
-def _remainder_value(inside: int, links: list[list[tuple[int, int]]]) -> int:
-    # f_value of G - inside (a vertex mask): per outside vertex, the weight
-    # sums of its parallel classes with no end inside
-    product = 1
-    for v, pairs in enumerate(links):
-        if inside >> v & 1:
-            continue
-        product *= sum(c for w, c in pairs if not inside >> w & 1)
-        if product == 0:
-            return 0
-    return product
-
-
 def identity_rhs(g: Multigraph, u: int, weights: Sequence[int]) -> tuple[int, int]:
     """The two right-hand aggregates: weighted tree sum and subtree correction.
 
@@ -108,10 +96,9 @@ def identity_rhs(g: Multigraph, u: int, weights: Sequence[int]) -> tuple[int, in
     links = _class_links(g, weights)
     nst_sum = 0
     # a set of n-1 vertices leaves one isolated vertex, so stop at n-2
-    for s, _ in _correction_sets(g, u, g.n - 2):
-        fv = _remainder_value(s, links)
-        if fv:
-            nst_sum += _tree_sum(s, links) * fv
+    for s, outside in _correction_sets(g, u, g.n - 2, links):
+        if outside:
+            nst_sum += _tree_sum(s, links) * outside
     return tau_term, nst_sum
 
 

@@ -703,7 +703,7 @@ def cli_argv(draw):
         # --trials defaults to 100, so it is always drawn
         argv = ["--trials", draw(TRIALS), *flag("--n", SMALL_INTS), *flag("--m", SMALL_INTS)]
         argv += flag("--seed", SMALL_INTS) + flag("--points", TRIALS)
-        argv += draw(st.sampled_from([[], ["--allow-disconnected"]]))
+        argv += draw(st.sampled_from([[], ["--allow-disconnected"]])) + flag("--budget", SMALL_INTS)
     elif command == "identity":
         argv = [file, *flag("--root", SMALL_INTS), *flag("--trials", TRIALS)]
         argv += flag("--weights-file", st.sampled_from(ARGV_FILES))
@@ -711,9 +711,10 @@ def cli_argv(draw):
         argv += [f"--weights={w}" for w in draw(st.lists(weights, max_size=1))]
     elif command == "fpoly":
         argv = [file, *flag("--max-vertices", SMALL_INTS), *draw(st.sampled_from([[], ["--dump"]]))]
+        argv += flag("--budget", SMALL_INTS)
     else:
         argv = [file, *flag("--root", SMALL_INTS), *draw(st.sampled_from([[], ["--best"]]))]
-    argv += flag("--budget", SMALL_INTS) + draw(st.sampled_from([[], ["--json"], ["--quiet"]]))
+    argv += draw(st.sampled_from([[], ["--json"], ["--quiet"]]))
     return [command, *argv]
 
 
@@ -736,6 +737,17 @@ def test_random_argv_exits_with_a_documented_code(argv_paths, argv):
         assert out.getvalue() == ""
         assert err.getvalue().startswith(prefix)
         assert err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["count", "@good"], ["identity", "@good"], ["bound", "@good"], ["family", "wheel", "4"]]
+)
+def test_budget_is_rejected_where_nothing_reads_it(capsys, argv_paths, argv):
+    # only fpoly and verify expand the incidence product
+    with pytest.raises(SystemExit) as exc:
+        main([argv_paths.get(arg, arg) for arg in argv] + ["--budget", "0"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --budget 0" in capsys.readouterr().err
 
 
 def test_count_builds_the_class_tables_once_per_graph(capsys, monkeypatch, wheel4_file):

@@ -180,7 +180,7 @@ def test_pruned_walk_yields_the_reference_sets(pendant):
     for cap in (g.n - 2, g.n - 1):
         got = [
             (frozenset(degree_formula._members(s)), product)
-            for s, product in degree_formula._correction_sets(g, 0, cap)
+            for s, product in degree_formula._correction_sets(g, 0, cap, g._class_table)
         ]
         reference = [
             (t, outside_degree_product(g, t)) for t in enumerate_connected_sets(g, 0, cap)

@@ -12,6 +12,7 @@ from treecount import (
     SubTree,
     build,
     check_identity,
+    direct_formula_value,
     f_value,
     identity_lhs,
     identity_rhs,
@@ -109,6 +110,11 @@ def test_identity_rhs_at_ones_splits_the_bound(figure_one, wheel4):
         tau_term, nst_sum = identity_rhs(g, u, [1] * g.m)
         assert tau_term == tau_matrix_tree(g)
         assert nst_sum == thomassen_bound(g, u) - tau_term
+    # at all ones the weighted correction is the direct formula's correction
+    for g in seeded_suite(20, seed=97531, max_n=7, max_m=13):
+        for u in range(g.n):
+            correction = thomassen_bound(g, u) - direct_formula_value(g, u)
+            assert identity_rhs(g, u, [1] * g.m)[1] == correction
 
 
 def test_identity_rhs_requires_connected():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     c_pieces_by_frozensets,
@@ -41,6 +41,7 @@ from treecount import (
     thomassen_bound,
 )
 from treecount.counting import _class_links, _tree_sum
+from treecount.degree_formula import _correction_sets, _members
 from treecount.errors import DisconnectedError, EmptyExpansionError, ExponentOverflowError
 
 
@@ -264,6 +265,32 @@ def test_class_walk_weighted_sum_matches_the_matrix_tree(g, data):
     expected = tau_weighted_matrix_tree(g, w)
     assert _tree_sum(full, _class_links(g, w)) == expected
     assert _tree_sum(full, _links_keeping_zero_classes(g, w)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    parallel_multigraphs(max_n=7, max_m=12).flatmap(
+        lambda g: st.tuples(st.just(g), st.lists(small_signed_weights, min_size=g.m, max_size=g.m))
+    )
+)
+# once 1 joins the root, vertex 2 keeps only the 2-3 pair, whose sum is 0
+@example((build(4, [(0, 1), (1, 2), (2, 3), (2, 3)]), [7, 11, 5, -5]))
+def test_weighted_set_walk_yields_the_same_sets_and_the_remainder_values(case):
+    # cancelling class sums leave a vertex at value 0 with neighbours left:
+    # the sets must not change, only the products that come with them
+    g, w = case
+    weight_sums = _class_links(g, w)
+    assert [[v for v, _ in row] for row in weight_sums] == [
+        [v for v, _ in row] for row in g._class_table
+    ]
+    for u in range(g.n):
+        for cap in (g.n - 2, g.n - 1):
+            walked = list(_correction_sets(g, u, cap, weight_sums))
+            counted = _correction_sets(g, u, cap, g._class_table)
+            assert [s for s, _ in walked] == [s for s, _ in counted]
+            for s, outside in walked:
+                rest = delete_vertices(g, _members(s))
+                assert outside == f_value(rest.graph, [w[j] for j in rest.edge_origin])
 
 
 @settings(max_examples=60, deadline=None)
