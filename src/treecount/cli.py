@@ -140,8 +140,9 @@ def _build_parser() -> _Parser:
 
     p_bound = sub.add_parser("bound", parents=[shared], help="degree-product bound report")
     p_bound.add_argument("file", help="graph file")
-    p_bound.add_argument("--root", type=int, default=None)
-    p_bound.add_argument("--best", action="store_true", help="pick the root minimizing the bound")
+    bound_root = p_bound.add_mutually_exclusive_group()
+    bound_root.add_argument("--root", type=int, default=None)
+    bound_root.add_argument("--best", action="store_true", help="pick the root minimizing the bound")
     for p in (p_verify, p_fpoly):
         p.add_argument(
             "--budget", type=int, default=DEFAULT_TERM_BUDGET, help="monomial budget for polynomial expansion"
@@ -298,17 +299,14 @@ def cmd_verify(args: argparse.Namespace) -> _Report:
         "fpoly": [0, 0],
         "disconnected_probe": [0, 0],
     }
-    violations = 0
     clean_trials = 0
     failures: list[str] = []
 
     def record(check: str, ok: bool, trial_seed: int, detail: str) -> bool:
-        nonlocal violations
         counters[check][1] += 1
         if ok:
             counters[check][0] += 1
         else:
-            violations += 1
             failures.append(
                 f"violation[{check}] {detail} "
                 f"(reproduce: treecount verify --n {args.n} --m {args.m} "
@@ -368,6 +366,7 @@ def cmd_verify(args: argparse.Namespace) -> _Report:
         if trial_ok:
             clean_trials += 1
 
+    violations = len(failures)
     summary = f"{clean_trials}/{args.trials} agreements, {violations} violations"
     doc = {
         "spec": {

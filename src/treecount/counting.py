@@ -4,15 +4,17 @@ Three independent routes to tau(G): a Laplacian minor determinant
 (unweighted and weighted), the delete/contract recursion refined to handle
 parallel classes in one step, and plain enumeration for small graphs.
 
-Enumeration runs on one private kernel, `_tree_sum`, that walks the
-spanning trees of the simple graph underlying a vertex set, one parallel
-class per edge, over int masks (bit v for vertex v, one bit per class):
-each tree contributes the product of its classes' values. With class
-multiplicities as values it counts tau(G[S]), which `count_spanning_trees`
-and the direct degree formula use; with class weight sums it gives the
-weighted tree sum the identity needs, with a class whose sum is 0
-skipped. `enumerate_spanning_trees` remains the public reference walk,
-one edge-index set per tree of the multigraph.
+The determinants and the enumeration kernel read one per-vertex table of
+(neighbour, class value) pairs, one per parallel class: multiplicities
+count tau, class weight sums give the weighted tree sum. `_laplacian_minor`
+builds any vertex set's minor from it; `_tree_sum` walks the spanning trees
+of the simple graph underlying a vertex set, one class per edge, over int
+masks (bit v for vertex v, one bit per class), each tree contributing the
+product of its class values (a class valued 0 is skipped). The grouped
+formula takes its cores' minors, the direct one and the identity their
+sets' tree sums. Delete/contract and `enumerate_spanning_trees`, the
+public reference walk with one edge-index set per tree, read the edges
+instead, so a fault in the table shows up as a disagreement between methods.
 """
 
 from __future__ import annotations
@@ -27,21 +29,31 @@ from .errors import EmptyGraphError, InvalidSpecError, LengthMismatchError
 from .graph import MAX_VERTICES, Multigraph, contract_edge
 
 EdgeWeights = Sequence[int]
+# per vertex, ascending (neighbour, class value) pairs, one per parallel class
+_ClassTable = Sequence[Sequence[tuple[int, int]]]
 
 
-def _laplacian_minor(g: Multigraph, weights: Sequence[int] | None) -> list[list[int]]:
-    # principal minor dropping the last vertex; any choice gives the same count
-    d = g.n - 1
-    minor = [[0] * d for _ in range(d)]
-    for j, (a, b) in enumerate(g.edges):
-        w = 1 if weights is None else weights[j]
-        if a < d:
-            minor[a][a] += w
-        if b < d:
-            minor[b][b] += w
-        if a < d and b < d:
-            minor[a][b] -= w
-            minor[b][a] -= w
+def _members(mask: int) -> list[int]:
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return found
+
+
+def _laplacian_minor(s: int, links: _ClassTable) -> list[list[int]]:
+    # Laplacian of the classes inside vertex mask s, valued by `links`, minus
+    # the highest vertex's row and column; any choice gives the same count
+    kept = _members(s)[:-1]
+    index = {v: i for i, v in enumerate(kept)}
+    minor = [[0] * len(kept) for _ in kept]
+    for i, a in enumerate(kept):
+        for w, c in links[a]:
+            if s >> w & 1:
+                minor[i][i] += c
+                if w in index:
+                    minor[i][index[w]] = -c
     return minor
 
 
@@ -49,7 +61,7 @@ def tau_matrix_tree(g: Multigraph) -> int:
     """Spanning-tree count as a principal minor determinant of the Laplacian."""
     if g.n == 0:
         raise EmptyGraphError("tau needs at least one vertex")
-    return bareiss_determinant(_laplacian_minor(g, None))
+    return bareiss_determinant(_laplacian_minor((1 << g.n) - 1, g._class_table))
 
 
 def tau_weighted_matrix_tree(g: Multigraph, weights: EdgeWeights) -> int:
@@ -62,11 +74,7 @@ def tau_weighted_matrix_tree(g: Multigraph, weights: EdgeWeights) -> int:
         raise EmptyGraphError("tau needs at least one vertex")
     if len(weights) != g.m:
         raise LengthMismatchError(f"expected {g.m} weights, got {len(weights)}")
-    return bareiss_determinant(_laplacian_minor(g, weights))
-
-
-def _drop_edges(g: Multigraph, dead: frozenset[int]) -> Multigraph:
-    return Multigraph(g.n, tuple(e for j, e in enumerate(g.edges) if j not in dead))
+    return bareiss_determinant(_laplacian_minor((1 << g.n) - 1, g._class_sums(weights)))
 
 
 def _pick_min_degree(g: Multigraph) -> int:
@@ -120,28 +128,11 @@ def _tau_dc(g: Multigraph, pick: Callable[[Multigraph], int]) -> int:
             continue
         j = pick(g)
         pair = g.edges[j]
-        cls = frozenset(k for k, e in enumerate(g.edges) if e == pair)
-        total += len(cls) * _tau_dc(contract_edge(g, j), pick)
-        g = _drop_edges(g, cls)
+        total += g.edges.count(pair) * _tau_dc(contract_edge(g, j), pick)
+        g = Multigraph(g.n, tuple(e for e in g.edges if e != pair))
 
 
-def _class_links(
-    g: Multigraph, weights: Sequence[int] | None = None
-) -> Sequence[Sequence[tuple[int, int]]]:
-    # per vertex, ascending (neighbour, class value) pairs, one per parallel
-    # class: the class's multiplicity, cached on the graph, or its weight sum
-    # when weights are given (a zero sum is kept, so every class is seen)
-    if weights is None:
-        return g._class_table
-    sums: list[dict[int, int]] = [{} for _ in range(g.n)]
-    for j, (a, b) in enumerate(g.edges):
-        w = weights[j]
-        sums[a][b] = sums[a].get(b, 0) + w
-        sums[b][a] = sums[b].get(a, 0) + w
-    return [sorted(row.items()) for row in sums]
-
-
-def _tree_sum(s: int, links: Sequence[Sequence[tuple[int, int]]]) -> int:
+def _tree_sum(s: int, links: _ClassTable) -> int:
     # Sum over the spanning trees of the simple graph underlying G[S] of the
     # product of their class values; `links` holds each vertex's ascending
     # (neighbour, value) pairs, and classes leaving S are ignored. The walk
@@ -203,7 +194,7 @@ def count_spanning_trees(g: Multigraph) -> int:
     """
     if g.n == 0:
         raise EmptyGraphError("spanning trees need at least one vertex")
-    return _tree_sum((1 << g.n) - 1, _class_links(g))
+    return _tree_sum((1 << g.n) - 1, g._class_table)
 
 
 def enumerate_spanning_trees(g: Multigraph) -> Iterator[frozenset[int]]:

@@ -19,12 +19,12 @@ come out in `enumerate_connected_sets` order; once a banned vertex is
 isolated in the remainder it can never join S, and the branch is cut. The
 grouped form counts tau(G[S]) without building a subgraph: vertices with
 one distinct neighbour inside S are stripped, each multiplying by its
-edge class, and the core left over gets a Laplacian minor sliced from the
-multiplicity table, computed once per core within one call. The direct
-form walks the spanning trees of each kept set one parallel class per
-step, multiplying in its multiplicity (`counting._tree_sum`), with no
-subgraph built either. `enumerate_connected_sets` and `enumerate_nst`
-remain the public reference walks.
+class value, and the core left over gets a Laplacian minor built from the
+same class table, once per core within one call. The direct form walks
+the spanning trees of each kept set one parallel class per step
+(`counting._tree_sum`); the identity runs that sum on class weight sums.
+`enumerate_connected_sets` and `enumerate_nst` remain the public
+reference walks.
 """
 
 from __future__ import annotations
@@ -33,7 +33,9 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .algebra import bareiss_determinant
-from .counting import _tree_sum, enumerate_spanning_trees
+from .counting import (
+    _ClassTable, _laplacian_minor, _members, _tree_sum, enumerate_spanning_trees
+)
 from .errors import DisconnectedError
 from .graph import Multigraph, induced
 
@@ -89,17 +91,8 @@ def enumerate_connected_sets(
     yield from grow(frozenset([u]), frozenset())
 
 
-def _members(mask: int) -> list[int]:
-    found = []
-    while mask:
-        low = mask & -mask
-        found.append(low.bit_length() - 1)
-        mask ^= low
-    return found
-
-
 def _correction_sets(
-    g: Multigraph, u: int, max_size: int, links: Sequence[Sequence[tuple[int, int]]]
+    g: Multigraph, u: int, max_size: int, links: _ClassTable
 ) -> Iterator[tuple[int, int]]:
     # (S mask, product over G - S of each vertex's `links` values leaving S)
     # for every connected S through u with |S| <= max_size whose remainder
@@ -166,12 +159,13 @@ def _correction_sets(
 
 
 def _tau_inside(
-    s: int, nbr: Sequence[int], mult: Sequence[Sequence[int]], by_core: dict[int, int]
+    s: int, nbr: Sequence[int], links: _ClassTable, by_core: dict[int, int]
 ) -> int:
-    # tau(G[S]): each vertex with one distinct neighbour inside S is stripped
-    # and its edge class multiplies the count; the core left over is counted
-    # by a Laplacian minor sliced from the multiplicity table, once per core.
-    # A vertex's inside degree only falls, so each leaf is queued once.
+    # G[S]'s tree sum over `links` (tau(G[S]) for multiplicities): each vertex
+    # with one distinct neighbour inside S is stripped and its class value
+    # multiplies the sum; the core left over is counted by a Laplacian minor,
+    # once per core. A vertex's inside degree only falls, so each leaf is
+    # queued once.
     leaves = []
     rest = s
     while rest:
@@ -189,7 +183,10 @@ def _tau_inside(
             # the last vertex of a tree
             continue
         w = inside.bit_length() - 1
-        tau *= mult[v][w]
+        for x, c in links[v]:
+            if x == w:
+                tau *= c
+                break
         core ^= 1 << v
         inside = nbr[w] & core
         if inside and not inside & (inside - 1):
@@ -198,22 +195,16 @@ def _tau_inside(
         return tau
     count = by_core.get(core)
     if count is None:
-        vs = _members(core)
-        minor = []
-        for i, a in enumerate(vs[:-1]):
-            row = [-mult[a][b] for b in vs[:-1]]
-            row[i] = sum(mult[a][b] for b in vs)
-            minor.append(row)
-        count = by_core[core] = bareiss_determinant(minor)
+        count = by_core[core] = bareiss_determinant(_laplacian_minor(core, links))
     return tau * count
 
 
 def _grouped_terms(g: Multigraph, u: int) -> Iterator[tuple[int, int, int]]:
     # (S mask, tau(G[S]), degree product of G - S) for every kept set
-    nbr, mult = g._neighbor_masks, g._multiplicities
+    nbr, links = g._neighbor_masks, g._class_table
     by_core: dict[int, int] = {}
-    for s, outside_product in _correction_sets(g, u, g.n - 2, g._class_table):
-        yield s, _tau_inside(s, nbr, mult, by_core), outside_product
+    for s, outside_product in _correction_sets(g, u, g.n - 2, links):
+        yield s, _tau_inside(s, nbr, links, by_core), outside_product
 
 
 def c_pieces(g: Multigraph, u: int) -> Iterator[InducedPiece]:
@@ -285,6 +276,17 @@ def enumerate_nst(g: Multigraph, u: int) -> Iterator[SubTree]:
             yield SubTree(u, s, frozenset(sub.edge_origin[j] for j in tree))
 
 
+def _tree_correction(g: Multigraph, u: int, links: _ClassTable) -> int:
+    # Sum over kept sets S through u of S's tree sum times the remainder
+    # product, both over `links`; a set of n-1 vertices leaves one isolated
+    # vertex, so stop at n-2, and a zero product is not walked
+    correction = 0
+    for s, outside in _correction_sets(g, u, g.n - 2, links):
+        if outside:
+            correction += _tree_sum(s, links) * outside
+    return correction
+
+
 def direct_formula_value(g: Multigraph, u: int) -> int:
     """Raw value of the direct degree expression at root u.
 
@@ -292,13 +294,7 @@ def direct_formula_value(g: Multigraph, u: int) -> int:
     input can be probed empirically. Equals tau(G) on connected graphs.
     """
     g._check_vertex(u)
-    if g.n == 1:
-        return 1
-    links = g._class_table
-    correction = 0
-    for s, outside_product in _correction_sets(g, u, g.n - 2, links):
-        correction += _tree_sum(s, links) * outside_product
-    return thomassen_bound(g, u) - correction
+    return thomassen_bound(g, u) - _tree_correction(g, u, g._class_table)
 
 
 def tau_via_direct_formula(g: Multigraph, u: int) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     EdgeOutOfRangeError,
@@ -76,14 +76,19 @@ class Multigraph:
             inc[b].append(j)
         return tuple(tuple(js) for js in inc)
 
+    def _class_sums(self, weights: Sequence[int]) -> tuple[tuple[tuple[int, int], ...], ...]:
+        # per vertex, ascending (neighbour, weight sum) pairs, one per parallel
+        # class; a class whose sum is 0 is kept, so every class is listed
+        sums: list[dict[int, int]] = [{} for _ in range(self.n)]
+        for (a, b), w in zip(self.edges, weights):
+            sums[a][b] = sums[a].get(b, 0) + w
+            sums[b][a] = sums[b].get(a, 0) + w
+        return tuple(tuple(sorted(row.items())) for row in sums)
+
     @cached_property
     def _class_table(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        # per vertex, ascending (neighbour, multiplicity) pairs, one per parallel class
-        counts: list[dict[int, int]] = [{} for _ in range(self.n)]
-        for a, b in self.edges:
-            counts[a][b] = counts[a].get(b, 0) + 1
-            counts[b][a] = counts[b].get(a, 0) + 1
-        return tuple(tuple(sorted(row.items())) for row in counts)
+        # the class sums at unit weights: (neighbour, multiplicity) pairs
+        return self._class_sums((1,) * self.m)
 
     @cached_property
     def _neighbor_masks(self) -> tuple[int, ...]:
@@ -94,12 +99,6 @@ class Multigraph:
             masks[a] |= 1 << b
             masks[b] |= 1 << a
         return tuple(masks)
-
-    @cached_property
-    def _multiplicities(self) -> tuple[tuple[int, ...], ...]:
-        # entry [v][w] counts the v-w edges
-        rows = map(dict, self._class_table)
-        return tuple(tuple(row.get(w, 0) for w in range(self.n)) for row in rows)
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):

@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .counting import _class_links, _tree_sum, tau_weighted_matrix_tree
-from .degree_formula import SubTree, _correction_sets
+from .counting import tau_weighted_matrix_tree
+from .degree_formula import SubTree, _tree_correction
 from .errors import DisconnectedError, LengthMismatchError
 from .graph import Multigraph
 
@@ -93,13 +93,7 @@ def identity_rhs(g: Multigraph, u: int, weights: Sequence[int]) -> tuple[int, in
     if not g.is_connected():
         raise DisconnectedError("subtree enumeration needs a connected graph")
     g._check_vertex(u)
-    links = _class_links(g, weights)
-    nst_sum = 0
-    # a set of n-1 vertices leaves one isolated vertex, so stop at n-2
-    for s, outside in _correction_sets(g, u, g.n - 2, links):
-        if outside:
-            nst_sum += _tree_sum(s, links) * outside
-    return tau_term, nst_sum
+    return tau_term, _tree_correction(g, u, g._class_sums(weights))
 
 
 def check_identity(g: Multigraph, u: int, weights: Sequence[int]) -> IdentityReport:

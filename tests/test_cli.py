@@ -516,6 +516,16 @@ def test_bound_best_root(capsys, tmp_path):
     assert "root 0: bound=4 tau=3 gap=1" in out
 
 
+def test_bound_rejects_root_with_best(capsys, wheel4_file):
+    # --best would pick root 4 (bound 81); with --root it used to be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", wheel4_file, "--root", "0", "--best"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --best: not allowed with argument --root" in captured.err
+
+
 def test_bound_multiwheel(capsys, multiwheel4_file):
     code, out, _ = run(capsys, ["bound", multiwheel4_file, "--root", "4", "--json"])
     assert code == 0
@@ -751,17 +761,17 @@ def test_budget_is_rejected_where_nothing_reads_it(capsys, argv_paths, argv):
 
 
 def test_count_builds_the_class_tables_once_per_graph(capsys, monkeypatch, wheel4_file):
-    # enum, degree and degree-direct all read the parsed graph's tables
+    # matrix-tree, enum, degree and degree-direct all read the parsed graph's
+    # class table
     built = []
-    for name in ("_class_table", "_multiplicities"):
-        real = Multigraph.__dict__[name].func
+    real = Multigraph.__dict__["_class_table"].func
 
-        def spy(g, real=real, name=name):
-            built.append(name)
-            return real(g)
+    def spy(g):
+        built.append("_class_table")
+        return real(g)
 
-        prop = cached_property(spy)
-        prop.__set_name__(Multigraph, name)
-        monkeypatch.setattr(Multigraph, name, prop)
+    prop = cached_property(spy)
+    prop.__set_name__(Multigraph, "_class_table")
+    monkeypatch.setattr(Multigraph, "_class_table", prop)
     assert run(capsys, ["count", wheel4_file, "--root", "4"])[0] == 0
-    assert sorted(built) == ["_class_table", "_multiplicities"]
+    assert built == ["_class_table"]

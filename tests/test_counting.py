@@ -18,7 +18,7 @@ from treecount import (
     tau_matrix_tree,
     tau_weighted_matrix_tree,
 )
-from treecount.counting import _class_links, _tree_sum
+from treecount.counting import _tree_sum
 from treecount.errors import EmptyGraphError, InvalidSpecError, LengthMismatchError
 
 
@@ -161,13 +161,13 @@ def test_cross_method_agreement_on_suite():
 
 def test_class_walk_single_vertex_is_one(figure_one):
     assert count_spanning_trees(build(1, [])) == 1
-    links = _class_links(figure_one)
+    links = figure_one._class_table
     assert [_tree_sum(1 << v, links) for v in range(4)] == [1, 1, 1, 1]
 
 
 def test_class_walk_disconnected_set_is_zero(figure_one):
     # {1, 3} has no class inside; {0, 1, 3} is joined through 0
-    links = _class_links(figure_one)
+    links = figure_one._class_table
     assert _tree_sum(0b1010, links) == 0
     assert _tree_sum(0b1011, links) == 1
     assert count_spanning_trees(build(4, [(0, 1), (2, 3), (2, 3)])) == 0
@@ -186,7 +186,7 @@ def test_class_walk_weighs_each_tree_by_its_class_sums(figure_one):
     # the simple graph is K4 less the 1-3 edge: 8 trees, 4 of them through
     # the 0-2 class, which carries 5 + 6
     w = [1, 1, 5, 6, 1, 1]
-    assert _tree_sum(0b1111, _class_links(figure_one, w)) == 4 * 1 + 4 * 11
+    assert _tree_sum(0b1111, figure_one._class_sums(w)) == 4 * 1 + 4 * 11
     assert tau_weighted_matrix_tree(figure_one, w) == 48
 
 

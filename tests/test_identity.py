@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-import treecount.identity
+import treecount.degree_formula
 from conftest import seeded_suite
 from oracles import identity_rhs_by_subtrees
 from treecount import (
@@ -33,13 +33,13 @@ from treecount.errors import (
 def _count_tree_walks(monkeypatch):
     # records the size of every vertex set whose trees the identity walks
     walked = []
-    real = treecount.identity._tree_sum
+    real = treecount.degree_formula._tree_sum
 
     def counting(s, links):
         walked.append(s.bit_count())
         return real(s, links)
 
-    monkeypatch.setattr(treecount.identity, "_tree_sum", counting)
+    monkeypatch.setattr(treecount.degree_formula, "_tree_sum", counting)
     return walked
 
 

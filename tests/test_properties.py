@@ -40,8 +40,8 @@ from treecount import (
     tau_weighted_matrix_tree,
     thomassen_bound,
 )
-from treecount.counting import _class_links, _tree_sum
-from treecount.degree_formula import _correction_sets, _members
+from treecount.counting import _tree_sum
+from treecount.degree_formula import _correction_sets, _members, _tau_inside
 from treecount.errors import DisconnectedError, EmptyExpansionError, ExponentOverflowError
 
 
@@ -242,13 +242,23 @@ def test_expansion_summary_matches_the_term_readers(g):
 small_signed_weights = st.one_of(st.integers(-2, 2), st.integers(-1000, 1000))
 
 
-def _links_keeping_zero_classes(g, weights):
-    # class weight sums with every class kept, a zero sum included
-    sums = [{} for _ in range(g.n)]
-    for j, (a, b) in enumerate(g.edges):
-        sums[a][b] = sums[a].get(b, 0) + weights[j]
-        sums[b][a] = sums[b].get(a, 0) + weights[j]
-    return [sorted(row.items()) for row in sums]
+@st.composite
+def cancelling_weights(draw, g):
+    """Signed weights for g's edges. About half the time one parallel pair
+    gets k and -k and the rest of its class 0, so that class sums to 0 while
+    its ends stay adjacent."""
+    w = draw(st.lists(small_signed_weights, min_size=g.m, max_size=g.m))
+    classes = {}
+    for j, pair in enumerate(g.edges):
+        classes.setdefault(pair, []).append(j)
+    parallel = [js for js in classes.values() if len(js) > 1]
+    if parallel and draw(st.booleans()):
+        first, second, *rest = draw(st.sampled_from(parallel))
+        k = draw(st.integers(1, 1000))
+        w[first], w[second] = k, -k
+        for j in rest:
+            w[j] = 0
+    return w
 
 
 @settings(max_examples=80, deadline=None)
@@ -263,14 +273,13 @@ def test_class_walk_weighted_sum_matches_the_matrix_tree(g, data):
     w = data.draw(st.lists(small_signed_weights, min_size=g.m, max_size=g.m), label="weights")
     full = (1 << g.n) - 1
     expected = tau_weighted_matrix_tree(g, w)
-    assert _tree_sum(full, _class_links(g, w)) == expected
-    assert _tree_sum(full, _links_keeping_zero_classes(g, w)) == expected
+    assert _tree_sum(full, g._class_sums(w)) == expected
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     parallel_multigraphs(max_n=7, max_m=12).flatmap(
-        lambda g: st.tuples(st.just(g), st.lists(small_signed_weights, min_size=g.m, max_size=g.m))
+        lambda g: st.tuples(st.just(g), cancelling_weights(g))
     )
 )
 # once 1 joins the root, vertex 2 keeps only the 2-3 pair, whose sum is 0
@@ -279,7 +288,7 @@ def test_weighted_set_walk_yields_the_same_sets_and_the_remainder_values(case):
     # cancelling class sums leave a vertex at value 0 with neighbours left:
     # the sets must not change, only the products that come with them
     g, w = case
-    weight_sums = _class_links(g, w)
+    weight_sums = g._class_sums(w)
     assert [[v for v, _ in row] for row in weight_sums] == [
         [v for v, _ in row] for row in g._class_table
     ]
@@ -296,11 +305,19 @@ def test_weighted_set_walk_yields_the_same_sets_and_the_remainder_values(case):
 @settings(max_examples=60, deadline=None)
 @given(parallel_multigraphs(max_n=7, max_m=12), st.data())
 def test_class_walk_matches_the_induced_route_on_every_vertex_set(g, data):
-    # disconnected sets included: both routes give 0 there
-    w = data.draw(st.lists(small_signed_weights, min_size=g.m, max_size=g.m), label="weights")
-    multiplicities = _class_links(g)
-    weight_sums = _class_links(g, w)
+    # disconnected sets included: every route gives 0 there. The grouped
+    # form's inside count reads multiplicities and weight sums alike; one
+    # core cache per table, so later masks hit cores cached by earlier ones
+    w = data.draw(cancelling_weights(g), label="weights")
+    nbr = g._neighbor_masks
+    multiplicities = g._class_table
+    weight_sums = g._class_sums(w)
+    counted_cores, weighted_cores = {}, {}
     for s in range(1, 1 << g.n):
         vertices = [v for v in range(g.n) if s >> v & 1]
-        assert _tree_sum(s, multiplicities) == tree_sum_by_induced(g, vertices)
-        assert _tree_sum(s, weight_sums) == tree_sum_by_induced(g, vertices, w)
+        count = tree_sum_by_induced(g, vertices)
+        weighted = tree_sum_by_induced(g, vertices, w)
+        assert _tree_sum(s, multiplicities) == count
+        assert _tau_inside(s, nbr, multiplicities, counted_cores) == count
+        assert _tree_sum(s, weight_sums) == weighted
+        assert _tau_inside(s, nbr, weight_sums, weighted_cores) == weighted
