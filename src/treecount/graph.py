@@ -93,7 +93,7 @@ class Multigraph:
     @cached_property
     def _neighbor_masks(self) -> tuple[int, ...]:
         # bit w of entry v is set iff v and w are adjacent; built from the edges,
-        # as delete/contract asks `is_connected` of every graph it builds
+        # so a connectivity test does not build the class table
         masks = [0] * self.n
         for a, b in self.edges:
             masks[a] |= 1 << b

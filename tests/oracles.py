@@ -8,8 +8,9 @@ the faster ones: `identity_rhs_by_subtrees`, the per-subtree route to the
 identity; `multiply_forms_by_tuples`, the expansion on sorted
 (index, exponent) tuple monomials; `c_pieces_by_frozensets` and
 `direct_value_by_frozensets`, the degree formulas' corrections over
-frozenset vertex sets with a relabelled subgraph per set; and
-`tree_sum_by_induced`, the per-set tree sum the class walk replaced.
+frozenset vertex sets with a relabelled subgraph per set;
+`tree_sum_by_induced`, the per-set tree sum the class walk replaced; and
+`tau_dc_by_edges`, delete/contract on rebuilt `Multigraph`s with no memo.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from itertools import combinations
 
 from treecount import (
     InducedPiece,
+    Multigraph,
+    contract_edge,
     delete_vertices,
     enumerate_connected_sets,
     enumerate_nst,
@@ -295,3 +298,41 @@ def multiply_forms_by_tuples(forms, budget=10_000_000):
             )
         terms = nxt
     return terms
+
+
+def _pick_min_degree_edge(g):
+    v = min(
+        (v for v in range(g.n) if g.degree(v) > 0),
+        key=lambda v: (g.degree(v), v),
+    )
+    return min(g.incident_edges(v))
+
+
+def _pick_first_edge(g):
+    return 0
+
+
+def tau_dc_by_edges(g, heuristic="min-degree"):
+    """tau_deletion_contraction the old way: a whole parallel class per
+    step on a rebuilt Multigraph, a connectivity test and a degree-1 scan
+    at every step, and no memo. `heuristic` picks an edge index: the lowest
+    one at a vertex of least degree, or edge 0."""
+    pick = {"min-degree": _pick_min_degree_edge, "first-edge": _pick_first_edge}[heuristic]
+
+    def count(g):
+        total = 0
+        while True:
+            if g.n == 1:
+                return total + 1
+            if not g.is_connected():
+                return total
+            pendant = next((v for v in range(g.n) if g.degree(v) == 1), None)
+            if pendant is not None:
+                g = contract_edge(g, min(g.incident_edges(pendant)))
+                continue
+            j = pick(g)
+            pair = g.edges[j]
+            total += g.edges.count(pair) * count(contract_edge(g, j))
+            g = Multigraph(g.n, tuple(e for e in g.edges if e != pair))
+
+    return count(g)

@@ -663,6 +663,30 @@ def test_budget_errors_in_verify_are_one_line(capsys):
     assert err == "treecount verify: expansion exceeded the 0-monomial budget\n"
 
 
+def test_del_con_budget_is_an_error_entry_in_count(capsys, monkeypatch, wheel4_file):
+    monkeypatch.setattr(treecount.counting, "DEL_CON_NODE_BUDGET", 3)
+    message = "delete/contract exceeded the 3-node budget after counting 3 minors"
+    code, out, err = run(capsys, ["count", wheel4_file, "--json"])
+    doc = json.loads(out)
+    assert (code, err) == (0, "")
+    assert doc["methods"]["del-con"]["error"] == message
+    assert doc["agreement"] is True
+    assert {e["value"] for k, e in doc["methods"].items() if k != "del-con"} == {45}
+    code, out, err = run(capsys, ["count", wheel4_file])
+    assert (code, err) == (0, "")
+    assert f"del-con        error: {message}" in out.splitlines()
+    assert "agreement: yes" in out
+
+
+def test_del_con_budget_errors_in_verify_are_one_line(capsys, monkeypatch):
+    monkeypatch.setattr(treecount.counting, "DEL_CON_NODE_BUDGET", 3)
+    code, out, err = run(capsys, ["verify", "--trials", "2"])
+    assert (code, out) == (1, "")
+    assert err == (
+        "treecount verify: delete/contract exceeded the 3-node budget after counting 4 minors\n"
+    )
+
+
 def test_every_parse_error_names_its_command(capsys, figure_one_file, tmp_path):
     bad = tmp_path / "bad.graph"
     bad.write_text("nonsense\n")

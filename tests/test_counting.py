@@ -18,8 +18,20 @@ from treecount import (
     tau_matrix_tree,
     tau_weighted_matrix_tree,
 )
-from treecount.counting import _tree_sum
-from treecount.errors import EmptyGraphError, InvalidSpecError, LengthMismatchError
+from treecount import counting
+from treecount.counting import (
+    _edge_classes,
+    _pick_first_edge,
+    _pick_min_degree,
+    _tau_dc,
+    _tree_sum,
+)
+from treecount.errors import (
+    BudgetExceededError,
+    EmptyGraphError,
+    InvalidSpecError,
+    LengthMismatchError,
+)
 
 
 def complete(n):
@@ -115,6 +127,90 @@ def test_deletion_contraction_heuristics_agree():
         a = tau_deletion_contraction(g, "min-degree")
         b = tau_deletion_contraction(g, "first-edge")
         assert a == b == tau_matrix_tree(g)
+
+
+class CountingMemo(dict):
+    """A delete/contract memo that counts its lookups."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def test_deletion_contraction_reuses_minors_of_k5():
+    # different delete/contract sequences reach the same labelled minor, so
+    # the memo is asked more often than it stores a count
+    k5 = complete(5)
+    memo = CountingMemo()
+    assert _tau_dc(5, _edge_classes(k5), _pick_min_degree, memo) == 125
+    assert memo.lookups > len(memo)
+
+
+def test_deletion_contraction_contracts_a_pendant_chain_in_place():
+    # a triangle with a 6-vertex tail of doubled classes: every tail class is
+    # pendant in turn, so only the root minor is counted, with no recursion
+    edges = [(0, 1), (1, 2), (0, 2)] + [(v, v + 1) for v in range(2, 8)] * 2
+    g = build(9, edges)
+    memo = {}
+    assert _tau_dc(9, _edge_classes(g), _pick_min_degree, memo) == 3 * 2**6
+    assert len(memo) == 1
+    assert tau_deletion_contraction(g, "first-edge") == tau_matrix_tree(g) == 192
+
+
+@pytest.mark.parametrize(
+    "edges,tau",
+    [
+        ([(v, v + 1) for v in range(63)], 1),
+        ([(v, (v + 1) % 64) for v in range(64)], 64),
+    ],
+    ids=["path", "cycle"],
+)
+def test_deletion_contraction_depth_stays_below_the_vertex_count(edges, tau):
+    # only contraction recurses: the 64-cycle needs at most 61 nested calls
+    g = build(64, edges)
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 72)
+    try:
+        for heuristic in ("min-degree", "first-edge"):
+            assert tau_deletion_contraction(g, heuristic) == tau
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_deletion_contraction_multiplicity_three_class():
+    # a 4-cycle whose 0-1 class has 3 edges: 1 tree avoids it, 3 * 3 use it
+    g = build(4, [(0, 1)] * 3 + [(1, 2), (2, 3), (0, 3)])
+    assert tau_deletion_contraction(g) == tau_deletion_contraction(g, "first-edge") == 10
+    # K4 with one tripled class, contracted and deleted alike
+    k4 = build(4, list(complete(4).edges) + [(1, 3)] * 2)
+    assert tau_deletion_contraction(k4) == tau_matrix_tree(k4) == 32
+
+
+def test_first_edge_takes_the_class_of_edge_zero():
+    # edge 0 is the 2-3 pair, not the lowest pair 0-1
+    g = build(4, [(3, 2), (0, 1), (1, 2), (0, 3), (0, 2), (1, 2)])
+    classes = _edge_classes(g)
+    assert list(classes) == [(2, 3), (0, 1), (1, 2), (0, 3), (0, 2)]
+    assert classes[1, 2] == 2
+    assert _pick_first_edge(classes, [], []) == (2, 3)
+
+
+def test_deletion_contraction_budget_names_its_limit(monkeypatch):
+    monkeypatch.setattr(counting, "DEL_CON_NODE_BUDGET", 3)
+    with pytest.raises(
+        BudgetExceededError,
+        match="delete/contract exceeded the 3-node budget after counting 3 minors",
+    ):
+        tau_deletion_contraction(complete(6))
+    # a path is closed out by pendant contraction alone: one node
+    assert tau_deletion_contraction(build(10, [(v, v + 1) for v in range(9)] * 2)) == 2**9
 
 
 def test_enumeration_triangle_order(triangle):

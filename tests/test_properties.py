@@ -10,6 +10,7 @@ from oracles import (
     direct_value_by_frozensets,
     identity_rhs_by_subtrees,
     multiply_forms_by_tuples,
+    tau_dc_by_edges,
     tree_sum_by_induced,
 )
 from treecount import (
@@ -58,13 +59,19 @@ def multigraphs(draw, min_n=1, max_n=6, max_m=10):
 
 
 @st.composite
-def parallel_multigraphs(draw, max_n=6, max_m=10):
-    """Multigraphs in which some edges are repeated, at shuffled indices."""
+def parallel_multigraphs(draw, max_n=6, max_m=10, connected=False):
+    """Multigraphs in which some edges are repeated, at shuffled indices.
+    With `connected`, the distinct pairs start from a random spanning tree."""
     n = draw(st.integers(2, max_n))
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
         lambda t: t[0] != t[1]
     )
-    base = draw(st.lists(pair, min_size=1, max_size=max_m // 2))
+    if connected:
+        order = draw(st.permutations(range(n)))
+        tree = [(order[draw(st.integers(0, i - 1))], order[i]) for i in range(1, n)]
+        base = tree + draw(st.lists(pair, max_size=(max_m - len(tree)) // 2))
+    else:
+        base = draw(st.lists(pair, min_size=1, max_size=max_m // 2))
     copies = draw(st.lists(st.sampled_from(base), min_size=1, max_size=max_m - len(base)))
     return build(n, draw(st.permutations(base + copies)))
 
@@ -103,6 +110,22 @@ def test_contraction_never_leaves_a_loop(g, data):
     contracted = contract_edge(g, j)  # the constructor rejects loops
     assert contracted.n == g.n - 1
     assert all(a != b for a, b in contracted.edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        parallel_multigraphs(max_n=7, max_m=12),
+        parallel_multigraphs(max_n=7, max_m=12, connected=True),
+    )
+)
+def test_class_level_deletion_contraction_matches_the_edge_route(g):
+    # the memoized recursion over classes against the rebuilt-graph one it
+    # replaced, under both heuristics, on connected and disconnected graphs
+    reference = tau_matrix_tree(g)
+    for heuristic in ("min-degree", "first-edge"):
+        assert tau_deletion_contraction(g, heuristic) == reference
+        assert tau_dc_by_edges(g, heuristic) == reference
 
 
 @settings(max_examples=60)
@@ -148,23 +171,6 @@ def test_identity_holds_at_arbitrary_integer_points(g, data):
 @given(multigraphs(max_n=5, max_m=8))
 def test_f_value_at_ones_is_the_degree_product(g):
     assert f_value(g, [1] * g.m) == math.prod(g.degrees())
-
-
-@settings(max_examples=80, deadline=None)
-@given(connected_multigraphs(max_n=6, max_m=10), st.data())
-def test_identity_rhs_matches_the_per_subtree_route(g, data):
-    # small weights make zero weights and cancelling incidence sums common,
-    # so remainders vanish without an isolated vertex
-    u = data.draw(st.integers(0, g.n - 1), label="root")
-    w = data.draw(
-        st.lists(
-            st.one_of(st.integers(-2, 2), st.integers(-1000, 1000)),
-            min_size=g.m,
-            max_size=g.m,
-        ),
-        label="weights",
-    )
-    assert identity_rhs(g, u, w) == identity_rhs_by_subtrees(g, u, w)
 
 
 @settings(max_examples=80, deadline=None)
@@ -259,6 +265,22 @@ def cancelling_weights(draw, g):
         for j in rest:
             w[j] = 0
     return w
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    parallel_multigraphs(max_n=6, max_m=10, connected=True).flatmap(
+        lambda g: st.tuples(st.just(g), st.integers(0, g.n - 1), cancelling_weights(g))
+    )
+)
+# rooted at 2, once 1 joins, vertex 3's classes to 0 and 4 (-1 and 1) cancel
+# while both ends remain; once 0 joins too, 3's sum is 1 and {0, 1, 2} counts
+@example((build(5, [(0, 1), (1, 2), (1, 3), (3, 4), (0, 3)]), 2, [-1, -2, -1, 1, -1]))
+def test_identity_rhs_matches_the_per_subtree_route(case):
+    # cancelling class sums and small weights make remainders vanish, or a
+    # vertex's sum reach 0, without an isolated vertex
+    g, u, w = case
+    assert identity_rhs(g, u, w) == identity_rhs_by_subtrees(g, u, w)
 
 
 @settings(max_examples=80, deadline=None)
