@@ -6,7 +6,7 @@ cross-check each other bit-exactly, plus the weighted identity and the
 vertex-incidence expansion those formulas rest on.
 """
 
-from .algebra import CappedPoly, bareiss_determinant, evaluate_poly, multiply_forms
+from .algebra import bareiss_determinant, evaluate_poly, multiply_forms
 from .counting import (
     FamilySpec,
     closed_form_tau,
@@ -62,7 +62,6 @@ from .identity import (
 from .randgraph import RandomSpec, random_multigraph
 
 __all__ = [
-    "CappedPoly",
     "CoverTerm",
     "ExpansionSummary",
     "FamilySpec",

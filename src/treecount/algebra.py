@@ -11,7 +11,6 @@ constant monomial is 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, ExponentOverflowError, LengthMismatchError
@@ -58,30 +57,17 @@ def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
     return sign * rows[d - 1][d - 1]
 
 
-@dataclass(frozen=True)
-class CappedPoly:
-    """Sparse multivariate polynomial with per-variable exponent at most 2.
-
-    `terms` maps each monomial, packed as described in the module docstring,
-    to its nonzero coefficient.
-    """
-
-    terms: dict[Monomial, int]
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
 def multiply_forms(
     forms: Iterable[frozenset[int]], budget: int = DEFAULT_TERM_BUDGET
-) -> CappedPoly:
+) -> dict[Monomial, int]:
     """Fully expand a product of sums of distinct variables.
 
     Each form is the set of variable indices appearing with coefficient 1.
-    The empty product is the constant 1; a form with empty support collapses
-    the whole product to 0. Raises BudgetExceeded when an intermediate
-    expansion grows past `budget` monomials, ExponentOverflow if a variable
-    occurs in more than two forms.
+    Returns a dict from each monomial, packed as described in the module
+    docstring, to its nonzero coefficient. The empty product is the constant
+    1; a form with empty support collapses the whole product to 0. Raises
+    BudgetExceeded when an intermediate expansion grows past `budget`
+    monomials, ExponentOverflow if a variable occurs in more than two forms.
     """
     terms: dict[Monomial, int] = {0: 1}
     for form in forms:
@@ -102,13 +88,14 @@ def multiply_forms(
                 f"expansion exceeded the {budget}-monomial budget"
             )
         terms = nxt
-    return CappedPoly(terms)
+    return terms
 
 
-def evaluate_poly(p: CappedPoly, weights: Sequence[int]) -> int:
-    """Evaluate at an integer point, weights[i] being the value of variable i."""
+def evaluate_poly(p: dict[Monomial, int], weights: Sequence[int]) -> int:
+    """Evaluate a `multiply_forms` result at an integer point, weights[i]
+    being the value of variable i."""
     total = 0
-    for mono, coef in p.terms.items():
+    for mono, coef in p.items():
         value = coef
         idx = 0
         while mono:

@@ -125,24 +125,22 @@ def _build_parser() -> _Parser:
     p_identity = sub.add_parser("identity", parents=[shared], help="check the weighted identity")
     p_identity.add_argument("file", help="graph file")
     p_identity.add_argument("--root", type=int, default=None)
-    p_identity.add_argument(
+    weights = p_identity.add_mutually_exclusive_group()
+    weights.add_argument(
         "--weights",
         default="ones",
         help="'ones', 'random:<seed>', or a comma list like 1,2,3",
     )
-    p_identity.add_argument("--weights-file", default=None, help="file with one integer per line")
+    weights.add_argument("--weights-file", default=None, help="file with one integer per line")
     p_identity.add_argument("--trials", type=int, default=1, help="points to draw when weights are random")
 
     p_fpoly = sub.add_parser("fpoly", parents=[shared], help="expand the incidence product")
     p_fpoly.add_argument("file", help="graph file")
-    p_fpoly.add_argument("--max-vertices", type=int, default=14)
     p_fpoly.add_argument("--dump", action="store_true", help="print every term")
 
     p_bound = sub.add_parser("bound", parents=[shared], help="degree-product bound report")
     p_bound.add_argument("file", help="graph file")
-    bound_root = p_bound.add_mutually_exclusive_group()
-    bound_root.add_argument("--root", type=int, default=None)
-    bound_root.add_argument("--best", action="store_true", help="pick the root minimizing the bound")
+    p_bound.add_argument("--root", type=int, default=None, help="default: the root with the smallest bound")
     for p in (p_verify, p_fpoly):
         p.add_argument(
             "--budget", type=int, default=DEFAULT_TERM_BUDGET, help="monomial budget for polynomial expansion"
@@ -348,7 +346,7 @@ def cmd_verify(args: argparse.Namespace) -> _Report:
             trial_ok &= record("identity", ok, trial_seed, f"root={root}")
 
         if not g.has_isolated_vertex() and 2 <= g.n <= FPOLY_VERIFY_CAP:
-            terms = expand_f(g, max_vertices=FPOLY_VERIFY_CAP, budget=args.budget)
+            terms = expand_f(g, budget=args.budget)
             degree_product = math.prod(g.degrees())
             ok = (
                 matching_number_from_f(terms) == brute_force_matching(g)
@@ -437,6 +435,9 @@ def _weight_points(args: argparse.Namespace, m: int) -> list[list[int]]:
 
 def cmd_identity(args: argparse.Namespace) -> _Report:
     _require_positive("--trials", args.trials)
+    # --weights-file leaves --weights at its default, so this covers it too
+    if args.trials != 1 and not args.weights.startswith("random:"):
+        raise TreecountError("--trials needs --weights random:<seed>")
     g = _load_graph(args.file)
     _require_root(g)
     if not g.is_connected():
@@ -484,13 +485,13 @@ def cmd_fpoly(args: argparse.Namespace) -> _Report:
         }
         line = "isolated vertex present: the incidence product is identically 0"
         return EXIT_OK, doc, [line], [line]
-    summary = expansion_summary(g, max_vertices=args.max_vertices, budget=args.budget)
+    summary = expansion_summary(g, budget=args.budget)
     nu_oracle = brute_force_matching(g)
     rho_oracle = brute_force_edge_cover(g)
     # only the listing needs the decoded, sorted terms
     terms = []
     if args.dump:
-        terms = expand_f(g, max_vertices=args.max_vertices, budget=args.budget)
+        terms = expand_f(g, budget=args.budget)
     nu = summary.matching_number
     rho = summary.edge_cover_number
     matchings = summary.perfect_matchings

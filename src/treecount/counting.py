@@ -68,11 +68,16 @@ def _laplacian_minor(s: int, links: _ClassTable) -> list[list[int]]:
     return minor
 
 
-def tau_matrix_tree(g: Multigraph) -> int:
-    """Spanning-tree count as a principal minor determinant of the Laplacian."""
+def _spanning_minor_det(g: Multigraph, links: _ClassTable) -> int:
+    # g's tree sum over `links`: the Laplacian minor's determinant
     if g.n == 0:
         raise EmptyGraphError("tau needs at least one vertex")
-    return bareiss_determinant(_laplacian_minor((1 << g.n) - 1, g._class_table))
+    return bareiss_determinant(_laplacian_minor((1 << g.n) - 1, links))
+
+
+def tau_matrix_tree(g: Multigraph) -> int:
+    """Spanning-tree count as a principal minor determinant of the Laplacian."""
+    return _spanning_minor_det(g, g._class_table)
 
 
 def tau_weighted_matrix_tree(g: Multigraph, weights: EdgeWeights) -> int:
@@ -81,11 +86,9 @@ def tau_weighted_matrix_tree(g: Multigraph, weights: EdgeWeights) -> int:
     Exact for any integer weights, negative ones included; the all-ones
     point recovers the plain count.
     """
-    if g.n == 0:
-        raise EmptyGraphError("tau needs at least one vertex")
     if len(weights) != g.m:
         raise LengthMismatchError(f"expected {g.m} weights, got {len(weights)}")
-    return bareiss_determinant(_laplacian_minor((1 << g.n) - 1, g._class_sums(weights)))
+    return _spanning_minor_det(g, g._class_sums(weights))
 
 
 # (lo, hi) -> multiplicity, one entry per parallel class, in the order in

@@ -91,16 +91,17 @@ def enumerate_connected_sets(
     yield from grow(frozenset([u]), frozenset())
 
 
-def _correction_sets(
-    g: Multigraph, u: int, max_size: int, links: _ClassTable
-) -> Iterator[tuple[int, int]]:
+def _correction_sets(g: Multigraph, u: int, links: _ClassTable) -> Iterator[tuple[int, int]]:
     # (S mask, product over G - S of each vertex's `links` values leaving S)
-    # for every connected S through u with |S| <= max_size whose remainder
-    # has no isolated vertex, in enumerate_connected_sets order; with weight
-    # sums as values that is the remainder's incidence product. The sums
-    # follow S on add and undo. `iso` masks the remainder vertices with no
-    # neighbour left (a zero sum, confirmed on the masks as sums can cancel);
-    # a banned isolated remainder vertex never joins S, so its branch is cut.
+    # for every connected S through u whose remainder has no isolated
+    # vertex, in enumerate_connected_sets order; with weight sums as values
+    # that is the remainder's incidence product. A set of n-1 vertices leaves
+    # one isolated vertex and all n is no correction, so |S| stops at n-2.
+    # The sums follow S on add and undo. `iso` masks the remainder vertices
+    # with no neighbour left (a zero sum, confirmed on the masks as sums can
+    # cancel); a banned isolated remainder vertex never joins S, so its
+    # branch is cut.
+    max_size = g.n - 2
     if max_size <= 0:
         return
     nbr = g._neighbor_masks
@@ -203,7 +204,7 @@ def _grouped_terms(g: Multigraph, u: int) -> Iterator[tuple[int, int, int]]:
     # (S mask, tau(G[S]), degree product of G - S) for every kept set
     nbr, links = g._neighbor_masks, g._class_table
     by_core: dict[int, int] = {}
-    for s, outside_product in _correction_sets(g, u, g.n - 2, links):
+    for s, outside_product in _correction_sets(g, u, links):
         yield s, _tau_inside(s, nbr, links, by_core), outside_product
 
 
@@ -252,8 +253,6 @@ def tau_via_grouped_formula(g: Multigraph, u: int) -> int:
     if not g.is_connected():
         raise DisconnectedError("grouped formula needs a connected graph")
     g._check_vertex(u)
-    if g.n == 1:
-        return 1
     correction = 0
     for _, tau, outside_product in _grouped_terms(g, u):
         correction += tau * outside_product
@@ -278,10 +277,9 @@ def enumerate_nst(g: Multigraph, u: int) -> Iterator[SubTree]:
 
 def _tree_correction(g: Multigraph, u: int, links: _ClassTable) -> int:
     # Sum over kept sets S through u of S's tree sum times the remainder
-    # product, both over `links`; a set of n-1 vertices leaves one isolated
-    # vertex, so stop at n-2, and a zero product is not walked
+    # product, both over `links`; a zero product is not walked
     correction = 0
-    for s, outside in _correction_sets(g, u, g.n - 2, links):
+    for s, outside in _correction_sets(g, u, links):
         if outside:
             correction += _tree_sum(s, links) * outside
     return correction

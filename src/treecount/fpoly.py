@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .algebra import DEFAULT_TERM_BUDGET, CappedPoly, multiply_forms
+from .algebra import DEFAULT_TERM_BUDGET, Monomial, multiply_forms
 from .errors import BudgetExceededError, EmptyExpansionError, IsolatedVertexError
 from .graph import Multigraph
 
@@ -57,11 +57,13 @@ class ExpansionSummary(
     __slots__ = ()
 
 
-def _incidence_poly(g: Multigraph, max_vertices: int, budget: int) -> CappedPoly | None:
-    # None when some vertex is isolated: its empty form zeroes the product
-    if g.n > max_vertices:
+def _incidence_poly(g: Multigraph, budget: int) -> dict[Monomial, int] | None:
+    # None when some vertex is isolated: its empty form zeroes the product.
+    # The vertex guard is the brute-force oracles' own, since a graph they
+    # refuse could not be checked anyway
+    if g.n > DEFAULT_MAX_VERTICES:
         raise BudgetExceededError(
-            f"expansion guarded at {max_vertices} vertices, graph has {g.n}"
+            f"expansion guarded at {DEFAULT_MAX_VERTICES} vertices, graph has {g.n}"
         )
     if g.has_isolated_vertex():
         return None
@@ -83,11 +85,7 @@ def _fields(bits: int) -> tuple[int, ...]:
     return tuple(found)
 
 
-def expansion_summary(
-    g: Multigraph,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-    budget: int = DEFAULT_TERM_BUDGET,
-) -> ExpansionSummary:
+def expansion_summary(g: Multigraph, budget: int = DEFAULT_TERM_BUDGET) -> ExpansionSummary:
     """Term count, coefficient sum, matching and edge-cover numbers, and the
     perfect matchings, read in one pass over the expansion.
 
@@ -95,7 +93,7 @@ def expansion_summary(
     decoding or sorting the terms. Raises EmptyExpansionError when some
     vertex is isolated, and has the same vertex guard as `expand_f`.
     """
-    poly = _incidence_poly(g, max_vertices, budget)
+    poly = _incidence_poly(g, budget)
     if poly is None:
         raise EmptyExpansionError("an isolated vertex makes the expansion empty")
     squared = _squared_bits(g.m)
@@ -104,7 +102,7 @@ def expansion_summary(
     nu = 0
     rho = g.m
     perfect = []
-    for mono, coef in poly.terms.items():
+    for mono, coef in poly.items():
         total += coef
         doubled = (mono & squared).bit_count()
         if doubled > nu:
@@ -118,24 +116,20 @@ def expansion_summary(
     return ExpansionSummary(len(poly), total, nu, rho, tuple(perfect))
 
 
-def expand_f(
-    g: Multigraph,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-    budget: int = DEFAULT_TERM_BUDGET,
-) -> list[CoverTerm]:
+def expand_f(g: Multigraph, budget: int = DEFAULT_TERM_BUDGET) -> list[CoverTerm]:
     """All distinct monomials of the incidence product, deterministically ordered.
 
     Returns an empty list when some vertex is isolated (the product is
-    identically zero then). The vertex guard exists because the expansion
-    is inherently exponential; raise it explicitly for bigger graphs.
+    identically zero then). The expansion is inherently exponential, so
+    graphs above DEFAULT_MAX_VERTICES vertices raise BudgetExceededError.
     """
-    poly = _incidence_poly(g, max_vertices, budget)
+    poly = _incidence_poly(g, budget)
     if poly is None:
         return []
     squared = _squared_bits(g.m)
     decoded = sorted(
         (_fields(mono & squared), _fields(mono & (squared >> 1)), coef)
-        for mono, coef in poly.terms.items()
+        for mono, coef in poly.items()
     )
     return [
         CoverTerm(frozenset(doubled), frozenset(single), coef)

@@ -9,8 +9,9 @@ implementation error exactly.
 
 This is the direct degree formula with every degree replaced by an
 incident weight sum. Each weight point first sums the weights of every
-parallel class, zero sums kept, and the correction is one sum over the
-degree formulas' walk of int vertex masks run on those sums. The walk
+parallel class, zero sums kept, once: the weighted tree sum is the
+Laplacian minor of those sums, and the correction is one sum over the
+degree formulas' walk of int vertex masks run on them. The walk
 yields every vertex set whose remainder keeps each vertex covered, with
 that remainder's incidence product, and cuts a branch once a vertex that
 can no longer join the set is isolated. Sets whose product is 0 are
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .counting import tau_weighted_matrix_tree
+from .counting import _spanning_minor_det
 from .degree_formula import SubTree, _tree_correction
 from .errors import DisconnectedError, LengthMismatchError
 from .graph import Multigraph
@@ -89,11 +90,12 @@ def identity_rhs(g: Multigraph, u: int, weights: Sequence[int]) -> tuple[int, in
     """
     if len(weights) != g.m:
         raise LengthMismatchError(f"expected {g.m} weights, got {len(weights)}")
-    tau_term = tau_weighted_matrix_tree(g, weights)
+    links = g._class_sums(weights)
+    tau_term = _spanning_minor_det(g, links)
     if not g.is_connected():
         raise DisconnectedError("subtree enumeration needs a connected graph")
     g._check_vertex(u)
-    return tau_term, _tree_correction(g, u, g._class_sums(weights))
+    return tau_term, _tree_correction(g, u, links)
 
 
 def check_identity(g: Multigraph, u: int, weights: Sequence[int]) -> IdentityReport:

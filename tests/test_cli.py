@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import argparse
+import ast
 import hashlib
 import io
 import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -334,6 +337,29 @@ def test_identity_rejects_non_positive_trials(capsys, figure_one_file, trials):
     assert err == "treecount identity: --trials must be >= 1\n"
 
 
+@pytest.mark.parametrize(
+    "weights", [[], ["--weights", "ones"], ["--weights", "1,1,1,1,1,1"], ["--weights-file", "w.txt"]]
+)
+def test_identity_rejects_trials_without_random_weights(capsys, figure_one_file, tmp_path, weights):
+    # only random:<seed> draws more than one point
+    (tmp_path / "w.txt").write_text("1\n" * 6)
+    weights = [str(tmp_path / w) if w == "w.txt" else w for w in weights]
+    code, out, err = run(capsys, ["identity", figure_one_file, "--trials", "5", *weights])
+    assert (code, out) == (1, "")
+    assert err == "treecount identity: --trials needs --weights random:<seed>\n"
+
+
+def test_identity_weights_and_weights_file_are_exclusive(capsys, figure_one_file, tmp_path):
+    wfile = tmp_path / "w.txt"
+    wfile.write_text("1\n" * 6)
+    with pytest.raises(SystemExit) as exc:
+        main(["identity", figure_one_file, "--weights", "random:1", "--weights-file", str(wfile)])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --weights-file: not allowed with argument --weights" in captured.err
+
+
 def test_identity_missing_weights_file_is_parse_error(capsys, figure_one_file, tmp_path):
     missing = str(tmp_path / "missing.txt")
     code, out, err = run(capsys, ["identity", figure_one_file, "--weights-file", missing])
@@ -397,10 +423,10 @@ def test_fpoly_isolated_vertex(capsys, tmp_path):
 def test_fpoly_beyond_the_oracle_cap_is_usage_error(capsys, tmp_path):
     path = tmp_path / "c16.graph"
     path.write_text(serialize(build(16, [(i, (i + 1) % 16) for i in range(16)])))
-    code, out, err = run(capsys, ["fpoly", str(path), "--max-vertices", "16"])
+    code, out, err = run(capsys, ["fpoly", str(path)])
     assert code == 1
     assert out == ""
-    assert err == "treecount fpoly: brute-force matching guarded at 14 vertices\n"
+    assert err == "treecount fpoly: expansion guarded at 14 vertices, graph has 16\n"
 
 
 # fpoly output of the tuple-monomial expansion, which the packed one must
@@ -511,19 +537,48 @@ def test_bound_wheel(capsys, wheel4_file):
 def test_bound_best_root(capsys, tmp_path):
     path = tmp_path / "k3.graph"
     path.write_text("n 3\ne 0 1\ne 0 2\ne 1 2\n")
-    code, out, _ = run(capsys, ["bound", str(path), "--best"])
+    code, out, _ = run(capsys, ["bound", str(path)])
     assert code == 0
     assert "root 0: bound=4 tau=3 gap=1" in out
 
 
-def test_bound_rejects_root_with_best(capsys, wheel4_file):
-    # --best would pick root 4 (bound 81); with --root it used to be ignored
+def test_every_option_is_read():
+    # an option that no command reads is a setting that silently does nothing
+    parser = treecount.cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {
+        action.dest
+        for p in (parser, *commands.choices.values())
+        for action in p._actions
+        if not isinstance(action, argparse._HelpAction)
+    }
+    source = ast.parse(Path(treecount.cli.__file__).read_text(encoding="utf-8"))
+    read = {
+        node.attr
+        for node in ast.walk(source)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+        and isinstance(node.ctx, ast.Load)
+    }
+    assert "trials" in dests and "command" in dests
+    assert dests - read == set()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["bound", "@good", "--best"], "--best"), (["fpoly", "@good", "--max-vertices", "16"], "--max-vertices 16")],
+    ids=["bound-best", "fpoly-max-vertices"],
+)
+def test_removed_flags_are_unrecognized(capsys, argv_paths, argv, flag):
+    # bound picks the smallest-bound root without --root, and the expansion
+    # has one fixed vertex guard
     with pytest.raises(SystemExit) as exc:
-        main(["bound", wheel4_file, "--root", "0", "--best"])
+        main([argv_paths.get(arg, arg) for arg in argv])
     assert exc.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "argument --best: not allowed with argument --root" in captured.err
+    assert f"unrecognized arguments: {flag}" in captured.err
 
 
 def test_bound_multiwheel(capsys, multiwheel4_file):
@@ -744,10 +799,10 @@ def cli_argv(draw):
         weights = st.text(max_size=12) | st.from_regex(r"random:-?\d{1,3}|-?\d(,-?\d){0,9}", fullmatch=True)
         argv += [f"--weights={w}" for w in draw(st.lists(weights, max_size=1))]
     elif command == "fpoly":
-        argv = [file, *flag("--max-vertices", SMALL_INTS), *draw(st.sampled_from([[], ["--dump"]]))]
+        argv = [file, *draw(st.sampled_from([[], ["--dump"]]))]
         argv += flag("--budget", SMALL_INTS)
     else:
-        argv = [file, *flag("--root", SMALL_INTS), *draw(st.sampled_from([[], ["--best"]]))]
+        argv = [file, *flag("--root", SMALL_INTS)]
     argv += draw(st.sampled_from([[], ["--json"], ["--quiet"]]))
     return [command, *argv]
 

@@ -61,8 +61,8 @@ def test_expand_returns_empty_for_isolated_vertex():
 
 
 def test_expand_vertex_guard():
-    with pytest.raises(BudgetExceededError):
-        expand_f(Multigraph(15), max_vertices=14)
+    with pytest.raises(BudgetExceededError, match="expansion guarded at 14 vertices, graph has 15"):
+        expand_f(Multigraph(15))
 
 
 def test_expand_term_structure_on_suite():
@@ -113,8 +113,8 @@ def test_expansion_summary_small_cases(path3, triangle):
 def test_expansion_summary_guards(figure_one):
     with pytest.raises(EmptyExpansionError):
         expansion_summary(build(3, [(0, 1)]))
-    with pytest.raises(BudgetExceededError):
-        expansion_summary(Multigraph(15), max_vertices=14)
+    with pytest.raises(BudgetExceededError, match="expansion guarded at 14 vertices, graph has 15"):
+        expansion_summary(Multigraph(15))
     with pytest.raises(BudgetExceededError):
         expansion_summary(figure_one, budget=3)
 

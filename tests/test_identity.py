@@ -181,6 +181,24 @@ def test_identity_rhs_vanishing_remainder_without_isolated_vertex(monkeypatch):
     assert check_identity(g, 0, w).holds
 
 
+def test_check_identity_builds_the_class_sums_once_per_point(monkeypatch, multiwheel4):
+    # the weighted tree sum and the correction read one table of class sums
+    built = []
+    real = Multigraph._class_sums
+
+    def spy(g, weights):
+        built.append(tuple(weights))
+        return real(g, weights)
+
+    monkeypatch.setattr(Multigraph, "_class_sums", spy)
+    rng = random.Random(5)
+    for _ in range(3):
+        w = [rng.randint(-5, 5) for _ in range(multiwheel4.m)]
+        assert check_identity(multiwheel4, 4, w).holds
+        assert built == [tuple(w)]
+        built.clear()
+
+
 def test_identity_rhs_walks_only_sets_with_a_covered_remainder(monkeypatch):
     # rooted at the centre of a star every remainder has an isolated leaf
     star = build(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
