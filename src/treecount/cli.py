@@ -18,6 +18,7 @@ unreadable graph or weights file, 3 invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -59,7 +60,7 @@ from .fpoly import (
     matching_number_from_f,
 )
 from .graph import Multigraph, parse, serialize
-from .identity import check_identity
+from .identity import check_identity, check_identity_points
 from .randgraph import RandomSpec, random_multigraph
 
 EXIT_OK = 0
@@ -86,6 +87,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+# built on the first `main` call, not at import, and reused by every later
+# call in the same process: parsing leaves the parser as it was
+@functools.cache
 def _build_parser() -> _Parser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true", help="emit one JSON document")
@@ -443,7 +447,7 @@ def cmd_identity(args: argparse.Namespace) -> _Report:
     if not g.is_connected():
         raise DisconnectedError("graph must be connected")
     root = best_thomassen_bound(g)[0] if args.root is None else args.root
-    reports = [check_identity(g, root, w) for w in _weight_points(args, g.m)]
+    reports = check_identity_points(g, root, _weight_points(args, g.m))
     all_hold = all(r.holds for r in reports)
     doc = {
         "graph": {"n": g.n, "m": g.m},

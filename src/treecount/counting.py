@@ -11,10 +11,12 @@ builds any vertex set's minor from it; `_tree_sum` walks the spanning trees
 of the simple graph underlying a vertex set, one class per edge, over int
 masks (bit v for vertex v, one bit per class), each tree contributing the
 product of its class values (a class valued 0 is skipped). The grouped
-formula takes its cores' minors, the direct one and the identity their
-sets' tree sums. Delete/contract and `enumerate_spanning_trees`, the
-public reference walk with one edge-index set per tree, read the edges
-instead, so a fault in the table shows up as a disagreement between methods.
+formula and the identity take their cores' minors, the direct formula its
+sets' tree sums. Enumeration walks the whole graph, once the simple graph's
+minor shows at most ENUM_TREE_BUDGET trees to visit. Delete/contract and
+`enumerate_spanning_trees`, the public reference walk with one edge-index
+set per tree, read the edges instead, so a fault in the table shows up as
+a disagreement between methods.
 
 Delete/contract holds a (lo, hi) -> multiplicity dict built from the edges
 and recurses on contractions only: pendant classes are contracted and
@@ -276,17 +278,30 @@ def _tree_sum(s: int, links: _ClassTable) -> int:
     return walk(root, inc[root.bit_length() - 1], 0)
 
 
+# Spanning trees of the underlying simple graph that enumeration may walk:
+# K9 (4,782,969) fits, K10 (10^8) and larger complete graphs do not.
+ENUM_TREE_BUDGET = 10**7
+
+
 def count_spanning_trees(g: Multigraph) -> int:
     """Spanning-tree count by enumeration.
 
     Walks the spanning trees of the simple graph underlying g, each parallel
     class standing for all its edges, and adds up the products of their
     class multiplicities: one leaf of the walk per simple spanning tree.
-    Only sensible for small graphs; the number of trees walked grows
-    superexponentially.
+    The number of leaves grows superexponentially, so it is taken first, as
+    the simple graph's Laplacian minor (every class valued 1); more than
+    ENUM_TREE_BUDGET raise BudgetExceededError before the walk starts. That
+    figure only decides whether the walk runs, never its value.
     """
     if g.n == 0:
         raise EmptyGraphError("spanning trees need at least one vertex")
+    leaves = _spanning_minor_det(g, [[(w, 1) for w, _ in row] for row in g._class_table])
+    if leaves > ENUM_TREE_BUDGET:
+        raise BudgetExceededError(
+            f"enumeration exceeds the {ENUM_TREE_BUDGET}-tree budget: "
+            f"the walk would visit {leaves} trees"
+        )
     return _tree_sum((1 << g.n) - 1, g._class_table)
 
 

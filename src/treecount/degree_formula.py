@@ -20,11 +20,12 @@ isolated in the remainder it can never join S, and the branch is cut. The
 grouped form counts tau(G[S]) without building a subgraph: vertices with
 one distinct neighbour inside S are stripped, each multiplying by its
 class value, and the core left over gets a Laplacian minor built from the
-same class table, once per core within one call. The direct form walks
+same class table, once per core within one call. The identity strips each
+set once and values the stripped classes and the core at every weight
+point. The direct form, the one route here without a determinant, walks
 the spanning trees of each kept set one parallel class per step
-(`counting._tree_sum`); the identity runs that sum on class weight sums.
-`enumerate_connected_sets` and `enumerate_nst` remain the public
-reference walks.
+(`counting._tree_sum`). `enumerate_connected_sets` and `enumerate_nst`
+remain the public reference walks.
 """
 
 from __future__ import annotations
@@ -159,14 +160,14 @@ def _correction_sets(g: Multigraph, u: int, links: _ClassTable) -> Iterator[tupl
         yield from grow(start, banned, nbr[u], iso, 1)
 
 
-def _tau_inside(
-    s: int, nbr: Sequence[int], links: _ClassTable, by_core: dict[int, int]
-) -> int:
-    # G[S]'s tree sum over `links` (tau(G[S]) for multiplicities): each vertex
-    # with one distinct neighbour inside S is stripped and its class value
-    # multiplies the sum; the core left over is counted by a Laplacian minor,
-    # once per core. A vertex's inside degree only falls, so each leaf is
-    # queued once.
+def _strip_leaves(
+    s: int, nbr: Sequence[int], links: _ClassTable
+) -> tuple[int, list[tuple[int, int]]]:
+    # The core of G[S] and the classes stripped to reach it: each vertex with
+    # one distinct neighbour inside S lies on that class in every tree, so it
+    # goes, as (vertex, position of the class in its `links` row); tables
+    # over one graph share their rows' order, so the pairs fit any of them.
+    # A vertex's inside degree only falls, so each leaf is queued once.
     leaves = []
     rest = s
     while rest:
@@ -176,7 +177,7 @@ def _tau_inside(
         if inside and not inside & (inside - 1):
             leaves.append(low.bit_length() - 1)
     core = s
-    tau = 1
+    stripped = []
     while leaves:
         v = leaves.pop()
         inside = nbr[v] & core
@@ -184,20 +185,39 @@ def _tau_inside(
             # the last vertex of a tree
             continue
         w = inside.bit_length() - 1
-        for x, c in links[v]:
+        for i, (x, _) in enumerate(links[v]):
             if x == w:
-                tau *= c
+                stripped.append((v, i))
                 break
         core ^= 1 << v
         inside = nbr[w] & core
         if inside and not inside & (inside - 1):
             leaves.append(w)
-    if not core & (core - 1):
-        return tau
+    return core, stripped
+
+
+def _inside_sum(
+    core: int, stripped: Sequence[tuple[int, int]], links: _ClassTable, by_core: dict[int, int]
+) -> int:
+    # A stripped set's tree sum over `links`: the stripped classes' values
+    # times the core's Laplacian minor, counted once per core in `by_core`
+    value = 1
+    for v, i in stripped:
+        value *= links[v][i][1]
+    if not value or not core & (core - 1):
+        return value
     count = by_core.get(core)
     if count is None:
         count = by_core[core] = bareiss_determinant(_laplacian_minor(core, links))
-    return tau * count
+    return value * count
+
+
+def _tau_inside(
+    s: int, nbr: Sequence[int], links: _ClassTable, by_core: dict[int, int]
+) -> int:
+    # G[S]'s tree sum over `links` (tau(G[S]) for multiplicities)
+    core, stripped = _strip_leaves(s, nbr, links)
+    return _inside_sum(core, stripped, links, by_core)
 
 
 def _grouped_terms(g: Multigraph, u: int) -> Iterator[tuple[int, int, int]]:

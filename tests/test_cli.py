@@ -5,7 +5,10 @@ import ast
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cached_property
 from pathlib import Path
@@ -13,6 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import treecount
 import treecount.cli
 from treecount import FamilySpec, Multigraph, build, generate_family, parse, serialize
 from treecount.cli import COUNT_METHODS, main
@@ -563,6 +567,64 @@ def test_every_option_is_read():
     }
     assert "trials" in dests and "command" in dests
     assert dests - read == set()
+
+
+# runs each argv of a JSON list through `main` in this one process and prints,
+# as JSON, whether importing the CLI built a parser, how many parsers the
+# calls built, and each call's (exit code, stdout, stderr)
+MAIN_CALLS = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+import treecount.cli as cli
+at_import = cli._build_parser.cache_info().currsize
+calls = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    calls.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps([at_import, cli._build_parser.cache_info().misses, calls]))
+"""
+
+
+def test_one_parser_serves_every_call_in_a_process(argv_paths):
+    # a usage error, a valid call and --help in one process print what each
+    # prints in a process of its own; the parser is built on the first call
+    sequence = [
+        ["count", argv_paths["@good"], "--method", "nope"],
+        ["identity", argv_paths["@good"], "--weights", "random:3", "--trials", "2"],
+        ["count", "--help"],
+    ]
+    env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": str(Path(treecount.__file__).parent.parent)}
+
+    def in_one_process(argvs):
+        done = subprocess.run(
+            [sys.executable, "-c", MAIN_CALLS, json.dumps(argvs)],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        )
+        return json.loads(done.stdout)
+
+    at_import, built, together = in_one_process(sequence)
+    assert (at_import, built) == (0, 1)
+    alone = [in_one_process([argv])[2][0] for argv in sequence]
+    assert together == alone
+    assert [code for code, _, _ in together] == [1, 0, 0]
+    assert "invalid choice: 'nope'" in together[0][2]
+    assert "2/2 points hold" in together[1][1]
+    assert together[2][1].startswith("usage: treecount count")
+
+
+def test_count_reports_the_enum_budget_as_its_entry(capsys, tmp_path):
+    path = tmp_path / "k10.graph"
+    path.write_text(serialize(generate_family(FamilySpec("complete", (10,)))))
+    code, out, err = run(capsys, ["count", str(path), "--method", "enum", "--json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["methods"]["enum"]["error"] == (
+        "enumeration exceeds the 10000000-tree budget: the walk would visit 100000000 trees"
+    )
 
 
 @pytest.mark.parametrize(

@@ -213,6 +213,39 @@ def test_deletion_contraction_budget_names_its_limit(monkeypatch):
     assert tau_deletion_contraction(build(10, [(v, v + 1) for v in range(9)] * 2)) == 2**9
 
 
+def test_enumeration_refuses_k10_before_walking(monkeypatch):
+    # K10 has 10^8 spanning trees: refused with the exact figure, no walk
+    walked = []
+    monkeypatch.setattr(counting, "_tree_sum", lambda s, links: walked.append(s))
+    with pytest.raises(
+        BudgetExceededError,
+        match="enumeration exceeds the 10000000-tree budget: the walk would visit 100000000 trees",
+    ):
+        count_spanning_trees(complete(10))
+    assert walked == []
+
+
+def test_enumeration_budget_admits_k9(monkeypatch):
+    # K9's 9^7 = 4,782,969 trees fit, so the walk is reached
+    assert counting.ENUM_TREE_BUDGET == 10**7
+    monkeypatch.setattr(counting, "_tree_sum", lambda s, links: ("walked", s))
+    assert count_spanning_trees(complete(9)) == ("walked", (1 << 9) - 1)
+
+
+def test_enumeration_budget_counts_the_simple_trees(monkeypatch):
+    # the walk has one leaf per tree of the underlying simple graph: a triangle
+    # with every edge doubled has 12 trees but 3 leaves, and its value comes
+    # from the walk, not from the figure
+    monkeypatch.setattr(counting, "ENUM_TREE_BUDGET", 3)
+    doubled = build(3, [(0, 1), (0, 2), (1, 2)] * 2)
+    assert count_spanning_trees(doubled) == 12
+    with pytest.raises(
+        BudgetExceededError,
+        match="enumeration exceeds the 3-tree budget: the walk would visit 16 trees",
+    ):
+        count_spanning_trees(complete(4))
+
+
 def test_enumeration_triangle_order(triangle):
     assert list(enumerate_spanning_trees(triangle)) == [
         frozenset({0, 1}),

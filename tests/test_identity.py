@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-import treecount.degree_formula
+import treecount.identity
 from conftest import seeded_suite
 from oracles import identity_rhs_by_subtrees
 from treecount import (
@@ -12,6 +12,7 @@ from treecount import (
     SubTree,
     build,
     check_identity,
+    check_identity_points,
     direct_formula_value,
     f_value,
     identity_lhs,
@@ -22,6 +23,7 @@ from treecount import (
     thomassen_bound,
     tree_weight,
 )
+from treecount.degree_formula import _correction_sets
 from treecount.errors import (
     DisconnectedError,
     EmptyGraphError,
@@ -30,17 +32,18 @@ from treecount.errors import (
 )
 
 
-def _count_tree_walks(monkeypatch):
-    # records the size of every vertex set whose trees the identity walks
-    walked = []
-    real = treecount.degree_formula._tree_sum
+def _count_set_strips(monkeypatch):
+    # records every vertex set the identity strips to its core, which it
+    # does once per set whose inside tree sums it counts at some point
+    stripped = []
+    real = treecount.identity._strip_leaves
 
-    def counting(s, links):
-        walked.append(s.bit_count())
-        return real(s, links)
+    def counting(s, nbr, links):
+        stripped.append(s)
+        return real(s, nbr, links)
 
-    monkeypatch.setattr(treecount.degree_formula, "_tree_sum", counting)
-    return walked
+    monkeypatch.setattr(treecount.identity, "_strip_leaves", counting)
+    return stripped
 
 
 def test_f_value_figure_one_all_ones(figure_one):
@@ -175,7 +178,7 @@ def test_identity_rhs_vanishing_remainder_without_isolated_vertex(monkeypatch):
     # pair weighted 5 and -5, so their remainder products are 0
     g = build(4, [(0, 1), (1, 2), (2, 3), (2, 3)])
     w = [7, 11, 5, -5]
-    walked = _count_tree_walks(monkeypatch)
+    walked = _count_set_strips(monkeypatch)
     assert identity_rhs(g, 0, w) == identity_rhs_by_subtrees(g, 0, w) == (0, 0)
     assert walked == []
     assert check_identity(g, 0, w).holds
@@ -202,9 +205,54 @@ def test_check_identity_builds_the_class_sums_once_per_point(monkeypatch, multiw
 def test_identity_rhs_walks_only_sets_with_a_covered_remainder(monkeypatch):
     # rooted at the centre of a star every remainder has an isolated leaf
     star = build(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    walked = _count_tree_walks(monkeypatch)
+    walked = _count_set_strips(monkeypatch)
     assert identity_rhs(star, 0, [2, 3, 4, 5]) == (120, 0)
     assert walked == []
+
+
+def test_identity_strips_each_kept_set_once_for_all_points(monkeypatch, figure_one):
+    # positive control for the spy: at positive weights every kept set has a
+    # nonzero remainder product, so each is stripped, once for both points
+    stripped = _count_set_strips(monkeypatch)
+    kept = [s for s, _ in _correction_sets(figure_one, 3, figure_one._class_table)]
+    assert len(kept) == 3
+    reports = check_identity_points(figure_one, 3, [[1] * 6, [2, 3, 4, 5, 6, 7]])
+    assert all(r.holds for r in reports)
+    assert stripped == kept
+
+
+def test_identity_strips_a_set_whose_remainder_vanishes_at_one_point_only(monkeypatch):
+    # the sets {0} and {0, 1} leave the 2-3 pair, weighted 5 and -5 at the
+    # first point only: they are stripped for the second point's sake
+    g = build(4, [(0, 1), (1, 2), (2, 3), (2, 3)])
+    stripped = _count_set_strips(monkeypatch)
+    reports = check_identity_points(g, 0, [[7, 11, 5, -5], [7, 11, 5, 5]])
+    assert [(r.tau_term, r.nst_sum) for r in reports] == [
+        identity_rhs_by_subtrees(g, 0, w) for w in ([7, 11, 5, -5], [7, 11, 5, 5])
+    ]
+    assert sorted(stripped) == [0b1, 0b11]
+
+
+def test_check_identity_points_equals_one_point_at_a_time(figure_one, multiwheel4):
+    # every point has its own class sums and core cache: a core counted at
+    # one point is never reused at another
+    rng = random.Random(8080)
+    suite = seeded_suite(20, seed=1357, max_n=8, max_m=14, parallel_prob=0.5)
+    for g in [figure_one, multiwheel4] + suite:
+        u = rng.randrange(g.n)
+        points = [
+            [rng.choice([0, 1, -1, rng.randint(-50, 50)]) for _ in range(g.m)]
+            for _ in range(rng.randint(1, 4))
+        ]
+        assert check_identity_points(g, u, points) == [check_identity(g, u, w) for w in points]
+
+
+def test_check_identity_points_checks_every_point_first(figure_one):
+    assert check_identity_points(figure_one, 3, []) == []
+    with pytest.raises(LengthMismatchError, match="expected 6 weights, got 5"):
+        check_identity_points(figure_one, 3, [[1] * 6, [1] * 5])
+    with pytest.raises(VertexOutOfRangeError):
+        check_identity_points(figure_one, 4, [[1] * 6])
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from treecount import (
     build,
     c_pieces,
     check_identity,
+    check_identity_points,
     contract_edge,
     count_spanning_trees,
     delete_vertices,
@@ -42,7 +43,7 @@ from treecount import (
     thomassen_bound,
 )
 from treecount.counting import _tree_sum
-from treecount.degree_formula import _correction_sets, _members, _tau_inside
+from treecount.degree_formula import _correction_sets, _members, _tau_inside, _tree_correction
 from treecount.errors import DisconnectedError, EmptyExpansionError, ExponentOverflowError
 
 
@@ -248,22 +249,57 @@ def test_expansion_summary_matches_the_term_readers(g):
 small_signed_weights = st.one_of(st.integers(-2, 2), st.integers(-1000, 1000))
 
 
+def on_a_cycle(g, v):
+    """True iff two of v's neighbours are joined in G - v."""
+    nbr = g._neighbor_masks
+    seen = 1 << v
+    for a, _ in g._class_table[v]:
+        if seen >> a & 1:
+            return True
+        reached = stack = 1 << a
+        while stack:
+            low = stack & -stack
+            stack ^= low
+            new = nbr[low.bit_length() - 1] & ~reached & ~(1 << v)
+            reached |= new
+            stack |= new
+        seen |= reached
+    return False
+
+
 @st.composite
 def cancelling_weights(draw, g):
-    """Signed weights for g's edges. About half the time one parallel pair
-    gets k and -k and the rest of its class 0, so that class sums to 0 while
-    its ends stay adjacent."""
+    """Signed weights for g's edges, with one of three plants. Within a
+    class: one parallel pair gets k and -k and the rest of its class 0, so
+    that class sums to 0 while its ends stay adjacent. Across classes: at a
+    vertex on a cycle with at least three classes, two classes sum to k and
+    -k (k on each one's first edge, the rest 0), so once a set takes the
+    vertex's other neighbours its remainder sum is 0 with two neighbours
+    left. Or none."""
     w = draw(st.lists(small_signed_weights, min_size=g.m, max_size=g.m))
     classes = {}
     for j, pair in enumerate(g.edges):
         classes.setdefault(pair, []).append(j)
-    parallel = [js for js in classes.values() if len(js) > 1]
-    if parallel and draw(st.booleans()):
-        first, second, *rest = draw(st.sampled_from(parallel))
-        k = draw(st.integers(1, 1000))
-        w[first], w[second] = k, -k
-        for j in rest:
-            w[j] = 0
+    plant = draw(st.sampled_from(["none", "within", "across"]))
+    k = draw(st.integers(1, 1000))
+    if plant == "within":
+        parallel = [js for js in classes.values() if len(js) > 1]
+        if parallel:
+            first, second, *rest = draw(st.sampled_from(parallel))
+            w[first], w[second] = k, -k
+            for j in rest:
+                w[j] = 0
+    elif plant == "across":
+        hubs = [v for v in range(g.n) if len(g._class_table[v]) >= 3 and on_a_cycle(g, v)]
+        if hubs:
+            v = draw(st.sampled_from(hubs))
+            ends = [x for x, _ in g._class_table[v]]
+            pair = draw(st.lists(st.sampled_from(ends), min_size=2, max_size=2, unique=True))
+            for x, value in zip(pair, (k, -k)):
+                first, *rest = classes[min(v, x), max(v, x)]
+                w[first] = value
+                for j in rest:
+                    w[j] = 0
     return w
 
 
@@ -281,6 +317,31 @@ def test_identity_rhs_matches_the_per_subtree_route(case):
     # vertex's sum reach 0, without an isolated vertex
     g, u, w = case
     assert identity_rhs(g, u, w) == identity_rhs_by_subtrees(g, u, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    parallel_multigraphs(max_n=7, max_m=12, connected=True).flatmap(
+        lambda g: st.tuples(
+            st.just(g),
+            st.integers(0, g.n - 1),
+            st.lists(cancelling_weights(g), min_size=1, max_size=3),
+        )
+    )
+)
+# rooted at 0, once 1 joins, vertex 2 keeps its classes to 3 and 4, which
+# cancel (5 and -5) while 3 and 4 stay covered by the 3-4 edge
+@example((build(5, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 4), (0, 3)]), 0, [[2, 3, 5, -5, 7, 1], [1] * 6]))
+def test_identity_points_match_the_subtree_and_tree_walk_routes(case):
+    # one set walk for every point against two routes taken one point at a
+    # time: per subtree, and each kept set's trees walked on its class sums
+    g, u, points = case
+    reports = check_identity_points(g, u, points)
+    assert [r.weight_point for r in reports] == [tuple(w) for w in points]
+    for report, w in zip(reports, points):
+        assert (report.tau_term, report.nst_sum) == identity_rhs_by_subtrees(g, u, w)
+        assert report.nst_sum == _tree_correction(g, u, g._class_sums(w))
+        assert report.holds
 
 
 @settings(max_examples=80, deadline=None)
