@@ -24,7 +24,7 @@ import math
 import random
 import sys
 import time
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .algebra import DEFAULT_TERM_BUDGET
 from .counting import (
@@ -196,12 +196,11 @@ def _run_method(name: str, g: Multigraph, root: int | None) -> dict:
         else:
             if g.n == 0:
                 raise EmptyGraphError("tau needs at least one vertex")
-            u = best_thomassen_bound(g)[0] if root is None else root
-            entry["root"] = u
+            entry["root"] = root
             if name == "degree":
-                entry["value"] = tau_via_grouped_formula(g, u)
+                entry["value"] = tau_via_grouped_formula(g, root)
             else:
-                entry["value"] = tau_via_direct_formula(g, u)
+                entry["value"] = tau_via_direct_formula(g, root)
     except TreecountError as exc:
         entry["error"] = str(exc)
     entry["ms"] = round((time.perf_counter() - start) * 1000, 3)
@@ -214,11 +213,12 @@ def cmd_count(args: argparse.Namespace) -> _Report:
         # checked once here rather than per degree method, whose errors are output
         _require_root(g)
         g._check_vertex(args.root)
+    root, bound = best_thomassen_bound(g) if g.n >= 1 else (None, None)
+    u = root if args.root is None else args.root
     names = COUNT_METHODS if args.method == "all" else (args.method,)
-    methods = {name: _run_method(name, g, args.root) for name in names}
+    methods = {name: _run_method(name, g, u) for name in names}
     values = {e["value"] for e in methods.values() if "value" in e}
     agreement = len(values) <= 1
-    root, bound = best_thomassen_bound(g) if g.n >= 1 else (None, None)
     doc = {
         "graph": {"n": g.n, "m": g.m, "connected": g.is_connected()},
         "methods": methods,
@@ -274,7 +274,8 @@ def cmd_family(args: argparse.Namespace) -> _Report:
 # ---------------------------------------------------------------- verify
 
 
-def _check_cross_method(g: Multigraph) -> tuple[bool, dict[str, int]]:
+def _method_values(g: Multigraph, root: int | None) -> dict[str, int]:
+    # tau by every route that applies; a disconnected graph gets no degree root
     values = {
         "matrix-tree": tau_matrix_tree(g),
         "del-con": tau_deletion_contraction(g),
@@ -284,39 +285,52 @@ def _check_cross_method(g: Multigraph) -> tuple[bool, dict[str, int]]:
         # the reference walk beside the class walk `count --method enum` runs
         values["enum"] = sum(1 for _ in enumerate_spanning_trees(g))
         values["enum-classes"] = count_spanning_trees(g)
-    if g.is_connected():
-        root = best_thomassen_bound(g)[0]
+    if root is not None:
         values["degree"] = tau_via_grouped_formula(g, root)
         values["degree-direct"] = tau_via_direct_formula(g, root)
-    return len(set(values.values())) == 1, values
+    return values
+
+
+def _trial_checks(
+    args: argparse.Namespace, seed: int, g: Multigraph
+) -> Iterator[tuple[str, bool, str]]:
+    # yields (check, ok, detail) for each check that applies to the trial graph
+    root = best_thomassen_bound(g)[0] if g.is_connected() else None
+    values = _method_values(g, root)
+    yield "cross_method", len(set(values.values())) == 1, f"values={values}"
+
+    tau = values["matrix-tree"]
+    yield "thomassen", all(tau <= thomassen_bound(g, u) for u in range(g.n)), f"tau={tau}"
+
+    if root is not None and g.n >= 2:
+        rng_w = random.Random(seed + 10_000_019)
+        ok = all(
+            check_identity(g, root, [rng_w.randint(-1000, 1000) for _ in range(g.m)]).holds
+            for _ in range(args.points)
+        )
+        yield "identity", ok, f"root={root}"
+
+    if not g.has_isolated_vertex() and 2 <= g.n <= FPOLY_VERIFY_CAP:
+        terms = expand_f(g, budget=args.budget)
+        ok = (
+            matching_number_from_f(terms) == brute_force_matching(g)
+            and edge_cover_number_from_f(terms) == brute_force_edge_cover(g)
+            and sum(t.coefficient for t in terms) == math.prod(g.degrees())
+        )
+        yield "fpoly", ok, "expansion vs oracles"
+
+    if args.allow_disconnected and root is None:
+        probe_ok = all(direct_formula_value(g, u) == 0 for u in range(g.n))
+        yield "disconnected_probe", probe_ok, "degree expression vs tau=0"
 
 
 def cmd_verify(args: argparse.Namespace) -> _Report:
     _require_positive("--trials", args.trials)
     _require_positive("--points", args.points)
-    counters = {
-        "cross_method": [0, 0],
-        "thomassen": [0, 0],
-        "identity": [0, 0],
-        "fpoly": [0, 0],
-        "disconnected_probe": [0, 0],
-    }
+    checks = ("cross_method", "thomassen", "identity", "fpoly", "disconnected_probe")
+    counters = {check: [0, 0] for check in checks}
     clean_trials = 0
     failures: list[str] = []
-
-    def record(check: str, ok: bool, trial_seed: int, detail: str) -> bool:
-        counters[check][1] += 1
-        if ok:
-            counters[check][0] += 1
-        else:
-            failures.append(
-                f"violation[{check}] {detail} "
-                f"(reproduce: treecount verify --n {args.n} --m {args.m} "
-                f"--parallel-prob {args.parallel_prob} --trials 1 --seed {trial_seed}"
-                f"{' --allow-disconnected' if args.allow_disconnected else ''})"
-            )
-        return ok
-
     for t in range(args.trials):
         trial_seed = args.seed + t
         g = random_multigraph(
@@ -329,44 +343,18 @@ def cmd_verify(args: argparse.Namespace) -> _Report:
             )
         )
         trial_ok = True
-
-        agree, values = _check_cross_method(g)
-        trial_ok &= record("cross_method", agree, trial_seed, f"values={values}")
-
-        tau = values["matrix-tree"]
-        bound_ok = all(tau <= thomassen_bound(g, u) for u in range(g.n))
-        trial_ok &= record("thomassen", bound_ok, trial_seed, f"tau={tau}")
-
-        if g.is_connected() and g.n >= 2:
-            root = best_thomassen_bound(g)[0]
-            rng_w = random.Random(trial_seed + 10_000_019)
-            ok = True
-            for _ in range(args.points):
-                w = [rng_w.randint(-1000, 1000) for _ in range(g.m)]
-                report = check_identity(g, root, w)
-                if not report.holds:
-                    ok = False
-                    break
-            trial_ok &= record("identity", ok, trial_seed, f"root={root}")
-
-        if not g.has_isolated_vertex() and 2 <= g.n <= FPOLY_VERIFY_CAP:
-            terms = expand_f(g, budget=args.budget)
-            degree_product = math.prod(g.degrees())
-            ok = (
-                matching_number_from_f(terms) == brute_force_matching(g)
-                and edge_cover_number_from_f(terms) == brute_force_edge_cover(g)
-                and sum(t.coefficient for t in terms) == degree_product
-            )
-            trial_ok &= record("fpoly", ok, trial_seed, "expansion vs oracles")
-
-        if args.allow_disconnected and not g.is_connected():
-            probe_ok = all(direct_formula_value(g, u) == 0 for u in range(g.n))
-            trial_ok &= record(
-                "disconnected_probe", probe_ok, trial_seed, "degree expression vs tau=0"
-            )
-
-        if trial_ok:
-            clean_trials += 1
+        for check, ok, detail in _trial_checks(args, trial_seed, g):
+            counters[check][0] += ok
+            counters[check][1] += 1
+            if not ok:
+                trial_ok = False
+                failures.append(
+                    f"violation[{check}] {detail} "
+                    f"(reproduce: treecount verify --n {args.n} --m {args.m} "
+                    f"--parallel-prob {args.parallel_prob} --trials 1 --seed {trial_seed}"
+                    f"{' --allow-disconnected' if args.allow_disconnected else ''})"
+                )
+        clean_trials += trial_ok
 
     violations = len(failures)
     summary = f"{clean_trials}/{args.trials} agreements, {violations} violations"

@@ -21,8 +21,9 @@ a disagreement between methods.
 Delete/contract holds a (lo, hi) -> multiplicity dict built from the edges
 and recurses on contractions only: pendant classes are contracted and
 deleted classes dropped in place. Each minor it counts is memoized, for
-the rest of one call, under its vertex count and sorted classes; more than
-DEL_CON_NODE_BUDGET of them raise BudgetExceededError.
+the rest of one call, under its vertex count and its sorted classes, each
+packed into one int (c << 12 | lo << 6 | hi, labels being below 64); more
+than DEL_CON_NODE_BUDGET of them raise BudgetExceededError.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ def _tau_dc(n: int, classes: _Classes, pick: _Pick, memo: dict) -> int:
     # It is total + scale * tau(current graph) throughout: pendant classes
     # and deleted classes change the graph in place and only contraction
     # recurses, so the depth stays below n
-    key = (n, tuple(sorted(classes.items())))
+    key = (n, tuple(sorted(c << 12 | lo << 6 | hi for (lo, hi), c in classes.items())))
     known = memo.get(key)
     if known is not None:
         return known
@@ -292,7 +293,8 @@ def count_spanning_trees(g: Multigraph) -> int:
     The number of leaves grows superexponentially, so it is taken first, as
     the simple graph's Laplacian minor (every class valued 1); more than
     ENUM_TREE_BUDGET raise BudgetExceededError before the walk starts. That
-    figure only decides whether the walk runs, never its value.
+    figure only decides whether the walk runs: it is 0 exactly when g is
+    disconnected, whose count is then 0 with no walk.
     """
     if g.n == 0:
         raise EmptyGraphError("spanning trees need at least one vertex")
@@ -302,6 +304,8 @@ def count_spanning_trees(g: Multigraph) -> int:
             f"enumeration exceeds the {ENUM_TREE_BUDGET}-tree budget: "
             f"the walk would visit {leaves} trees"
         )
+    if not leaves:
+        return 0
     return _tree_sum((1 << g.n) - 1, g._class_table)
 
 

@@ -766,6 +766,68 @@ def test_command_outputs_are_pinned(capsys, wheel4_file, figure_one_file, tmp_pa
     assert run(capsys, argv) == (0, VERIFY_OUT[mode], "")
 
 
+_REPRODUCE = (
+    " (reproduce: treecount verify --n 4 --m 4 --parallel-prob 0.3 --trials 1 "
+    "--seed {} --allow-disconnected)\n"
+)
+VERIFY_FAILURE_OUT = (
+    "verify: n=4 m=4 trials=2 seed=0 parallel-prob=0.3 connected=optional\n"
+    "violation[cross_method] values={'matrix-tree': 0, 'del-con': 0, 'del-con-alt': 0, "
+    "'enum': 0, 'enum-classes': 1}" + _REPRODUCE.format(0)
+    + "violation[thomassen] tau=0" + _REPRODUCE.format(0)
+    + "violation[disconnected_probe] degree expression vs tau=0" + _REPRODUCE.format(0)
+    + "violation[cross_method] values={'matrix-tree': 2, 'del-con': 2, 'del-con-alt': 2, "
+    "'enum': 2, 'enum-classes': 3, 'degree': 2, 'degree-direct': 2}" + _REPRODUCE.format(1)
+    + "violation[thomassen] tau=2" + _REPRODUCE.format(1)
+    + "violation[identity] root=0" + _REPRODUCE.format(1)
+    + "violation[fpoly] expansion vs oracles" + _REPRODUCE.format(1)
+    + "cross-method: 0/2 ok\n"
+    "thomassen: 0/2 ok\n"
+    "identity: 0/1 ok\n"
+    "fpoly: 0/1 ok\n"
+    "disconnected-probe: 0/1 ok\n"
+    "0/2 agreements, 7 violations\n"
+)
+VERIFY_FAILURE_JSON = {
+    "checks": {
+        "cross_method": {"ok": 0, "total": 2},
+        "disconnected_probe": {"ok": 0, "total": 1},
+        "fpoly": {"ok": 0, "total": 1},
+        "identity": {"ok": 0, "total": 1},
+        "thomassen": {"ok": 0, "total": 2},
+    },
+    "clean_trials": 0,
+    "spec": {
+        "allow_disconnected": True,
+        "m": 4,
+        "n": 4,
+        "parallel_prob": 0.3,
+        "points": 3,
+        "seed": 0,
+        "trials": 2,
+    },
+    "violations": 7,
+}
+
+
+def test_verify_failure_output_is_pinned(capsys, monkeypatch):
+    # every check fails: trial 0 is disconnected (the probe runs), trial 1 is
+    # connected (identity and fpoly run); this pins the order of failures
+    # within a trial, the reproduce line and the counter lines
+    real = treecount.cli.count_spanning_trees
+    monkeypatch.setattr(treecount.cli, "count_spanning_trees", lambda g: real(g) + 1)
+    monkeypatch.setattr(treecount.cli, "thomassen_bound", lambda g, u: -1)
+    failed = argparse.Namespace(holds=False)
+    monkeypatch.setattr(treecount.cli, "check_identity", lambda g, u, w: failed)
+    monkeypatch.setattr(treecount.cli, "brute_force_matching", lambda g: -1)
+    monkeypatch.setattr(treecount.cli, "direct_formula_value", lambda g, u: 1)
+    argv = ["verify", "--allow-disconnected", "--n", "4", "--m", "4", "--trials", "2", "--seed", "0"]
+    assert run(capsys, argv) == (3, VERIFY_FAILURE_OUT, "")
+    code, out, err = run(capsys, [*argv, "--json"])
+    assert (code, json.loads(out), err) == (3, VERIFY_FAILURE_JSON, "")
+    assert run(capsys, [*argv, "--quiet"]) == (3, "0/2 agreements, 7 violations\n", "")
+
+
 def test_family_hypercube_beyond_the_vertex_cap_is_one_line(capsys):
     # 2**1000000 has too many digits to format; the dimension is refused first
     for d in ("7", "1000000"):

@@ -232,6 +232,19 @@ def test_enumeration_budget_admits_k9(monkeypatch):
     assert count_spanning_trees(complete(9)) == ("walked", (1 << 9) - 1)
 
 
+def test_enumeration_of_a_disconnected_graph_does_not_walk(monkeypatch):
+    # the simple graph's minor is 0, so the count is 0 before any walk: K8
+    # plus an isolated vertex, two parallel components, and a lone edge
+    walked = []
+    monkeypatch.setattr(counting, "_tree_sum", lambda s, links: walked.append(s))
+    k8 = complete(8).edges
+    for g in (build(9, k8), build(4, [(0, 1), (2, 3), (2, 3)]), build(3, [(0, 1)])):
+        assert count_spanning_trees(g) == 0
+    assert walked == []
+    assert count_spanning_trees(build(1, [])) is None  # a connected graph is walked
+    assert walked == [1]
+
+
 def test_enumeration_budget_counts_the_simple_trees(monkeypatch):
     # the walk has one leaf per tree of the underlying simple graph: a triangle
     # with every edge doubled has 12 trees but 3 leaves, and its value comes
