@@ -28,6 +28,7 @@ from typing import Iterator, Sequence
 
 from .algebra import DEFAULT_TERM_BUDGET
 from .counting import (
+    ENUM_TREE_BUDGET,
     FAMILY_KINDS,
     FamilySpec,
     closed_form_tau,
@@ -188,10 +189,6 @@ def _run_method(name: str, g: Multigraph, root: int | None) -> dict:
         elif name == "del-con":
             entry["value"] = tau_deletion_contraction(g)
         elif name == "enum":
-            if g.n > ENUM_VERTEX_CAP:
-                raise BudgetExceededError(
-                    f"enumeration skipped: n={g.n} exceeds the cap of {ENUM_VERTEX_CAP}"
-                )
             entry["value"] = count_spanning_trees(g)
         else:
             if g.n == 0:
@@ -282,7 +279,13 @@ def _method_values(g: Multigraph, root: int | None) -> dict[str, int]:
         "del-con-alt": tau_deletion_contraction(g, "first-edge"),
     }
     if g.n <= ENUM_VERTEX_CAP:
-        # the reference walk beside the class walk `count --method enum` runs
+        # beside the class walk of `count --method enum`, the reference walk
+        # builds one edge set per tree, so it is held to the tree budget
+        if values["matrix-tree"] > ENUM_TREE_BUDGET:
+            raise BudgetExceededError(
+                f"reference enumeration exceeds the {ENUM_TREE_BUDGET}-tree budget: "
+                f"the walk would visit {values['matrix-tree']} trees"
+            )
         values["enum"] = sum(1 for _ in enumerate_spanning_trees(g))
         values["enum-classes"] = count_spanning_trees(g)
     if root is not None:

@@ -40,7 +40,7 @@ from .errors import (
     InvalidSpecError,
     LengthMismatchError,
 )
-from .graph import MAX_VERTICES, Multigraph
+from .graph import MAX_VERTICES, Multigraph, _connected
 
 EdgeWeights = Sequence[int]
 # per vertex, ascending (neighbour, class value) pairs, one per parallel class
@@ -204,14 +204,7 @@ def _tau_dc(n: int, classes: _Classes, pick: _Pick, memo: dict) -> int:
             nbr[b] |= 1 << a
             degrees[a] += c
             degrees[b] += c
-        seen = stack = 1
-        while stack:
-            low = stack & -stack
-            stack ^= low
-            new = nbr[low.bit_length() - 1] & ~seen
-            seen |= new
-            stack |= new
-        if seen != (1 << n) - 1:
+        if not _connected(nbr):
             break
         pendant = next((v for v in range(n) if not nbr[v] & (nbr[v] - 1)), None)
         if pendant is not None:

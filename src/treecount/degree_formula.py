@@ -20,12 +20,13 @@ isolated in the remainder it can never join S, and the branch is cut. The
 grouped form counts tau(G[S]) without building a subgraph: vertices with
 one distinct neighbour inside S are stripped, each multiplying by its
 class value, and the core left over gets a Laplacian minor built from the
-same class table, once per core within one call. The identity strips each
-set once and values the stripped classes and the core at every weight
-point. The direct form, the one route here without a determinant, walks
-the spanning trees of each kept set one parallel class per step
-(`counting._tree_sum`). `enumerate_connected_sets` and `enumerate_nst`
-remain the public reference walks.
+same class table, once per core and table within one call. One routine
+takes that correction at k class tables from one walk, stripping each set
+once: at the multiplicities it is the grouped count, at k weight points'
+class sums the identity's subtree sums. The direct form, the one route
+here without a determinant, walks the spanning trees of each kept set one
+parallel class per step (`counting._tree_sum`). `enumerate_connected_sets`
+and `enumerate_nst` remain the public reference walks.
 """
 
 from __future__ import annotations
@@ -220,12 +221,47 @@ def _tau_inside(
     return _inside_sum(core, stripped, links, by_core)
 
 
-def _grouped_terms(g: Multigraph, u: int) -> Iterator[tuple[int, int, int]]:
-    # (S mask, tau(G[S]), degree product of G - S) for every kept set
-    nbr, links = g._neighbor_masks, g._class_table
-    by_core: dict[int, int] = {}
-    for s, outside_product in _correction_sets(g, u, links):
-        yield s, _tau_inside(s, nbr, links, by_core), outside_product
+def _remainder_product(s: int, links: _ClassTable) -> int:
+    # product over the vertices outside S of their `links` values leaving S,
+    # what `_correction_sets` yields for its own table
+    value = 1
+    rest = (1 << len(links)) - 1 ^ s
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        total = 0
+        for w, c in links[low.bit_length() - 1]:
+            if not s >> w & 1:
+                total += c
+        if not total:
+            return 0
+        value *= total
+    return value
+
+
+def _grouped_corrections(g: Multigraph, u: int, tables: Sequence[_ClassTable]) -> list[int]:
+    # The grouped correction at each class table over g (multiplicities, or
+    # one weight point's class sums) from one walk of the kept sets. Those
+    # follow from the neighbour masks alone, so the walk runs over the first
+    # table and yields its remainder products; the others are taken per set.
+    # A set whose product is 0 at every table is not stripped, and each table
+    # has its own core cache
+    corrections = [0] * len(tables)
+    if not tables:
+        return corrections
+    nbr, others = g._neighbor_masks, tables[1:]
+    by_core: list[dict[int, int]] = [{} for _ in tables]
+    for s, outside in _correction_sets(g, u, tables[0]):
+        products = [outside]
+        for links in others:
+            products.append(_remainder_product(s, links))
+        if not any(products):
+            continue
+        core, stripped = _strip_leaves(s, nbr, tables[0])
+        for i, product in enumerate(products):
+            if product:
+                corrections[i] += product * _inside_sum(core, stripped, tables[i], by_core[i])
+    return corrections
 
 
 def c_pieces(g: Multigraph, u: int) -> Iterator[InducedPiece]:
@@ -237,8 +273,10 @@ def c_pieces(g: Multigraph, u: int) -> Iterator[InducedPiece]:
     if not g.is_connected():
         raise DisconnectedError("grouped formula needs a connected graph")
     g._check_vertex(u)
-    for s, tau, outside_product in _grouped_terms(g, u):
-        yield InducedPiece(frozenset(_members(s)), tau, outside_product)
+    nbr, links = g._neighbor_masks, g._class_table
+    by_core: dict[int, int] = {}
+    for s, outside in _correction_sets(g, u, links):
+        yield InducedPiece(frozenset(_members(s)), _tau_inside(s, nbr, links, by_core), outside)
 
 
 def thomassen_bound(g: Multigraph, u: int) -> int:
@@ -273,10 +311,7 @@ def tau_via_grouped_formula(g: Multigraph, u: int) -> int:
     if not g.is_connected():
         raise DisconnectedError("grouped formula needs a connected graph")
     g._check_vertex(u)
-    correction = 0
-    for _, tau, outside_product in _grouped_terms(g, u):
-        correction += tau * outside_product
-    return thomassen_bound(g, u) - correction
+    return thomassen_bound(g, u) - _grouped_corrections(g, u, [g._class_table])[0]
 
 
 def enumerate_nst(g: Multigraph, u: int) -> Iterator[SubTree]:

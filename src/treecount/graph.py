@@ -128,20 +128,22 @@ class Multigraph:
 
     def is_connected(self) -> bool:
         """True iff every vertex is reachable from vertex 0; n <= 1 counts as connected."""
-        if self.n <= 1:
-            return True
-        nbr = self._neighbor_masks
-        seen = stack = 1
-        while stack:
-            low = stack & -stack
-            stack ^= low
-            new = nbr[low.bit_length() - 1] & ~seen
-            seen |= new
-            stack |= new
-        return seen == (1 << self.n) - 1
+        return not self.n or _connected(self._neighbor_masks)
 
     def has_isolated_vertex(self) -> bool:
         return any(len(js) == 0 for js in self._incidence)
+
+
+def _connected(nbr: Sequence[int]) -> bool:
+    # every vertex reachable from vertex 0 over the neighbour masks; needs n >= 1
+    seen = stack = 1
+    while stack:
+        low = stack & -stack
+        stack ^= low
+        new = nbr[low.bit_length() - 1] & ~seen
+        seen |= new
+        stack |= new
+    return seen == (1 << len(nbr)) - 1
 
 
 def build(n: int, endpoint_pairs: Iterable[tuple[int, int]]) -> Multigraph:

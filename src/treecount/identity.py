@@ -8,18 +8,14 @@ are evaluated independently here so random integer points can expose any
 implementation error exactly.
 
 This is the grouped degree formula with every degree replaced by an
-incident weight sum. Each weight point first sums the weights of every
-parallel class, zero sums kept, once: the weighted tree sum is the
-Laplacian minor of those sums. The correction takes the degree formulas'
-walk of int vertex masks once for all points, since the sets it keeps
-(connected through the root, no vertex of the remainder isolated) follow
-from the neighbour masks alone. Each kept set's remainder product is taken
-per point, and a set whose product is 0 at every point is skipped. The
-others are stripped of their leaves once; per point, the stripped classes'
-sums times the core's Laplacian minor give the weighted tree sum inside,
-with one core cache per point. Neither a remainder graph nor an induced
-subgraph is built, and no tree is walked. `check_identity` and
-`identity_rhs` are the one-point case of `check_identity_points`.
+incident weight sum, and it runs on the same routine as the grouped count.
+Each weight point first sums the weights of every parallel class, zero
+sums kept, once: the weighted tree sum is the Laplacian minor of those
+sums, and the correction is the grouped correction at those class tables,
+all points from one walk of the kept vertex sets (see `degree_formula`).
+Neither a remainder graph nor an induced subgraph is built, and no tree is
+walked. `check_identity` and `identity_rhs` are the one-point case of
+`check_identity_points`.
 """
 
 from __future__ import annotations
@@ -27,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .counting import _ClassTable, _spanning_minor_det
-from .degree_formula import SubTree, _correction_sets, _inside_sum, _strip_leaves
+from .counting import _spanning_minor_det
+from .degree_formula import SubTree, _grouped_corrections
 from .errors import DisconnectedError, LengthMismatchError
 from .graph import Multigraph
 
@@ -82,48 +78,6 @@ def identity_lhs(g: Multigraph, u: int, weights: Sequence[int]) -> int:
     return product
 
 
-def _remainder_product(s: int, full: int, links: _ClassTable) -> int:
-    # product over the vertices outside S of their `links` values leaving S:
-    # the remainder's incidence product at one weight point
-    value = 1
-    rest = full ^ s
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        total = 0
-        for w, c in links[low.bit_length() - 1]:
-            if not s >> w & 1:
-                total += c
-        if not total:
-            return 0
-        value *= total
-    return value
-
-
-def _corrections(g: Multigraph, u: int, tables: Sequence[_ClassTable]) -> list[int]:
-    # The correction at each table of class weight sums, from one walk of the
-    # kept sets. Those come from the neighbour masks alone, so the walk runs
-    # over the first table and yields its remainder products; the others are
-    # taken per set. A set whose product is 0 at every point is not stripped,
-    # and each point has its own core cache
-    if not tables:
-        return []
-    nbr = g._neighbor_masks
-    full = (1 << g.n) - 1
-    first, *others = tables
-    corrections = [0] * len(tables)
-    by_core: list[dict[int, int]] = [{} for _ in tables]
-    for s, outside in _correction_sets(g, u, first):
-        products = [outside] + [_remainder_product(s, full, links) for links in others]
-        if not any(products):
-            continue
-        core, stripped = _strip_leaves(s, nbr, first)
-        for i, (links, product) in enumerate(zip(tables, products)):
-            if product:
-                corrections[i] += product * _inside_sum(core, stripped, links, by_core[i])
-    return corrections
-
-
 def _rhs_points(
     g: Multigraph, u: int, points: Sequence[Sequence[int]]
 ) -> list[tuple[int, int]]:
@@ -135,7 +89,7 @@ def _rhs_points(
     if not g.is_connected():
         raise DisconnectedError("subtree enumeration needs a connected graph")
     g._check_vertex(u)
-    return list(zip(taus, _corrections(g, u, tables)))
+    return list(zip(taus, _grouped_corrections(g, u, tables)))
 
 
 def identity_rhs(g: Multigraph, u: int, weights: Sequence[int]) -> tuple[int, int]:

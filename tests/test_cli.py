@@ -627,6 +627,29 @@ def test_count_reports_the_enum_budget_as_its_entry(capsys, tmp_path):
     )
 
 
+
+def test_count_enum_has_no_vertex_cap(capsys, tmp_path):
+    # 13 vertices; the tree budget is the one limit on `count --method enum`
+    path = tmp_path / "w12.graph"
+    path.write_text(serialize(generate_family(FamilySpec("wheel", (12,)))))
+    for method in ("enum", "matrix-tree"):
+        assert run(capsys, ["count", str(path), "--method", method, "--quiet"]) == (
+            0, f"{method} 103680\n", ""
+        )
+
+
+def test_verify_holds_the_reference_walk_to_the_tree_budget(capsys, monkeypatch):
+    # the trial graph has tau = 245; the walk would build one edge set per tree
+    monkeypatch.setattr(treecount.cli, "ENUM_TREE_BUDGET", 3)
+    walked = []
+    monkeypatch.setattr(treecount.cli, "enumerate_spanning_trees", lambda g: walked.append(g) or [])
+    code, out, err = run(capsys, ["verify", "--trials", "1", "--seed", "0"])
+    assert (code, out, walked) == (1, "", [])
+    assert err == (
+        "treecount verify: reference enumeration exceeds the 3-tree budget: "
+        "the walk would visit 245 trees\n"
+    )
+
 @pytest.mark.parametrize(
     "argv, flag",
     [(["bound", "@good", "--best"], "--best"), (["fpoly", "@good", "--max-vertices", "16"], "--max-vertices 16")],
@@ -978,3 +1001,41 @@ def test_count_builds_the_class_tables_once_per_graph(capsys, monkeypatch, wheel
     monkeypatch.setattr(Multigraph, "_class_table", prop)
     assert run(capsys, ["count", wheel4_file, "--root", "4"])[0] == 0
     assert built == ["_class_table"]
+
+
+# sha256 of "<exit code>\n<stdout>"; "@<kind>-<size>" names a family graph file
+SEEDED_OUTPUT_SHA256 = [
+    (
+        ["verify", "--n", "7", "--m", "12", "--trials", "100", "--seed", "42"],
+        "1c490ae9210372aecc2972fa89b448b061eb8b0d1e389f900295724d61fcd48f",
+    ),
+    (
+        ["verify", "--n", "7", "--m", "12", "--trials", "100", "--seed", "42", "--json"],
+        "cfcfc404b0e2f5c9d3de9c8143f405911850a3ffb83370f32bdafbeb2041d012",
+    ),
+    (
+        ["identity", "@multiwheel-8", "--weights", "random:7", "--trials", "3", "--json"],
+        "e79921dc6aa30b0fa6bd4e6ea2012167495d5f4fb1dd44a3663ad24b19c77e84",
+    ),
+    (
+        ["count", "@complete-9", "--method", "degree", "--quiet"],
+        "3e28568e75841cef938815eceec8e8cc16ff98c2f1745fa14cd743afe6511a0e",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", SEEDED_OUTPUT_SHA256, ids=[" ".join(argv) for argv, _ in SEEDED_OUTPUT_SHA256]
+)
+def test_seeded_outputs_are_pinned(capsys, tmp_path, argv, digest):
+    # a change to any count, value or seeded draw moves these digests
+    paths = {}
+    for arg in argv:
+        if arg.startswith("@"):
+            kind, size = arg[1:].split("-")
+            path = tmp_path / f"{kind}{size}.graph"
+            path.write_text(serialize(generate_family(FamilySpec(kind, (int(size),)))))
+            paths[arg] = str(path)
+    code, out, err = run(capsys, [paths.get(arg, arg) for arg in argv])
+    assert err == ""
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest

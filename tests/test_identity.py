@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-import treecount.identity
+import treecount.degree_formula
 from conftest import seeded_suite
 from oracles import identity_rhs_by_subtrees
 from treecount import (
@@ -36,13 +36,13 @@ def _count_set_strips(monkeypatch):
     # records every vertex set the identity strips to its core, which it
     # does once per set whose inside tree sums it counts at some point
     stripped = []
-    real = treecount.identity._strip_leaves
+    real = treecount.degree_formula._strip_leaves
 
     def counting(s, nbr, links):
         stripped.append(s)
         return real(s, nbr, links)
 
-    monkeypatch.setattr(treecount.identity, "_strip_leaves", counting)
+    monkeypatch.setattr(treecount.degree_formula, "_strip_leaves", counting)
     return stripped
 
 
