@@ -11,8 +11,8 @@ builds any vertex set's minor from it; `_tree_sum` walks the spanning trees
 of the simple graph underlying a vertex set, one class per edge, over int
 masks (bit v for vertex v, one bit per class), each tree contributing the
 product of its class values (a class valued 0 is skipped). The grouped
-formula and the identity take their cores' minors, the direct formula its
-sets' tree sums. Enumeration walks the whole graph, once the simple graph's
+formula and the identity take their leafless cores' minors, the direct
+formula the tree sums of the sets its walk cannot carry. Enumeration walks the whole graph, once the simple graph's
 minor shows at most ENUM_TREE_BUDGET trees to visit. Delete/contract and
 `enumerate_spanning_trees`, the public reference walk with one edge-index
 set per tree, read the edges instead, so a fault in the table shows up as
@@ -351,7 +351,8 @@ class FamilySpec:
 
     kinds: complete(n), multipartite(n1..nk), hypercube(d), wheel(r),
     multiwheel(r). Wheels put the hub at the last vertex index; the
-    multiwheel doubles every hub-rim edge.
+    multiwheel doubles every hub-rim edge. Every size must be a plain int;
+    anything else, bool included, raises TypeError naming `sizes`.
     """
 
     kind: str
@@ -359,6 +360,8 @@ class FamilySpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sizes", tuple(self.sizes))
+        if any(type(s) is not int for s in self.sizes):
+            raise TypeError(f"family sizes must be ints, got {self.sizes!r}")
         if self.kind not in FAMILY_KINDS:
             raise InvalidSpecError(f"unknown family kind {self.kind!r}")
         if not self.sizes:

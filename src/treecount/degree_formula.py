@@ -16,15 +16,20 @@ yields their product with each set whose remainder has no isolated vertex
 (read off the masks), since the others contribute a zero factor. It tries
 candidates in ascending order and bans each one after its branch, so sets
 come out in `enumerate_connected_sets` order; once a banned vertex is
-isolated in the remainder it can never join S, and the branch is cut. The
-grouped form counts tau(G[S]) without building a subgraph: vertices with
-one distinct neighbour inside S are stripped, each multiplying by its
-class value, and the core left over gets a Laplacian minor built from the
-same class table, once per core and table within one call. One routine
-takes that correction at k class tables from one walk, stripping each set
-once: at the multiplicities it is the grouped count, at k weight points'
-class sums the identity's subtree sums. The direct form, the one route
-here without a determinant, walks the spanning trees of each kept set one
+isolated in the remainder it can never join S, and the branch is cut. It
+also yields G[S]'s tree sum: a vertex joining S at one distinct neighbour
+lies on that class in every tree, so the sum is carried down as the
+parent's times the class value, and only a set whose last vertex closed a
+cycle, or whose parent's sum was never taken, is counted afresh. The
+grouped form counts it with a memoized counter, without building a
+subgraph: it strips one vertex with a single neighbour inside the set at a
+time, multiplying by its class value, and takes a Laplacian minor of the
+leafless core left over, once per core and table within one call. One
+routine takes that correction at k class tables from one walk: at the
+multiplicities it is the grouped count, at k weight points' class sums the
+identity's subtree sums. The first table rides the walk; each other table
+has its own counter. The direct form, the one route here without a
+determinant, counts a set afresh by walking its spanning trees one
 parallel class per step (`counting._tree_sum`). `enumerate_connected_sets`
 and `enumerate_nst` remain the public reference walks.
 """
@@ -32,7 +37,7 @@ and `enumerate_nst` remain the public reference walks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .algebra import bareiss_determinant
 from .counting import (
@@ -93,16 +98,19 @@ def enumerate_connected_sets(
     yield from grow(frozenset([u]), frozenset())
 
 
-def _correction_sets(g: Multigraph, u: int, links: _ClassTable) -> Iterator[tuple[int, int]]:
-    # (S mask, product over G - S of each vertex's `links` values leaving S)
-    # for every connected S through u whose remainder has no isolated
-    # vertex, in enumerate_connected_sets order; with weight sums as values
-    # that is the remainder's incidence product. A set of n-1 vertices leaves
-    # one isolated vertex and all n is no correction, so |S| stops at n-2.
-    # The sums follow S on add and undo. `iso` masks the remainder vertices
-    # with no neighbour left (a zero sum, confirmed on the masks as sums can
-    # cancel); a banned isolated remainder vertex never joins S, so its
-    # branch is cut.
+def _correction_sets(
+    g: Multigraph, u: int, links: _ClassTable, inside: Callable[[int], int]
+) -> Iterator[tuple[int, int, int]]:
+    # (S mask, product over G - S of each vertex's `links` values leaving S,
+    # G[S]'s tree sum over `links`) for every connected S through u whose
+    # remainder has no isolated vertex, in enumerate_connected_sets order;
+    # with weight sums as values the product is the remainder's incidence
+    # product. A set of n-1 vertices leaves one isolated vertex and all n is
+    # no correction, so |S| stops at n-2. The sums follow S on add and undo.
+    # `iso` masks the remainder vertices with no neighbour left (a zero sum,
+    # confirmed on the masks as sums can cancel); a banned isolated
+    # remainder vertex never joins S, so its branch is cut. A tree sum not
+    # carried down a join at one neighbour (None) comes from `inside(S)`.
     max_size = g.n - 2
     if max_size <= 0:
         return
@@ -129,10 +137,12 @@ def _correction_sets(g: Multigraph, u: int, links: _ClassTable) -> Iterator[tupl
         return value
 
     def grow(
-        s: int, banned: int, frontier: int, iso: int, size: int
-    ) -> Iterator[tuple[int, int]]:
+        s: int, banned: int, frontier: int, iso: int, size: int, tree: int | None
+    ) -> Iterator[tuple[int, int, int]]:
         if not iso:
-            yield s, product(s)
+            if tree is None:
+                tree = inside(s)
+            yield s, product(s), tree
         if size == max_size:
             return
         candidates = frontier & ~banned
@@ -141,13 +151,19 @@ def _correction_sets(g: Multigraph, u: int, links: _ClassTable) -> Iterator[tupl
             v = low.bit_length() - 1
             grown = s | low
             child_iso = iso & ~low
+            # the one neighbour v joins at, whose class value carries the sum
+            joint = nbr[v] & s
+            joint = -1 if tree is None or joint & (joint - 1) else joint.bit_length() - 1
+            child_tree = None
             for w, c in links[v]:
                 rdeg[w] -= c
+                if w == joint:
+                    child_tree = tree * c
                 if not rdeg[w] and not nbr[w] & ~grown and not grown >> w & 1:
                     child_iso |= 1 << w
             if not child_iso & banned:
                 yield from grow(
-                    grown, banned, (frontier | nbr[v]) & ~grown, child_iso, size + 1
+                    grown, banned, (frontier | nbr[v]) & ~grown, child_iso, size + 1, child_tree
                 )
             for w, c in links[v]:
                 rdeg[w] += c
@@ -158,67 +174,45 @@ def _correction_sets(g: Multigraph, u: int, links: _ClassTable) -> Iterator[tupl
             candidates ^= low
 
     if not iso & banned:
-        yield from grow(start, banned, nbr[u], iso, 1)
+        yield from grow(start, banned, nbr[u], iso, 1, 1)
 
 
-def _strip_leaves(
-    s: int, nbr: Sequence[int], links: _ClassTable
-) -> tuple[int, list[tuple[int, int]]]:
-    # The core of G[S] and the classes stripped to reach it: each vertex with
-    # one distinct neighbour inside S lies on that class in every tree, so it
-    # goes, as (vertex, position of the class in its `links` row); tables
-    # over one graph share their rows' order, so the pairs fit any of them.
-    # A vertex's inside degree only falls, so each leaf is queued once.
-    leaves = []
-    rest = s
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        inside = nbr[low.bit_length() - 1] & s
-        if inside and not inside & (inside - 1):
-            leaves.append(low.bit_length() - 1)
-    core = s
-    stripped = []
-    while leaves:
-        v = leaves.pop()
-        inside = nbr[v] & core
-        if not inside:
-            # the last vertex of a tree
-            continue
-        w = inside.bit_length() - 1
-        for i, (x, _) in enumerate(links[v]):
-            if x == w:
-                stripped.append((v, i))
+def _tree_counter(nbr: Sequence[int], links: _ClassTable) -> Callable[[int], int]:
+    # G[S]'s tree sum over `links` for a vertex mask S (tau(G[S]) for
+    # multiplicities), memoized per mask. A vertex with one distinct
+    # neighbour inside S lies on that class in every tree, so it goes and
+    # its class value multiplies; a set with none gets its Laplacian minor,
+    # so each leafless core takes one determinant per counter. A lone vertex
+    # gives 1, and a larger set with an isolated vertex 0.
+    memo: dict[int, int] = {}
+
+    def count(s: int) -> int:
+        value = memo.get(s)
+        if value is not None:
+            return value
+        rest = s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            inner = nbr[v] & s
+            if not inner & (inner - 1):
+                if not inner:
+                    value = 0 if s ^ low else 1
+                    break
+                w = inner.bit_length() - 1
+                for x, value in links[v]:
+                    if x == w:
+                        break
+                if value:
+                    value *= count(s ^ low)
                 break
-        core ^= 1 << v
-        inside = nbr[w] & core
-        if inside and not inside & (inside - 1):
-            leaves.append(w)
-    return core, stripped
-
-
-def _inside_sum(
-    core: int, stripped: Sequence[tuple[int, int]], links: _ClassTable, by_core: dict[int, int]
-) -> int:
-    # A stripped set's tree sum over `links`: the stripped classes' values
-    # times the core's Laplacian minor, counted once per core in `by_core`
-    value = 1
-    for v, i in stripped:
-        value *= links[v][i][1]
-    if not value or not core & (core - 1):
+        else:
+            value = bareiss_determinant(_laplacian_minor(s, links))
+        memo[s] = value
         return value
-    count = by_core.get(core)
-    if count is None:
-        count = by_core[core] = bareiss_determinant(_laplacian_minor(core, links))
-    return value * count
 
-
-def _tau_inside(
-    s: int, nbr: Sequence[int], links: _ClassTable, by_core: dict[int, int]
-) -> int:
-    # G[S]'s tree sum over `links` (tau(G[S]) for multiplicities)
-    core, stripped = _strip_leaves(s, nbr, links)
-    return _inside_sum(core, stripped, links, by_core)
+    return count
 
 
 def _remainder_product(s: int, links: _ClassTable) -> int:
@@ -243,24 +237,19 @@ def _grouped_corrections(g: Multigraph, u: int, tables: Sequence[_ClassTable]) -
     # The grouped correction at each class table over g (multiplicities, or
     # one weight point's class sums) from one walk of the kept sets. Those
     # follow from the neighbour masks alone, so the walk runs over the first
-    # table and yields its remainder products; the others are taken per set.
-    # A set whose product is 0 at every table is not stripped, and each table
-    # has its own core cache
+    # table and yields its remainder products and tree sums; each other
+    # table takes its product per set and, where that is not 0, the set's
+    # tree sum from its own counter
     corrections = [0] * len(tables)
     if not tables:
         return corrections
-    nbr, others = g._neighbor_masks, tables[1:]
-    by_core: list[dict[int, int]] = [{} for _ in tables]
-    for s, outside in _correction_sets(g, u, tables[0]):
-        products = [outside]
-        for links in others:
-            products.append(_remainder_product(s, links))
-        if not any(products):
-            continue
-        core, stripped = _strip_leaves(s, nbr, tables[0])
-        for i, product in enumerate(products):
+    counters = [_tree_counter(g._neighbor_masks, links) for links in tables]
+    for s, outside, tree in _correction_sets(g, u, tables[0], counters[0]):
+        corrections[0] += outside * tree
+        for i in range(1, len(tables)):
+            product = _remainder_product(s, tables[i])
             if product:
-                corrections[i] += product * _inside_sum(core, stripped, tables[i], by_core[i])
+                corrections[i] += product * counters[i](s)
     return corrections
 
 
@@ -273,10 +262,9 @@ def c_pieces(g: Multigraph, u: int) -> Iterator[InducedPiece]:
     if not g.is_connected():
         raise DisconnectedError("grouped formula needs a connected graph")
     g._check_vertex(u)
-    nbr, links = g._neighbor_masks, g._class_table
-    by_core: dict[int, int] = {}
-    for s, outside in _correction_sets(g, u, links):
-        yield InducedPiece(frozenset(_members(s)), _tau_inside(s, nbr, links, by_core), outside)
+    links = g._class_table
+    for s, outside, tree in _correction_sets(g, u, links, _tree_counter(g._neighbor_masks, links)):
+        yield InducedPiece(frozenset(_members(s)), tree, outside)
 
 
 def thomassen_bound(g: Multigraph, u: int) -> int:
@@ -332,11 +320,11 @@ def enumerate_nst(g: Multigraph, u: int) -> Iterator[SubTree]:
 
 def _tree_correction(g: Multigraph, u: int, links: _ClassTable) -> int:
     # Sum over kept sets S through u of S's tree sum times the remainder
-    # product, both over `links`; a zero product is not walked
+    # product, both over `links`; a tree sum the walk does not carry is
+    # walked tree by tree, so no determinant is taken
     correction = 0
-    for s, outside in _correction_sets(g, u, links):
-        if outside:
-            correction += _tree_sum(s, links) * outside
+    for _, outside, tree in _correction_sets(g, u, links, lambda s: _tree_sum(s, links)):
+        correction += tree * outside
     return correction
 
 

@@ -12,9 +12,10 @@ incident weight sum, and it runs on the same routine as the grouped count.
 Each weight point first sums the weights of every parallel class, zero
 sums kept, once: the weighted tree sum is the Laplacian minor of those
 sums, and the correction is the grouped correction at those class tables,
-all points from one walk of the kept vertex sets (see `degree_formula`).
-Neither a remainder graph nor an induced subgraph is built, and no tree is
-walked. `check_identity` and `identity_rhs` are the one-point case of
+all points from one walk of the kept vertex sets, each point with its
+own cache of inside sums (see `degree_formula`). Neither a remainder
+graph nor an induced subgraph is built, and no tree is walked.
+`check_identity` and `identity_rhs` are the one-point case of
 `check_identity_points`.
 """
 

@@ -12,7 +12,11 @@ from .graph import MAX_VERTICES, Multigraph
 
 @dataclass(frozen=True)
 class RandomSpec:
-    """Exact vertex and edge counts, parallel-edge bias, seed, connectivity."""
+    """Exact vertex and edge counts, parallel-edge bias, seed, connectivity.
+
+    n and m must be plain ints; anything else, bool included, raises
+    TypeError naming the field.
+    """
 
     n: int
     m: int
@@ -21,6 +25,9 @@ class RandomSpec:
     require_connected: bool = True
 
     def __post_init__(self) -> None:
+        for name, value in (("n", self.n), ("m", self.m)):
+            if type(value) is not int:  # as in Multigraph: no bool, no float
+                raise TypeError(f"random graph {name} must be an int, got {value!r}")
         if self.n < 1:
             raise InvalidSpecError("random graph needs n >= 1")
         if self.n > MAX_VERTICES:

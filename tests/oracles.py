@@ -9,8 +9,10 @@ identity; `multiply_forms_by_tuples`, the expansion on sorted
 (index, exponent) tuple monomials; `c_pieces_by_frozensets` and
 `direct_value_by_frozensets`, the degree formulas' corrections over
 frozenset vertex sets with a relabelled subgraph per set;
-`tree_sum_by_induced`, the per-set tree sum the class walk replaced; and
-`tau_dc_by_edges`, delete/contract on rebuilt `Multigraph`s with no memo.
+`tree_sum_by_induced`, the per-set tree sum the class walk replaced;
+`tree_sum_by_stripping`, each kept set leaf-stripped anew, which
+the tree sums carried down the set walk replaced; and `tau_dc_by_edges`,
+delete/contract on rebuilt `Multigraph`s with no memo.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from treecount import (
     thomassen_bound,
     tree_weight,
 )
+from treecount.counting import _laplacian_minor
 from treecount.errors import (
     BudgetExceededError,
     DisconnectedError,
@@ -262,6 +265,43 @@ def tree_sum_by_induced(g, vertices, weights=None):
                 product *= weights[piece.edge_origin[j]]
         total += product
     return total
+
+
+def tree_sum_by_stripping(s, nbr, links, by_core):
+    """G[S]'s tree sum over `links` by the per-set strip that the tree sums
+    carried down the set walk replaced. Each vertex with one distinct
+    neighbour inside S lies on that class in every tree, so it goes and its
+    class value multiplies; a vertex's inside degree only falls, so each
+    leaf is queued once. The core left over gets its Laplacian minor, here
+    by cofactor expansion, counted once per core in `by_core`."""
+    leaves = []
+    rest = s
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        inside = nbr[low.bit_length() - 1] & s
+        if inside and not inside & (inside - 1):
+            leaves.append(low.bit_length() - 1)
+    core = s
+    value = 1
+    while leaves:
+        v = leaves.pop()
+        inside = nbr[v] & core
+        if not inside:
+            # the last vertex of a tree
+            continue
+        w = inside.bit_length() - 1
+        value *= next(c for x, c in links[v] if x == w)
+        core ^= 1 << v
+        inside = nbr[w] & core
+        if inside and not inside & (inside - 1):
+            leaves.append(w)
+    if not value or not core & (core - 1):
+        return value
+    count = by_core.get(core)
+    if count is None:
+        count = by_core[core] = naive_determinant(_laplacian_minor(core, links))
+    return value * count
 
 
 def _raise_power(mono, var):

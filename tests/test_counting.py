@@ -397,6 +397,22 @@ def test_invalid_family_specs(kind, sizes):
 
 
 @pytest.mark.parametrize(
+    "kind, sizes",
+    [
+        ("complete", (2.5,)),
+        ("complete", (True,)),
+        ("hypercube", (3.0,)),
+        ("multipartite", (2, "3")),
+        ("wheel", (None,)),
+    ],
+)
+def test_non_int_family_sizes_are_rejected_at_construction(kind, sizes):
+    # these used to pass the constructor and fail inside generate_family
+    with pytest.raises(TypeError, match="family sizes must be ints"):
+        FamilySpec(kind, sizes)
+
+
+@pytest.mark.parametrize(
     "spec,expected",
     [
         (FamilySpec("complete", (1,)), 1),

@@ -15,12 +15,14 @@ from oracles import (
     subtrees_brute,
 )
 from treecount import (
+    FamilySpec,
     best_thomassen_bound,
     build,
     c_pieces,
     direct_formula_value,
     enumerate_connected_sets,
     enumerate_nst,
+    generate_family,
     identity_rhs,
     induced,
     tau_matrix_tree,
@@ -177,15 +179,17 @@ def test_pruned_walk_yields_the_reference_sets(pendant):
     others = [v for v in range(1, 7) if v != pendant]
     ring = list(zip(others, others[1:] + others[:1]))
     g = build(7, [(0, pendant), (0, others[0]), (0, others[2])] + ring + [ring[1]])
+    count = degree_formula._tree_counter(g._neighbor_masks, g._class_table)
     got = [
-        (frozenset(degree_formula._members(s)), product)
-        for s, product in degree_formula._correction_sets(g, 0, g._class_table)
+        (frozenset(degree_formula._members(s)), product, tree)
+        for s, product, tree in degree_formula._correction_sets(g, 0, g._class_table, count)
     ]
     reference = [
-        (t, outside_degree_product(g, t)) for t in enumerate_connected_sets(g, 0, g.n - 2)
+        (t, outside_degree_product(g, t), tau_matrix_tree(induced(g, t).graph))
+        for t in enumerate_connected_sets(g, 0, g.n - 2)
     ]
-    assert got == [(t, product) for t, product in reference if product]
-    assert all(pendant in s for s, _ in got)
+    assert got == [(t, product, tree) for t, product, tree in reference if product]
+    assert all(pendant in s for s, _, _ in got)
     assert list(c_pieces(g, 0)) == list(c_pieces_by_frozensets(g, 0))
     assert direct_formula_value(g, 0) == direct_value_by_frozensets(g, 0)
 
@@ -333,3 +337,38 @@ def test_best_thomassen_bound():
     assert best_thomassen_bound(triangle) == (0, 4)
     wheel = build(5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)])
     assert best_thomassen_bound(wheel) == (4, 81)
+
+
+@pytest.mark.parametrize(
+    "kind, size, determinants",
+    [("hypercube", 4, 3308), ("complete", 9, 238), ("wheel", 12, 322), ("multiwheel", 8, 44)],
+)
+def test_grouped_formula_determinant_count_is_pinned(monkeypatch, kind, size, determinants):
+    # one determinant per distinct leafless core of a kept set, at the best root
+    g = generate_family(FamilySpec(kind, (size,)))
+    calls = []
+    real = degree_formula.bareiss_determinant
+    monkeypatch.setattr(
+        degree_formula, "bareiss_determinant", lambda m: calls.append(len(m)) or real(m)
+    )
+    u, _ = best_thomassen_bound(g)
+    assert tau_via_grouped_formula(g, u) == tau_matrix_tree(g)
+    assert len(calls) == determinants
+
+
+def test_walk_counts_only_the_sets_it_cannot_carry():
+    # rooted at 0: 2 closes the triangle 0-1-2 and isolates 3, so {0, 1, 2}
+    # is not kept and its sum is never taken; 3 then joins at one neighbour,
+    # but with no sum to carry, so {0, 1, 2, 3} is counted. 5 closes the
+    # square 0-1-5-4, so {0, 1, 4, 5} is counted too; every other kept set
+    # grows at one neighbour from a known sum
+    g = build(6, [(0, 1), (0, 2), (1, 2), (2, 3), (0, 4), (1, 5), (4, 5), (4, 5)])
+    count = degree_formula._tree_counter(g._neighbor_masks, g._class_table)
+    asked = []
+    walked = list(
+        degree_formula._correction_sets(g, 0, g._class_table, lambda s: asked.append(s) or count(s))
+    )
+    assert asked == [0b1111, 0b110011]
+    assert 0b111 not in [s for s, _, _ in walked]
+    for s, _, tree in walked:
+        assert tree == tau_matrix_tree(induced(g, degree_formula._members(s)).graph)

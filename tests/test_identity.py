@@ -23,7 +23,7 @@ from treecount import (
     thomassen_bound,
     tree_weight,
 )
-from treecount.degree_formula import _correction_sets
+from treecount.degree_formula import _correction_sets, _tree_counter
 from treecount.errors import (
     DisconnectedError,
     EmptyGraphError,
@@ -32,18 +32,20 @@ from treecount.errors import (
 )
 
 
-def _count_set_strips(monkeypatch):
-    # records every vertex set the identity strips to its core, which it
-    # does once per set whose inside tree sums it counts at some point
-    stripped = []
-    real = treecount.degree_formula._strip_leaves
+def _count_tree_calls(monkeypatch):
+    # records each tree counter's top-level calls, one list per counter in
+    # the order the counters are made (one per weight point); a counter's
+    # own leaf-stripping recursion is not recorded
+    calls = []
+    real = treecount.degree_formula._tree_counter
 
-    def counting(s, nbr, links):
-        stripped.append(s)
-        return real(s, nbr, links)
+    def spying(nbr, links):
+        count, seen = real(nbr, links), []
+        calls.append(seen)
+        return lambda s: seen.append(s) or count(s)
 
-    monkeypatch.setattr(treecount.degree_formula, "_strip_leaves", counting)
-    return stripped
+    monkeypatch.setattr(treecount.degree_formula, "_tree_counter", spying)
+    return calls
 
 
 def test_f_value_figure_one_all_ones(figure_one):
@@ -175,12 +177,13 @@ def test_identity_rhs_one_and_two_vertices():
 
 def test_identity_rhs_vanishing_remainder_without_isolated_vertex(monkeypatch):
     # root 0: the sets {0} and {0, 1} leave vertex 3 joined to 2 by a parallel
-    # pair weighted 5 and -5, so their remainder products are 0
+    # pair weighted 5 and -5, so their remainder products are 0; both sets
+    # grow along a path, so their tree sums are carried and never counted
     g = build(4, [(0, 1), (1, 2), (2, 3), (2, 3)])
     w = [7, 11, 5, -5]
-    walked = _count_set_strips(monkeypatch)
+    calls = _count_tree_calls(monkeypatch)
     assert identity_rhs(g, 0, w) == identity_rhs_by_subtrees(g, 0, w) == (0, 0)
-    assert walked == []
+    assert calls == [[]]
     assert check_identity(g, 0, w).holds
 
 
@@ -205,32 +208,46 @@ def test_check_identity_builds_the_class_sums_once_per_point(monkeypatch, multiw
 def test_identity_rhs_walks_only_sets_with_a_covered_remainder(monkeypatch):
     # rooted at the centre of a star every remainder has an isolated leaf
     star = build(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    walked = _count_set_strips(monkeypatch)
+    calls = _count_tree_calls(monkeypatch)
     assert identity_rhs(star, 0, [2, 3, 4, 5]) == (120, 0)
-    assert walked == []
+    assert calls == [[]]
 
 
-def test_identity_strips_each_kept_set_once_for_all_points(monkeypatch, figure_one):
-    # positive control for the spy: at positive weights every kept set has a
-    # nonzero remainder product, so each is stripped, once for both points
-    stripped = _count_set_strips(monkeypatch)
-    kept = [s for s, _ in _correction_sets(figure_one, 3, figure_one._class_table)]
-    assert len(kept) == 3
+def test_identity_counts_only_uncarried_sets_at_the_first_point(
+    monkeypatch, figure_one, wheel4
+):
+    # the walk carries the first point's tree sum down every join at one
+    # neighbour, so its counter sees only the sets whose last vertex closed
+    # a cycle; every later point counts each kept set with a nonzero
+    # remainder product, here all of them at positive weights
+    def kept(g, u):
+        count = _tree_counter(g._neighbor_masks, g._class_table)
+        return [s for s, _, _ in _correction_sets(g, u, g._class_table, count)]
+
+    kept_at_3, kept_at_hub = kept(figure_one, 3), kept(wheel4, 4)
+    assert kept_at_3 == [0b1000, 0b1001, 0b1100]
+    calls = _count_tree_calls(monkeypatch)
     reports = check_identity_points(figure_one, 3, [[1] * 6, [2, 3, 4, 5, 6, 7]])
     assert all(r.holds for r in reports)
-    assert stripped == kept
+    assert calls == [[], kept_at_3]
+    calls.clear()
+    # rooted at the hub 4, the four rim-hub triangles close a cycle
+    reports = check_identity_points(wheel4, 4, [[1] * 8, [2, 3, 4, 5, 6, 7, 8, 9]])
+    assert all(r.holds for r in reports)
+    assert calls == [[0b10011, 0b11001, 0b10110, 0b11100], kept_at_hub]
 
 
-def test_identity_strips_a_set_whose_remainder_vanishes_at_one_point_only(monkeypatch):
+def test_identity_counts_a_set_whose_remainder_vanishes_at_one_point_only(monkeypatch):
     # the sets {0} and {0, 1} leave the 2-3 pair, weighted 5 and -5 at the
-    # first point only: they are stripped for the second point's sake
+    # first point only: they are counted for the second point's sake, and
+    # the first point carries both sums down the path without a count
     g = build(4, [(0, 1), (1, 2), (2, 3), (2, 3)])
-    stripped = _count_set_strips(monkeypatch)
+    calls = _count_tree_calls(monkeypatch)
     reports = check_identity_points(g, 0, [[7, 11, 5, -5], [7, 11, 5, 5]])
     assert [(r.tau_term, r.nst_sum) for r in reports] == [
         identity_rhs_by_subtrees(g, 0, w) for w in ([7, 11, 5, -5], [7, 11, 5, 5])
     ]
-    assert sorted(stripped) == [0b1, 0b11]
+    assert calls == [[], [0b1, 0b11]]
 
 
 def test_check_identity_points_equals_one_point_at_a_time(figure_one, multiwheel4):

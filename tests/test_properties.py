@@ -12,6 +12,7 @@ from oracles import (
     multiply_forms_by_tuples,
     tau_dc_by_edges,
     tree_sum_by_induced,
+    tree_sum_by_stripping,
 )
 from treecount import (
     Multigraph,
@@ -43,7 +44,7 @@ from treecount import (
     thomassen_bound,
 )
 from treecount.counting import _tree_sum
-from treecount.degree_formula import _correction_sets, _members, _tau_inside, _tree_correction
+from treecount.degree_formula import _correction_sets, _members, _tree_correction, _tree_counter
 from treecount.errors import DisconnectedError, EmptyExpansionError, ExponentOverflowError
 
 
@@ -375,11 +376,12 @@ def test_weighted_set_walk_yields_the_same_sets_and_the_remainder_values(case):
     assert [[v for v, _ in row] for row in weight_sums] == [
         [v for v, _ in row] for row in g._class_table
     ]
+    nbr = g._neighbor_masks
     for u in range(g.n):
-        walked = list(_correction_sets(g, u, weight_sums))
-        counted = _correction_sets(g, u, g._class_table)
-        assert [s for s, _ in walked] == [s for s, _ in counted]
-        for s, outside in walked:
+        walked = list(_correction_sets(g, u, weight_sums, _tree_counter(nbr, weight_sums)))
+        counted = _correction_sets(g, u, g._class_table, _tree_counter(nbr, g._class_table))
+        assert [s for s, _, _ in walked] == [s for s, _, _ in counted]
+        for s, outside, _ in walked:
             rest = delete_vertices(g, _members(s))
             assert outside == f_value(rest.graph, [w[j] for j in rest.edge_origin])
 
@@ -389,17 +391,44 @@ def test_weighted_set_walk_yields_the_same_sets_and_the_remainder_values(case):
 def test_class_walk_matches_the_induced_route_on_every_vertex_set(g, data):
     # disconnected sets included: every route gives 0 there. The grouped
     # form's inside count reads multiplicities and weight sums alike; one
-    # core cache per table, so later masks hit cores cached by earlier ones
+    # counter per table, so later masks hit sets memoized by earlier ones
     w = data.draw(cancelling_weights(g), label="weights")
     nbr = g._neighbor_masks
     multiplicities = g._class_table
     weight_sums = g._class_sums(w)
-    counted_cores, weighted_cores = {}, {}
+    count_trees = _tree_counter(nbr, multiplicities)
+    sum_trees = _tree_counter(nbr, weight_sums)
     for s in range(1, 1 << g.n):
         vertices = [v for v in range(g.n) if s >> v & 1]
         count = tree_sum_by_induced(g, vertices)
         weighted = tree_sum_by_induced(g, vertices, w)
         assert _tree_sum(s, multiplicities) == count
-        assert _tau_inside(s, nbr, multiplicities, counted_cores) == count
+        assert count_trees(s) == count
         assert _tree_sum(s, weight_sums) == weighted
-        assert _tau_inside(s, nbr, weight_sums, weighted_cores) == weighted
+        assert sum_trees(s) == weighted
+
+
+# rooted at 0, vertex 2 closes the triangle 0-1-2 and leaves 3, whose one
+# neighbour is 2, isolated: {0, 1, 2} is not kept and its sum is never
+# taken, so {0, 1, 2, 3}, which 3 joins at one neighbour, is counted afresh
+CYCLE_UNDER_AN_UNKEPT_SET = build(6, [(0, 1), (0, 2), (1, 2), (2, 3), (0, 4), (1, 5), (4, 5), (4, 5)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    parallel_multigraphs(max_n=7, max_m=12, connected=True).flatmap(
+        lambda g: st.tuples(st.just(g), st.integers(0, g.n - 1), cancelling_weights(g))
+    )
+)
+@example((CYCLE_UNDER_AN_UNKEPT_SET, 0, [1, 2, 3, 4, 5, 6, 7, -7]))
+def test_walk_tree_sums_match_the_induced_and_stripping_routes(case):
+    # the tree sum carried down the set walk, or counted where it cannot be
+    # carried, against a fresh per-set route at multiplicities and at
+    # cancelling class sums: every kept set, every table
+    g, u, w = case
+    nbr = g._neighbor_masks
+    for links, weights in ((g._class_table, None), (g._class_sums(w), w)):
+        by_core = {}
+        for s, _, tree in _correction_sets(g, u, links, _tree_counter(nbr, links)):
+            assert tree == tree_sum_by_induced(g, _members(s), weights)
+            assert tree == tree_sum_by_stripping(s, nbr, links, by_core)

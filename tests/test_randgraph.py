@@ -58,3 +58,19 @@ def test_single_vertex():
 def test_invalid_specs(kwargs):
     with pytest.raises(InvalidSpecError):
         RandomSpec(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        (dict(n=4, m=3.5), "m"),
+        (dict(n=4.0, m=3), "n"),
+        (dict(n=True, m=0), "n"),
+        (dict(n=4, m=False, require_connected=False), "m"),
+        (dict(n="4", m=3), "n"),
+    ],
+)
+def test_non_int_counts_are_rejected_at_construction(kwargs, field):
+    # a float m used to build a graph with more edges than asked for
+    with pytest.raises(TypeError, match=f"random graph {field} must be an int"):
+        RandomSpec(**kwargs)
