@@ -66,10 +66,11 @@ def multiply_forms(
     Returns a dict from each monomial, packed as described in the module
     docstring, to its nonzero coefficient. The empty product is the constant
     1; a form with empty support collapses the whole product to 0. Raises
-    BudgetExceeded when an intermediate expansion grows past `budget`
-    monomials, ExponentOverflow if a variable occurs in more than two forms.
+    BudgetExceeded when an expansion, the starting constant 1 included,
+    grows past `budget` monomials, ExponentOverflow if a variable occurs in
+    more than two forms.
     """
-    terms: dict[Monomial, int] = {0: 1}
+    terms = _within_budget({0: 1}, budget)
     for form in forms:
         nxt: dict[Monomial, int] = {}
         get = nxt.get
@@ -83,11 +84,14 @@ def multiply_forms(
                     )
                 key = mono + one
                 nxt[key] = get(key, 0) + coef
-        if len(nxt) > budget:
-            raise BudgetExceededError(
-                f"expansion exceeded the {budget}-monomial budget"
-            )
-        terms = nxt
+        terms = _within_budget(nxt, budget)
+    return terms
+
+
+def _within_budget(terms: dict[Monomial, int], budget: int) -> dict[Monomial, int]:
+    # every expansion, the empty product's included, is held to the budget
+    if len(terms) > budget:
+        raise BudgetExceededError(f"expansion exceeded the {budget}-monomial budget")
     return terms
 
 

@@ -9,10 +9,14 @@ matchings. Exhaustive searches are provided as independent oracles for
 both numbers.
 
 `expansion_summary` reads those statistics off the packed monomials of
-`algebra.multiply_forms` in one pass. `expand_f` decodes every monomial
+`algebra.multiply_forms` in one pass. `expand_f` turns the monomials
 into a sorted `CoverTerm` list, which the `*_from_f` readers work on; it
 serves a full listing of the terms and callers that want the terms
-themselves.
+themselves. It decodes each distinct squared part and each distinct
+single part once, into one frozenset shared by every term that has it,
+and ranks each kind in the order of its index tuples; the terms are then
+sorted on one integer each, the squared part's rank times the number of
+single parts plus the single part's rank.
 """
 
 from __future__ import annotations
@@ -127,14 +131,28 @@ def expand_f(g: Multigraph, budget: int = DEFAULT_TERM_BUDGET) -> list[CoverTerm
     if poly is None:
         return []
     squared = _squared_bits(g.m)
-    decoded = sorted(
-        (_fields(mono & squared), _fields(mono & (squared >> 1)), coef)
+    single = squared >> 1
+    drank, dsets = _ranked({mono & squared for mono in poly})
+    srank, ssets = _ranked({mono & single for mono in poly})
+    # each (doubled, single) pair occurs once, so these keys are distinct and
+    # their order is that of the (doubled, single) index tuples
+    width = len(ssets)
+    keyed = {
+        drank[mono & squared] * width + srank[mono & single]: coef
         for mono, coef in poly.items()
-    )
+    }
     return [
-        CoverTerm(frozenset(doubled), frozenset(single), coef)
-        for doubled, single, coef in decoded
+        CoverTerm(dsets[key // width], ssets[key % width], keyed[key])
+        for key in sorted(keyed)
     ]
+
+
+def _ranked(masks: set[int]) -> tuple[dict[int, int], list[frozenset[int]]]:
+    # each distinct mask decoded once: its rank in index-tuple order, and by
+    # rank the one frozenset every term with that mask shares
+    decoded = sorted((_fields(mask), mask) for mask in masks)
+    rank = {mask: r for r, (_, mask) in enumerate(decoded)}
+    return rank, [frozenset(fields) for fields, _ in decoded]
 
 
 def matching_number_from_f(terms: Sequence[CoverTerm]) -> int:

@@ -6,7 +6,9 @@ enumeration by powerset filtering, tree checks by explicit union-find.
 The exceptions are the library's earlier routes, kept as references for
 the faster ones: `identity_rhs_by_subtrees`, the per-subtree route to the
 identity; `multiply_forms_by_tuples`, the expansion on sorted
-(index, exponent) tuple monomials; `c_pieces_by_frozensets` and
+(index, exponent) tuple monomials; `expand_f_by_decoding`, the sorted
+term list decoded monomial by monomial, which decoding each distinct
+field mask once replaced; `c_pieces_by_frozensets` and
 `direct_value_by_frozensets`, the degree formulas' corrections over
 frozenset vertex sets with a relabelled subgraph per set;
 `tree_sum_by_induced`, the per-set tree sum the class walk replaced;
@@ -20,6 +22,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from treecount import (
+    CoverTerm,
     InducedPiece,
     Multigraph,
     contract_edge,
@@ -41,6 +44,7 @@ from treecount.errors import (
     ExponentOverflowError,
     LengthMismatchError,
 )
+from treecount.fpoly import _incidence_poly
 
 
 def naive_determinant(matrix) -> int:
@@ -325,6 +329,8 @@ def multiply_forms_by_tuples(forms, budget=10_000_000):
     """multiply_forms on sorted (index, exponent) tuple monomials: a dict
     from each monomial tuple to its coefficient, same errors."""
     terms = {(): 1}
+    if len(terms) > budget:
+        raise BudgetExceededError(f"expansion exceeded the {budget}-monomial budget")
     for form in forms:
         nxt = {}
         variables = sorted(form)
@@ -338,6 +344,29 @@ def multiply_forms_by_tuples(forms, budget=10_000_000):
             )
         terms = nxt
     return terms
+
+
+def _decode_fields(bits):
+    # ascending variable indices of the set bits, one per 2-bit field
+    return tuple(i >> 1 for i in range(bits.bit_length()) if bits >> i & 1)
+
+
+def expand_f_by_decoding(g, budget=10_000_000):
+    """expand_f the old way: both parts of every monomial decoded anew, the
+    (doubled, single, coefficient) tuples sorted, and two frozensets built
+    per term."""
+    poly = _incidence_poly(g, budget)
+    if poly is None:
+        return []
+    squared = int("10" * g.m, 2) if g.m else 0
+    decoded = sorted(
+        (_decode_fields(mono & squared), _decode_fields(mono & (squared >> 1)), coef)
+        for mono, coef in poly.items()
+    )
+    return [
+        CoverTerm(frozenset(doubled), frozenset(single), coef)
+        for doubled, single, coef in decoded
+    ]
 
 
 def _pick_min_degree_edge(g):

@@ -103,6 +103,13 @@ def test_budget_aborts_expansion(figure_one):
         multiply_forms(forms, budget=3)
 
 
+def test_budget_holds_the_empty_product():
+    # the empty product is one monomial, the constant 1
+    with pytest.raises(BudgetExceededError, match="exceeded the 0-monomial budget"):
+        multiply_forms([], budget=0)
+    assert multiply_forms([], budget=1) == {0: 1}
+
+
 def test_empty_form_zeroes_the_product():
     poly = multiply_forms([frozenset({0}), frozenset()])
     assert poly == {}

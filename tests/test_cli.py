@@ -532,6 +532,16 @@ def test_fpoly_budget_exceeded_prints_only_the_message(capsys, tmp_path):
     assert err == "treecount fpoly: expansion exceeded the 3-monomial budget\n"
 
 
+def test_fpoly_holds_the_empty_product_to_the_budget(capsys, tmp_path):
+    # the empty graph's expansion is the constant 1: one monomial
+    path = tmp_path / "empty.graph"
+    path.write_text("n 0\n")
+    code, out, err = run(capsys, ["fpoly", str(path), "--budget", "0"])
+    assert (code, out) == (1, "")
+    assert err == "treecount fpoly: expansion exceeded the 0-monomial budget\n"
+    assert run(capsys, ["fpoly", str(path), "--budget", "1"])[0] == 0
+
+
 def test_bound_wheel(capsys, wheel4_file):
     code, out, _ = run(capsys, ["bound", wheel4_file, "--root", "4"])
     assert code == 0

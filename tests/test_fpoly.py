@@ -1,11 +1,19 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 
 from conftest import seeded_suite
-from oracles import max_matching_brute, min_edge_cover_brute, perfect_matchings_brute
+from oracles import (
+    expand_f_by_decoding,
+    max_matching_brute,
+    min_edge_cover_brute,
+    multiply_forms_by_tuples,
+    perfect_matchings_brute,
+)
+from treecount import fpoly
 from treecount import (
     CoverTerm,
     ExpansionSummary,
@@ -17,6 +25,7 @@ from treecount import (
     expand_f,
     expansion_summary,
     matching_number_from_f,
+    multiply_forms,
     perfect_matchings_from_f,
 )
 from treecount.errors import (
@@ -89,6 +98,61 @@ def test_expand_term_structure_on_suite():
 
 def test_expand_is_deterministic(figure_one):
     assert expand_f(figure_one) == expand_f(figure_one)
+
+
+def test_expand_past_64_bits_matches_the_tuple_reference():
+    # 40 parallel edges: (x0 + ... + x39)^2 has 40 squares and 780 products,
+    # and the packed monomials run to 80 bits
+    g = build(2, [(0, 1)] * 40)
+    reference = sorted(
+        (
+            tuple(i for i, e in mono if e == 2),
+            tuple(i for i, e in mono if e == 1),
+            coef,
+        )
+        for mono, coef in multiply_forms_by_tuples([g.incident_edges(0), g.incident_edges(1)]).items()
+    )
+    terms = expand_f(g)
+    assert len(terms) == 820
+    assert [
+        (tuple(sorted(t.doubled)), tuple(sorted(t.single)), t.coefficient) for t in terms
+    ] == reference
+
+
+def test_expand_orders_terms_sharing_a_doubled_part_by_their_single_part():
+    # vertex 0 is a leaf, so every term where vertex 1 takes edge 0 squares it;
+    # vertices 2 and 3 then pick two distinct edges: edges 1 and 2, one of
+    # them with a parallel edge, or two parallel edges: 1 + 4 + 4 + 6 = 15 terms
+    g = build(4, [(0, 1), (1, 2), (1, 3)] + [(2, 3)] * 4)
+    terms = expand_f(g)
+    assert terms == expand_f_by_decoding(g)
+    shared = [k for k, t in enumerate(terms) if t.doubled == {0}]
+    assert len(shared) == 15
+    assert shared == list(range(shared[0], shared[0] + 15)), "one run of terms"
+    run = [terms[k] for k in shared]
+    assert [sorted(t.single) for t in run] == sorted(sorted(t.single) for t in run)
+    assert all(t.doubled is run[0].doubled for t in run), "one frozenset per mask"
+
+
+def test_expand_decodes_each_distinct_mask_once(figure_one, monkeypatch):
+    decoded = []
+
+    def spy(bits):
+        decoded.append(bits)
+        return fields(bits)
+
+    fields = fpoly._fields
+    monkeypatch.setattr(fpoly, "_fields", spy)
+    poly = multiply_forms([figure_one.incident_edges(v) for v in range(figure_one.n)])
+    squared = int("10" * figure_one.m, 2)
+    terms = expand_f(figure_one)
+    assert len(terms) == len(poly) == 51
+    # 0 is both a doubled mask (no squares) and a single mask (a perfect
+    # matching), and is decoded once as each
+    doubled = {mono & squared for mono in poly}
+    single = {mono & (squared >> 1) for mono in poly}
+    assert 0 in doubled and 0 in single
+    assert Counter(decoded) == Counter(doubled) + Counter(single)
 
 
 def test_expansion_summary_figure_one(figure_one):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import (
     c_pieces_by_frozensets,
     direct_value_by_frozensets,
+    expand_f_by_decoding,
     identity_rhs_by_subtrees,
     multiply_forms_by_tuples,
     tau_dc_by_edges,
@@ -226,6 +227,15 @@ def test_both_expansions_overflow_on_a_third_occurrence(g, data):
         multiply_forms(forms)
     with pytest.raises(ExponentOverflowError):
         multiply_forms_by_tuples(forms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(parallel_multigraphs(max_n=7, max_m=12))
+@example(Multigraph(0))
+@example(Multigraph(1))
+def test_expand_f_matches_the_per_monomial_decode(g):
+    # the whole list: order, both parts and coefficients
+    assert expand_f(g) == expand_f_by_decoding(g)
 
 
 @settings(max_examples=80, deadline=None)
