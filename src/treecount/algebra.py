@@ -68,7 +68,9 @@ def multiply_forms(
     1; a form with empty support collapses the whole product to 0. Raises
     BudgetExceeded when an expansion, the starting constant 1 included,
     grows past `budget` monomials, ExponentOverflow if a variable occurs in
-    more than two forms.
+    more than two forms. A step's expansion only grows as each variable of
+    its form is added in, so it is checked after each one: a step past the
+    budget stops after the variable that takes it there.
     """
     terms = _within_budget({0: 1}, budget)
     for form in forms:
@@ -84,7 +86,8 @@ def multiply_forms(
                     )
                 key = mono + one
                 nxt[key] = get(key, 0) + coef
-        terms = _within_budget(nxt, budget)
+            _within_budget(nxt, budget)
+        terms = nxt
     return terms
 
 

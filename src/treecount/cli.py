@@ -59,6 +59,7 @@ from .fpoly import (
     expand_f,
     expansion_summary,
     matching_number_from_f,
+    summary_and_terms,
 )
 from .graph import Multigraph, parse, serialize
 from .identity import check_identity, check_identity_points
@@ -480,13 +481,13 @@ def cmd_fpoly(args: argparse.Namespace) -> _Report:
         }
         line = "isolated vertex present: the incidence product is identically 0"
         return EXIT_OK, doc, [line], [line]
-    summary = expansion_summary(g, budget=args.budget)
+    # only the listing needs the decoded, sorted terms
+    if args.dump:
+        summary, terms = summary_and_terms(g, budget=args.budget)
+    else:
+        summary, terms = expansion_summary(g, budget=args.budget), []
     nu_oracle = brute_force_matching(g)
     rho_oracle = brute_force_edge_cover(g)
-    # only the listing needs the decoded, sorted terms
-    terms = []
-    if args.dump:
-        terms = expand_f(g, budget=args.budget)
     nu = summary.matching_number
     rho = summary.edge_cover_number
     matchings = summary.perfect_matchings

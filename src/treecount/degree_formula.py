@@ -8,34 +8,42 @@ every rooted non-spanning subtree; the grouped form buckets subtrees by
 their vertex set S, replacing each bucket with tau(G[S]) times the degree
 product outside S.
 
-Both, and the weighted identity, walk one private kernel. Vertex sets are
+Both, and the weighted identity, walk one private kernel, a plain
+recursion that returns the sum of its correction terms. Vertex sets are
 int masks (bit v for vertex v), with a neighbour mask and (neighbour, class
 value) pairs per vertex: multiplicities, or weight sums in the identity.
 The walk keeps the remainder's value sums as S grows and shrinks, and
-yields their product with each set whose remainder has no isolated vertex
-(read off the masks), since the others contribute a zero factor. It tries
-candidates in ascending order and bans each one after its branch, so sets
-come out in `enumerate_connected_sets` order; once a banned vertex is
-isolated in the remainder it can never join S, and the branch is cut. It
-also yields G[S]'s tree sum: a vertex joining S at one distinct neighbour
-lies on that class in every tree, so the sum is carried down as the
-parent's times the class value, and only a set whose last vertex closed a
-cycle, or whose parent's sum was never taken, is counted afresh. The
-grouped form counts it with a memoized counter, without building a
-subgraph: it strips one vertex with a single neighbour inside the set at a
-time, multiplying by its class value, and takes a Laplacian minor of the
-leafless core left over, once per core and table within one call. One
-routine takes that correction at k class tables from one walk: at the
-multiplicities it is the grouped count, at k weight points' class sums the
-identity's subtree sums. The first table rides the walk; each other table
-has its own counter. The direct form, the one route here without a
-determinant, counts a set afresh by walking its spanning trees one
-parallel class per step (`counting._tree_sum`). `enumerate_connected_sets`
-and `enumerate_nst` remain the public reference walks.
+carries their product down each join: the joining vertex's factor leaves
+and each outside neighbour's factor drops by its class value, with zero
+factors counted apart, since a sum can cancel to 0 and a later join can
+make it nonzero again. It adds in each set whose remainder has no isolated
+vertex (read off the masks), since the others contribute a zero factor,
+and shows each such set to an optional visitor, which is how the sets are
+listed. It tries candidates in ascending order and bans each one after its
+branch, so sets come in `enumerate_connected_sets` order; once a banned
+vertex is isolated in the remainder it can never join S, and the branch is
+cut. More than CORRECTION_SET_BUDGET sets in one walk is a budget error.
+It also carries G[S]'s tree sum: a vertex joining S at one distinct
+neighbour lies on that class in every tree, so the sum is the parent's
+times the class value, and only a set whose last vertex closed a cycle, or
+whose parent's sum was never taken, is counted afresh. The grouped form
+counts it with a memoized counter, without building a subgraph: it strips
+one vertex with a single neighbour inside the set at a time, multiplying by
+its class value, and takes a Laplacian minor of the leafless core left
+over, once per core and table within one call. One routine takes that
+correction at k class tables from one walk: at the multiplicities it is
+the grouped count, at k weight points' class sums the identity's subtree
+sums. The first table rides the walk; each other table takes its product
+and its own counter from the visitor. The direct form, the one route here
+without a determinant, counts a set afresh by walking its spanning trees
+one parallel class per step (`counting._tree_sum`).
+`enumerate_connected_sets` and `enumerate_nst` remain the public reference
+walks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -43,7 +51,7 @@ from .algebra import bareiss_determinant
 from .counting import (
     _ClassTable, _laplacian_minor, _members, _tree_sum, enumerate_spanning_trees
 )
-from .errors import DisconnectedError
+from .errors import BudgetExceededError, DisconnectedError
 from .graph import Multigraph, induced
 
 
@@ -98,22 +106,30 @@ def enumerate_connected_sets(
     yield from grow(frozenset([u]), frozenset())
 
 
-def _correction_sets(
-    g: Multigraph, u: int, links: _ClassTable, inside: Callable[[int], int]
-) -> Iterator[tuple[int, int, int]]:
-    # (S mask, product over G - S of each vertex's `links` values leaving S,
-    # G[S]'s tree sum over `links`) for every connected S through u whose
-    # remainder has no isolated vertex, in enumerate_connected_sets order;
-    # with weight sums as values the product is the remainder's incidence
-    # product. A set of n-1 vertices leaves one isolated vertex and all n is
-    # no correction, so |S| stops at n-2. The sums follow S on add and undo.
-    # `iso` masks the remainder vertices with no neighbour left (a zero sum,
-    # confirmed on the masks as sums can cancel); a banned isolated
-    # remainder vertex never joins S, so its branch is cut. A tree sum not
-    # carried down a join at one neighbour (None) comes from `inside(S)`.
+# Sets one correction walk may visit, kept or not: RandomSpec(n=30, m=48,
+# seed=5), the largest graph in the tests, keeps 334,933 and fits
+CORRECTION_SET_BUDGET = 1_000_000
+
+
+def _correction_walk(
+    g: Multigraph, u: int, links: _ClassTable, inside: Callable[[int], int],
+    visit: Callable[[int, int, int], object] | None = None,
+) -> int:
+    # Sum of outside * tree over every connected S through u whose remainder
+    # has no isolated vertex; `visit(S mask, outside, tree)` sees each in
+    # enumerate_connected_sets order. `outside` is the product over G - S of
+    # each vertex's `links` values leaving S (with weight sums, the
+    # remainder's incidence product), `tree` G[S]'s tree sum over `links`. A
+    # set of n-1 vertices leaves one isolated vertex and all n is no
+    # correction, so |S| stops at n-2. The sums follow S on join and undo;
+    # the product of the nonzero ones and the count of zero ones go down each
+    # join. `iso` masks the remainder vertices with no neighbour left; a
+    # banned isolated remainder vertex never joins S, so its branch is cut.
+    # A tree sum not carried down a join at one neighbour (None) comes from
+    # `inside(S)`.
     max_size = g.n - 2
     if max_size <= 0:
-        return
+        return 0
     nbr = g._neighbor_masks
     rdeg = [sum(c for _, c in pairs) for pairs in links]
     start = 1 << u
@@ -123,28 +139,31 @@ def _correction_sets(
     for w in range(g.n):
         if w != u and not nbr[w] & ~start:
             iso |= 1 << w
-    full = (1 << g.n) - 1
     # a vertex without edges never joins S: banned from the start
     banned = iso & ~nbr[u]
-
-    def product(s: int) -> int:
-        value = 1
-        rest = full ^ s
-        while rest:
-            low = rest & -rest
-            value *= rdeg[low.bit_length() - 1]
-            rest ^= low
-        return value
+    visited = 0
 
     def grow(
-        s: int, banned: int, frontier: int, iso: int, size: int, tree: int | None
-    ) -> Iterator[tuple[int, int, int]]:
+        s: int, banned: int, frontier: int, iso: int, size: int,
+        tree: int | None, product: int, zeros: int,
+    ) -> int:
+        nonlocal visited
+        if visited == CORRECTION_SET_BUDGET:
+            raise BudgetExceededError(
+                f"correction walk exceeded the {CORRECTION_SET_BUDGET}-set budget "
+                f"after visiting {visited} sets"
+            )
+        visited += 1
+        total = 0
         if not iso:
             if tree is None:
                 tree = inside(s)
-            yield s, product(s), tree
+            outside = 0 if zeros else product
+            if visit is not None:
+                visit(s, outside, tree)
+            total = outside * tree
         if size == max_size:
-            return
+            return total
         candidates = frontier & ~banned
         while candidates:
             low = candidates & -candidates
@@ -155,26 +174,53 @@ def _correction_sets(
             joint = nbr[v] & s
             joint = -1 if tree is None or joint & (joint - 1) else joint.bit_length() - 1
             child_tree = None
+            # v's own factor leaves; each outside neighbour's drops by its
+            # class value. Zeros are counted, not multiplied in: a sum can
+            # cancel to 0 with neighbours left, and a later join can undo that
+            old = rdeg[v]
+            child_product, child_zeros = product // (old or 1), zeros - (not old)
             for w, c in links[v]:
-                rdeg[w] -= c
-                if w == joint:
-                    child_tree = tree * c
-                if not rdeg[w] and not nbr[w] & ~grown and not grown >> w & 1:
-                    child_iso |= 1 << w
+                old = rdeg[w]
+                rdeg[w] = new = old - c
+                if s >> w & 1:
+                    if w == joint:
+                        child_tree = tree * c
+                elif old and new:
+                    child_product = child_product // old * new
+                else:
+                    child_product = child_product // (old or 1) * (new or 1)
+                    child_zeros += (not new) - (not old)
+                    if not new and not nbr[w] & ~grown:
+                        child_iso |= 1 << w
             if not child_iso & banned:
-                yield from grow(
-                    grown, banned, (frontier | nbr[v]) & ~grown, child_iso, size + 1, child_tree
+                total += grow(
+                    grown, banned, (frontier | nbr[v]) & ~grown, child_iso, size + 1,
+                    child_tree, child_product, child_zeros,
                 )
             for w, c in links[v]:
                 rdeg[w] += c
             if iso & low:
                 # v is isolated here and banned in every later sibling
-                return
+                return total
             banned |= low
             candidates ^= low
+        return total
 
-    if not iso & banned:
-        yield from grow(start, banned, nbr[u], iso, 1, 1)
+    if iso & banned:
+        return 0
+    factors = rdeg[:u] + rdeg[u + 1:]
+    return grow(
+        start, banned, nbr[u], iso, 1, 1, math.prod(filter(None, factors)), factors.count(0)
+    )
+
+
+def _correction_sets(
+    g: Multigraph, u: int, links: _ClassTable, inside: Callable[[int], int]
+) -> list[tuple[int, int, int]]:
+    # (S mask, outside, tree) for each set `_correction_walk` adds in
+    sets: list[tuple[int, int, int]] = []
+    _correction_walk(g, u, links, inside, lambda *kept: sets.append(kept))
+    return sets
 
 
 def _tree_counter(nbr: Sequence[int], links: _ClassTable) -> Callable[[int], int]:
@@ -217,7 +263,7 @@ def _tree_counter(nbr: Sequence[int], links: _ClassTable) -> Callable[[int], int
 
 def _remainder_product(s: int, links: _ClassTable) -> int:
     # product over the vertices outside S of their `links` values leaving S,
-    # what `_correction_sets` yields for its own table
+    # what `_correction_walk` carries for its own table
     value = 1
     rest = (1 << len(links)) - 1 ^ s
     while rest:
@@ -237,19 +283,22 @@ def _grouped_corrections(g: Multigraph, u: int, tables: Sequence[_ClassTable]) -
     # The grouped correction at each class table over g (multiplicities, or
     # one weight point's class sums) from one walk of the kept sets. Those
     # follow from the neighbour masks alone, so the walk runs over the first
-    # table and yields its remainder products and tree sums; each other
-    # table takes its product per set and, where that is not 0, the set's
-    # tree sum from its own counter
-    corrections = [0] * len(tables)
+    # table and sums its terms; each other table takes its product per set
+    # and, where that is not 0, the set's tree sum from its own counter
     if not tables:
-        return corrections
+        return []
     counters = [_tree_counter(g._neighbor_masks, links) for links in tables]
-    for s, outside, tree in _correction_sets(g, u, tables[0], counters[0]):
-        corrections[0] += outside * tree
+    corrections = [0] * len(tables)
+
+    def visit(s: int, outside: int, tree: int) -> None:
         for i in range(1, len(tables)):
             product = _remainder_product(s, tables[i])
             if product:
                 corrections[i] += product * counters[i](s)
+
+    corrections[0] = _correction_walk(
+        g, u, tables[0], counters[0], visit if len(tables) > 1 else None
+    )
     return corrections
 
 
@@ -299,7 +348,10 @@ def tau_via_grouped_formula(g: Multigraph, u: int) -> int:
     if not g.is_connected():
         raise DisconnectedError("grouped formula needs a connected graph")
     g._check_vertex(u)
-    return thomassen_bound(g, u) - _grouped_corrections(g, u, [g._class_table])[0]
+    links = g._class_table
+    return thomassen_bound(g, u) - _correction_walk(
+        g, u, links, _tree_counter(g._neighbor_masks, links)
+    )
 
 
 def enumerate_nst(g: Multigraph, u: int) -> Iterator[SubTree]:
@@ -322,10 +374,7 @@ def _tree_correction(g: Multigraph, u: int, links: _ClassTable) -> int:
     # Sum over kept sets S through u of S's tree sum times the remainder
     # product, both over `links`; a tree sum the walk does not carry is
     # walked tree by tree, so no determinant is taken
-    correction = 0
-    for _, outside, tree in _correction_sets(g, u, links, lambda s: _tree_sum(s, links)):
-        correction += tree * outside
-    return correction
+    return _correction_walk(g, u, links, lambda s: _tree_sum(s, links))
 
 
 def direct_formula_value(g: Multigraph, u: int) -> int:

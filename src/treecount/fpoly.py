@@ -12,11 +12,12 @@ both numbers.
 `algebra.multiply_forms` in one pass. `expand_f` turns the monomials
 into a sorted `CoverTerm` list, which the `*_from_f` readers work on; it
 serves a full listing of the terms and callers that want the terms
-themselves. It decodes each distinct squared part and each distinct
-single part once, into one frozenset shared by every term that has it,
-and ranks each kind in the order of its index tuples; the terms are then
-sorted on one integer each, the squared part's rank times the number of
-single parts plus the single part's rank.
+themselves; `summary_and_terms` gives both from one expansion. It
+decodes each distinct squared part and each distinct single part once,
+into one frozenset shared by every term that has it, and ranks each kind
+in the order of its index tuples; the terms are then sorted on one
+integer each, the squared part's rank times the number of single parts
+plus the single part's rank.
 """
 
 from __future__ import annotations
@@ -97,14 +98,31 @@ def expansion_summary(g: Multigraph, budget: int = DEFAULT_TERM_BUDGET) -> Expan
     decoding or sorting the terms. Raises EmptyExpansionError when some
     vertex is isolated, and has the same vertex guard as `expand_f`.
     """
+    return _summarize(_nonempty_poly(g, budget), g.m)
+
+
+def summary_and_terms(
+    g: Multigraph, budget: int = DEFAULT_TERM_BUDGET
+) -> tuple[ExpansionSummary, list[CoverTerm]]:
+    """`expansion_summary(g)` and `expand_f(g)` from one expansion, with the
+    errors of `expansion_summary`."""
+    poly = _nonempty_poly(g, budget)
+    return _summarize(poly, g.m), _cover_terms(poly, g.m)
+
+
+def _nonempty_poly(g: Multigraph, budget: int) -> dict[Monomial, int]:
     poly = _incidence_poly(g, budget)
     if poly is None:
         raise EmptyExpansionError("an isolated vertex makes the expansion empty")
-    squared = _squared_bits(g.m)
+    return poly
+
+
+def _summarize(poly: dict[Monomial, int], m: int) -> ExpansionSummary:
+    squared = _squared_bits(m)
     single = squared >> 1
     total = 0
     nu = 0
-    rho = g.m
+    rho = m
     perfect = []
     for mono, coef in poly.items():
         total += coef
@@ -128,9 +146,11 @@ def expand_f(g: Multigraph, budget: int = DEFAULT_TERM_BUDGET) -> list[CoverTerm
     graphs above DEFAULT_MAX_VERTICES vertices raise BudgetExceededError.
     """
     poly = _incidence_poly(g, budget)
-    if poly is None:
-        return []
-    squared = _squared_bits(g.m)
+    return [] if poly is None else _cover_terms(poly, g.m)
+
+
+def _cover_terms(poly: dict[Monomial, int], m: int) -> list[CoverTerm]:
+    squared = _squared_bits(m)
     single = squared >> 1
     drank, dsets = _ranked({mono & squared for mono in poly})
     srank, ssets = _ranked({mono & single for mono in poly})

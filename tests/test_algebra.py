@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
 from oracles import naive_determinant
-from treecount import bareiss_determinant, evaluate_poly, multiply_forms
+from treecount import (
+    FamilySpec, bareiss_determinant, evaluate_poly, generate_family, multiply_forms
+)
 from treecount.errors import (
     BudgetExceededError,
     ExponentOverflowError,
@@ -101,6 +104,26 @@ def test_budget_aborts_expansion(figure_one):
     forms = [figure_one.incident_edges(v) for v in range(4)]
     with pytest.raises(BudgetExceededError):
         multiply_forms(forms, budget=3)
+
+
+def test_budget_stops_a_step_at_the_variable_that_passes_it():
+    # K7's incidence expansion has 7,314 monomials after five forms and
+    # 40,234 after six. At a 7,314 budget the sixth step raises once its
+    # second variable takes it past: about 1.8 MB at peak against 3.3 MB
+    # for the whole step (CPython 3.11)
+    forms = [generate_family(FamilySpec("complete", (7,))).incident_edges(v) for v in range(7)]
+    tracemalloc.start()
+    try:
+        assert len(multiply_forms(forms[:6])) == 40_234
+        full = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        message = "^expansion exceeded the 7314-monomial budget$"
+        with pytest.raises(BudgetExceededError, match=message):
+            multiply_forms(forms, budget=7314)
+        stopped = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stopped < 0.6 * full
 
 
 def test_budget_holds_the_empty_product():

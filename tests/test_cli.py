@@ -523,6 +523,19 @@ def test_fpoly_output_is_pinned(capsys, pinned_graph_file):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_fpoly_dump_expands_once(capsys, monkeypatch, figure_one_file):
+    # the summary and the listing are read off one expansion
+    calls = []
+    real = treecount.fpoly.multiply_forms
+    monkeypatch.setattr(
+        treecount.fpoly, "multiply_forms", lambda *a, **k: calls.append(a) or real(*a, **k)
+    )
+    code, out, _ = run(capsys, ["fpoly", figure_one_file, "--dump"])
+    assert code == 0
+    assert len(calls) == 1
+    assert "2:{0,4} 1:{} c:1" in out.splitlines()
+
+
 def test_fpoly_budget_exceeded_prints_only_the_message(capsys, tmp_path):
     path = tmp_path / "w5.graph"
     path.write_text(serialize(generate_family(FamilySpec("wheel", (5,)))))
@@ -888,6 +901,30 @@ def test_del_con_budget_is_an_error_entry_in_count(capsys, monkeypatch, wheel4_f
     assert (code, err) == (0, "")
     assert f"del-con        error: {message}" in out.splitlines()
     assert "agreement: yes" in out
+
+
+def test_correction_walk_budget_is_an_error_entry_in_count(capsys, monkeypatch, wheel4_file):
+    monkeypatch.setattr(treecount.degree_formula, "CORRECTION_SET_BUDGET", 2)
+    message = "correction walk exceeded the 2-set budget after visiting 2 sets"
+    code, out, err = run(capsys, ["count", wheel4_file, "--json"])
+    doc = json.loads(out)
+    assert (code, err) == (0, "")
+    for name in ("degree", "degree-direct"):
+        assert doc["methods"][name]["error"] == message
+    assert doc["agreement"] is True
+    assert {e.get("value") for e in doc["methods"].values()} == {45, None}
+    code, out, err = run(capsys, ["count", wheel4_file, "--method", "degree"])
+    assert (code, err) == (0, "")
+    assert f"degree         error: {message}" in out.splitlines()
+
+
+def test_correction_walk_budget_in_identity_is_one_line(capsys, monkeypatch, wheel4_file):
+    monkeypatch.setattr(treecount.degree_formula, "CORRECTION_SET_BUDGET", 2)
+    code, out, err = run(capsys, ["identity", wheel4_file])
+    assert (code, out) == (1, "")
+    assert err == (
+        "treecount identity: correction walk exceeded the 2-set budget after visiting 2 sets\n"
+    )
 
 
 def test_del_con_budget_errors_in_verify_are_one_line(capsys, monkeypatch):

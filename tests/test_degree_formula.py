@@ -30,7 +30,7 @@ from treecount import (
     tau_via_grouped_formula,
     thomassen_bound,
 )
-from treecount.errors import DisconnectedError, VertexOutOfRangeError
+from treecount.errors import BudgetExceededError, DisconnectedError, VertexOutOfRangeError
 
 
 def test_connected_sets_along_a_path(path3):
@@ -372,3 +372,22 @@ def test_walk_counts_only_the_sets_it_cannot_carry():
     assert 0b111 not in [s for s, _, _ in walked]
     for s, _, tree in walked:
         assert tree == tau_matrix_tree(induced(g, degree_formula._members(s)).graph)
+
+
+def test_correction_walk_stops_at_its_set_budget(monkeypatch):
+    # in K5 every connected set of at most 3 vertices through the root is
+    # kept, so the walk visits 1 + 4 + 6 = 11 sets and no other
+    g = generate_family(FamilySpec("complete", (5,)))
+    assert len(list(c_pieces(g, 0))) == 11
+    monkeypatch.setattr(degree_formula, "CORRECTION_SET_BUDGET", 11)
+    assert tau_via_grouped_formula(g, 0) == tau_via_direct_formula(g, 0) == 125
+    monkeypatch.setattr(degree_formula, "CORRECTION_SET_BUDGET", 10)
+    message = "^correction walk exceeded the 10-set budget after visiting 10 sets$"
+    for walk in (
+        lambda: tau_via_grouped_formula(g, 0),
+        lambda: tau_via_direct_formula(g, 0),
+        lambda: list(c_pieces(g, 0)),
+        lambda: identity_rhs(g, 0, [1] * g.m),
+    ):
+        with pytest.raises(BudgetExceededError, match=message):
+            walk()

@@ -45,7 +45,14 @@ from treecount import (
     thomassen_bound,
 )
 from treecount.counting import _tree_sum
-from treecount.degree_formula import _correction_sets, _members, _tree_correction, _tree_counter
+from treecount.degree_formula import (
+    _correction_sets,
+    _correction_walk,
+    _members,
+    _remainder_product,
+    _tree_correction,
+    _tree_counter,
+)
 from treecount.errors import DisconnectedError, EmptyExpansionError, ExponentOverflowError
 
 
@@ -416,6 +423,30 @@ def test_class_walk_matches_the_induced_route_on_every_vertex_set(g, data):
         assert count_trees(s) == count
         assert _tree_sum(s, weight_sums) == weighted
         assert sum_trees(s) == weighted
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    parallel_multigraphs(max_n=7, max_m=12).flatmap(
+        lambda g: st.tuples(st.just(g), cancelling_weights(g))
+    )
+)
+# rooted at 0, vertex 2's classes to 1 and 3 (5 and -5) cancel: {0} has a
+# zero factor, which 1's join turns into -5 for {0, 1}
+@example((build(4, [(0, 1), (1, 2), (1, 3), (2, 3)]), [7, 5, 3, -5]))
+def test_walk_sum_and_carried_products_match_the_listed_sets(case):
+    # the sum the walk returns against its listed sets, and each product
+    # carried down the joins against one taken afresh, at every root, at
+    # multiplicities and at cancelling class sums
+    g, w = case
+    nbr = g._neighbor_masks
+    for links in (g._class_table, g._class_sums(w)):
+        for u in range(g.n):
+            sets = _correction_sets(g, u, links, _tree_counter(nbr, links))
+            total = _correction_walk(g, u, links, _tree_counter(nbr, links))
+            assert total == sum(outside * tree for _, outside, tree in sets)
+            for s, outside, _ in sets:
+                assert outside == _remainder_product(s, links)
 
 
 # rooted at 0, vertex 2 closes the triangle 0-1-2 and leaves 3, whose one
