@@ -39,6 +39,18 @@ without a determinant, counts a set afresh by walking its spanning trees
 one parallel class per step (`counting._tree_sum`).
 `enumerate_connected_sets` and `enumerate_nst` remain the public reference
 walks.
+
+The two tau routes multiply the formula over the biconnected blocks of G,
+since tau(G) is the product of tau over them, and the sets a walk visits
+roughly multiply across cut vertices. Each block is rooted at its vertex
+nearest u: the block holding u keeps u, and every other block takes the
+cut vertex through which it hangs off u's side (`graph._blocks`). A graph
+of one block runs the whole-graph walk on itself, a 2-vertex block is one
+parallel class and gives its multiplicity, and any other block is counted
+on its induced subgraph; the set budget holds per block walk. `c_pieces`,
+`direct_formula_value` (the disconnected probe) and `_grouped_corrections`
+(and so the identity) stay on the whole-graph walk, since their terms
+depend on the root and on all of G.
 """
 
 from __future__ import annotations
@@ -52,7 +64,7 @@ from .counting import (
     _ClassTable, _laplacian_minor, _members, _tree_sum, enumerate_spanning_trees
 )
 from .errors import BudgetExceededError, DisconnectedError
-from .graph import Multigraph, induced
+from .graph import Multigraph, _blocks, induced
 
 
 @dataclass(frozen=True)
@@ -343,15 +355,41 @@ def best_thomassen_bound(g: Multigraph) -> tuple[int, int]:
     return best_u, best
 
 
-def tau_via_grouped_formula(g: Multigraph, u: int) -> int:
-    """Spanning-tree count from degrees, correction grouped by vertex set."""
-    if not g.is_connected():
-        raise DisconnectedError("grouped formula needs a connected graph")
-    g._check_vertex(u)
+def _block_product(g: Multigraph, u: int, formula: Callable[[Multigraph, int], int]) -> int:
+    # tau(G) as the product of `formula` over G's blocks, each at its vertex
+    # nearest u. One block is g itself; a bridge class gives its
+    # multiplicity; any other block is counted on its induced subgraph
+    blocks = _blocks(g._neighbor_masks, u)
+    if len(blocks) == 1:
+        return formula(g, u)
+    value = 1
+    for block, root in blocks:
+        if block.bit_count() == 2:
+            w = (block ^ 1 << root).bit_length() - 1
+            value *= next(c for x, c in g._class_table[root] if x == w)
+        else:
+            sub = induced(g, _members(block))
+            value *= formula(sub.graph, sub.vertex_map[root])
+    return value
+
+
+def _grouped_value(g: Multigraph, u: int) -> int:
     links = g._class_table
     return thomassen_bound(g, u) - _correction_walk(
         g, u, links, _tree_counter(g._neighbor_masks, links)
     )
+
+
+def tau_via_grouped_formula(g: Multigraph, u: int) -> int:
+    """Spanning-tree count from degrees, correction grouped by vertex set.
+
+    Multiplies the formula over the blocks of g, each rooted at its vertex
+    nearest u.
+    """
+    if not g.is_connected():
+        raise DisconnectedError("grouped formula needs a connected graph")
+    g._check_vertex(u)
+    return _block_product(g, u, _grouped_value)
 
 
 def enumerate_nst(g: Multigraph, u: int) -> Iterator[SubTree]:
@@ -388,7 +426,12 @@ def direct_formula_value(g: Multigraph, u: int) -> int:
 
 
 def tau_via_direct_formula(g: Multigraph, u: int) -> int:
-    """Spanning-tree count from degrees, one correction term per subtree."""
+    """Spanning-tree count from degrees, one correction term per subtree.
+
+    Multiplies the formula over the blocks of g, each rooted at its vertex
+    nearest u.
+    """
     if not g.is_connected():
         raise DisconnectedError("direct formula needs a connected graph")
-    return direct_formula_value(g, u)
+    g._check_vertex(u)
+    return _block_product(g, u, direct_formula_value)

@@ -146,6 +146,44 @@ def _connected(nbr: Sequence[int]) -> bool:
     return seen == (1 << len(nbr)) - 1
 
 
+def _blocks(nbr: Sequence[int], root: int) -> list[tuple[int, int]]:
+    # (vertex mask, root) per biconnected block of the connected graph over
+    # the neighbour masks, by a Hopcroft-Tarjan DFS from `root`. A block is
+    # closed at the vertex v whose DFS child w has no back edge above v, and
+    # v, which separates the block from `root` or is `root`, is its vertex
+    # nearest `root`. Parallel edges share one mask bit, so a bridge class is
+    # a 2-vertex block; a lone vertex has no block
+    order = [0] * len(nbr)
+    blocks: list[tuple[int, int]] = []
+    count = 0
+
+    def visit(v: int) -> tuple[int, int]:
+        # (lowest order number reached from v's subtree by one back edge,
+        # the subtree's vertices left in no closed block)
+        nonlocal count
+        count += 1
+        order[v] = low = count
+        open_ = 1 << v
+        rest = nbr[v]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            w = bit.bit_length() - 1
+            if order[w]:
+                low = min(low, order[w])
+                continue
+            child_low, child = visit(w)
+            if child_low >= order[v]:
+                blocks.append((child | 1 << v, v))
+            else:
+                low = min(low, child_low)
+                open_ |= child
+        return low, open_
+
+    visit(root)
+    return blocks
+
+
 def build(n: int, endpoint_pairs: Iterable[tuple[int, int]]) -> Multigraph:
     """Construct a multigraph; edge indices follow the input order."""
     return Multigraph(n, tuple((a, b) for a, b in endpoint_pairs))

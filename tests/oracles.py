@@ -14,12 +14,13 @@ frozenset vertex sets with a relabelled subgraph per set;
 `tree_sum_by_induced`, the per-set tree sum the class walk replaced;
 `tree_sum_by_stripping`, each kept set leaf-stripped anew, which
 the tree sums carried down the set walk replaced; and `tau_dc_by_edges`,
-delete/contract on rebuilt `Multigraph`s with no memo.
+delete/contract on rebuilt `Multigraph`s with no memo. `pieces_by_choices`
+counts the degree formula's terms from the edge picks its proof counts.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from treecount import (
     CoverTerm,
@@ -254,6 +255,41 @@ def direct_value_by_frozensets(g, u):
             trees = sum(1 for _ in enumerate_spanning_trees(induced(g, s).graph))
             correction += trees * product
     return thomassen_bound(g, u) - correction
+
+
+PICKS_BUDGET = 200_000
+
+
+def pieces_by_choices(g, u):
+    """The degree formula's bijection, pick by pick: every way to give each
+    vertex but u one incident edge, counted by the set S of vertices whose
+    walk along their picks reaches u. Those picks are a spanning tree of
+    G[S] directed to u, and every other vertex picks an edge outside S, so
+    S gets tau(G[S]) times the degree product of G - S; S = V gets tau(G).
+    Returns {S: picks}; raises BudgetExceededError past PICKS_BUDGET picks."""
+    g._check_vertex(u)
+    others = [v for v in range(g.n) if v != u]
+    incident = [[j for j, e in enumerate(g.edges) if v in e] for v in others]
+    total = 1
+    for edges in incident:
+        total *= len(edges)
+    if total > PICKS_BUDGET:
+        raise BudgetExceededError(f"{total} picks exceed the {PICKS_BUDGET}-pick budget")
+    counts = {}
+    for picks in product(*incident):
+        # who points at whom, then every vertex reached backwards from u
+        pointed_by = {v: [] for v in range(g.n)}
+        for v, j in zip(others, picks):
+            pointed_by[g.other_end(j, v)].append(v)
+        reached = {u}
+        stack = [u]
+        while stack:
+            for v in pointed_by[stack.pop()]:
+                reached.add(v)
+                stack.append(v)
+        key = frozenset(reached)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 def tree_sum_by_induced(g, vertices, weights=None):

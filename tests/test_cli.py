@@ -918,6 +918,19 @@ def test_correction_walk_budget_is_an_error_entry_in_count(capsys, monkeypatch, 
     assert f"degree         error: {message}" in out.splitlines()
 
 
+def test_degree_direct_on_a_chain_of_k4_blocks(capsys, tmp_path):
+    # 8 K4s glued at cut vertices: the direct route multiplies 8 small walks
+    edges = [(3 * i + a, 3 * i + b) for i in range(8) for a in range(4) for b in range(a + 1, 4)]
+    path = tmp_path / "chain.graph"
+    path.write_text(serialize(build(25, edges)))
+    values = []
+    for method in ("degree-direct", "matrix-tree"):
+        code, out, err = run(capsys, ["count", str(path), "--method", method, "--json"])
+        assert (code, err) == (0, "")
+        values.append(json.loads(out)["methods"][method]["value"])
+    assert values == [16**8, 16**8]
+
+
 def test_correction_walk_budget_in_identity_is_one_line(capsys, monkeypatch, wheel4_file):
     monkeypatch.setattr(treecount.degree_formula, "CORRECTION_SET_BUDGET", 2)
     code, out, err = run(capsys, ["identity", wheel4_file])

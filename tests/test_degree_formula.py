@@ -391,3 +391,83 @@ def test_correction_walk_stops_at_its_set_budget(monkeypatch):
     ):
         with pytest.raises(BudgetExceededError, match=message):
             walk()
+
+
+def _glued_cliques(k, copies):
+    # `copies` K_k's in a chain, each sharing one vertex with the next
+    step = k - 1
+    return build(
+        step * copies + 1,
+        [
+            (i * step + a, i * step + b)
+            for i in range(copies)
+            for a in range(k)
+            for b in range(a + 1, k)
+        ],
+    )
+
+
+BOWTIE = build(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+
+
+@pytest.mark.parametrize(
+    "g, tau",
+    [
+        (build(1, []), 1),
+        (build(2, [(0, 1)] * 3), 3),
+        (build(4, [(0, 1), (1, 2), (2, 3)]), 1),
+        (build(4, [(0, 1)] * 2 + [(0, 2), (0, 3)] * 3), 18),
+        (BOWTIE, 9),
+        (_glued_cliques(4, 3), 16**3),
+        # a triangle with a double edge, a pendant triple class and a square
+        (build(7, [(0, 1), (1, 2), (0, 2), (0, 2), (2, 3), (2, 3), (2, 3),
+                   (3, 4), (4, 5), (5, 6), (3, 6)]), 5 * 3 * 4),
+    ],
+)
+def test_block_product_at_every_root(g, tau):
+    for u in range(g.n):
+        assert tau_via_grouped_formula(g, u) == tau
+        assert tau_via_direct_formula(g, u) == tau
+
+
+def test_block_product_calls_the_formula_once_per_block_of_three_or_more():
+    calls = []
+
+    def formula(sub, root):
+        calls.append((sub, root))
+        return tau_matrix_tree(sub)
+
+    # one block: the formula runs on g itself at u
+    wheel = generate_family(FamilySpec("wheel", (4,)))
+    assert degree_formula._block_product(wheel, 2, formula) == 45
+    assert len(calls) == 1 and calls[0][0] is wheel and calls[0][1] == 2
+    # bridge classes are read off the class table; nothing is built
+    calls.clear()
+    star = build(4, [(0, 1)] * 2 + [(0, 2), (0, 3)] * 3)
+    assert degree_formula._block_product(star, 1, formula) == 18
+    assert calls == []
+    # from 4, the far triangle hangs off 2, which is vertex 2 of G[{0, 1, 2}];
+    # the near one keeps 4, relabelled 2 in G[{2, 3, 4}]
+    triangle = build(3, [(0, 1), (1, 2), (0, 2)])
+    assert degree_formula._block_product(BOWTIE, 4, formula) == 9
+    assert sorted((sub.edges, root) for sub, root in calls) == [(triangle.edges, 2)] * 2
+
+
+def test_chain_of_cliques_counts_fast_by_blocks():
+    # 8 K4s glued at cut vertices, n = 25: the whole-graph direct walk takes
+    # minutes here, each 4-vertex block a handful of sets
+    g = _glued_cliques(4, 8)
+    assert g.n == 25
+    for u in (0, 12, 24):
+        assert tau_via_direct_formula(g, u) == tau_via_grouped_formula(g, u) == 16**8
+
+
+def test_set_budget_holds_per_block_walk(monkeypatch):
+    # two K5s sharing vertex 0: each block's walk visits 11 sets, the
+    # whole-graph walk that c_pieces lists many more
+    g = _glued_cliques(5, 2)
+    monkeypatch.setattr(degree_formula, "CORRECTION_SET_BUDGET", 11)
+    assert tau_via_grouped_formula(g, 0) == tau_via_direct_formula(g, 0) == 125**2
+    message = "^correction walk exceeded the 11-set budget after visiting 11 sets$"
+    with pytest.raises(BudgetExceededError, match=message):
+        list(c_pieces(g, 0))

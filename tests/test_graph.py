@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import seeded_suite
 from treecount import (
     Multigraph,
     build,
@@ -11,6 +12,7 @@ from treecount import (
     parse,
     serialize,
 )
+from treecount.counting import _members
 from treecount.errors import (
     EdgeOutOfRangeError,
     EmptySetError,
@@ -19,6 +21,7 @@ from treecount.errors import (
     ParseError,
     VertexOutOfRangeError,
 )
+from treecount.graph import _blocks
 
 
 def test_build_figure_one_shape(figure_one):
@@ -233,3 +236,82 @@ def test_parse_accepts_comments_and_blanks():
 def test_parse_rejects_malformed_input(text):
     with pytest.raises(ParseError):
         parse(text)
+
+
+def _block_sets(g, root):
+    return sorted((sorted(_members(block)), r) for block, r in _blocks(g._neighbor_masks, root))
+
+
+BOWTIE = build(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+
+
+@pytest.mark.parametrize(
+    "g, root, blocks",
+    [
+        (build(1, []), 0, []),
+        (build(2, [(0, 1)] * 3), 0, [([0, 1], 0)]),
+        (build(2, [(0, 1)] * 3), 1, [([0, 1], 1)]),
+        (build(4, [(0, 1), (1, 2), (2, 3)]), 0, [([0, 1], 0), ([1, 2], 1), ([2, 3], 2)]),
+        # rooted at a leaf, each edge hangs off its endpoint nearer the leaf
+        (build(4, [(0, 1), (1, 2), (2, 3)]), 3, [([0, 1], 1), ([1, 2], 2), ([2, 3], 3)]),
+        (build(4, [(0, 1), (0, 2), (0, 3)]), 0, [([0, 1], 0), ([0, 2], 0), ([0, 3], 0)]),
+        (build(4, [(0, 1), (0, 2), (0, 3)]), 2, [([0, 1], 0), ([0, 2], 2), ([0, 3], 0)]),
+        (BOWTIE, 0, [([0, 1, 2], 0), ([2, 3, 4], 2)]),
+        # at the cut vertex both triangles keep the root
+        (BOWTIE, 2, [([0, 1, 2], 2), ([2, 3, 4], 2)]),
+        (BOWTIE, 4, [([0, 1, 2], 2), ([2, 3, 4], 4)]),
+        (build(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]), 1, [([0, 1, 2, 3], 1)]),
+    ],
+)
+def test_blocks_and_their_roots(g, root, blocks):
+    assert _block_sets(g, root) == blocks
+
+
+def _distances(nbr, root):
+    dist = {root: 0}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in _members(nbr[v]):
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
+def _connected_within(nbr, within):
+    seen = stack = within & -within
+    while stack:
+        low = stack & -stack
+        stack ^= low
+        new = nbr[low.bit_length() - 1] & within & ~seen
+        seen |= new
+        stack |= new
+    return seen == within
+
+
+@pytest.mark.parametrize("g", seeded_suite(25, 17, 9, 12, parallel_prob=0.3))
+def test_blocks_split_the_edges_into_2_connected_pieces_rooted_nearest(g):
+    nbr = g._neighbor_masks
+    reference = None
+    for root in range(g.n):
+        blocks = _blocks(nbr, root)
+        masks = sorted(block for block, _ in blocks)
+        # the blocks do not depend on where the search starts
+        assert reference is None or masks == reference
+        reference = masks
+        dist = _distances(nbr, root)
+        for block, r in blocks:
+            # the block's root is its one vertex nearest the search root
+            near = min(dist[v] for v in _members(block))
+            assert [v for v in _members(block) if dist[v] == near] == [r]
+            if block.bit_count() > 2:
+                # no vertex of a block of 3 or more disconnects it
+                for v in _members(block):
+                    assert _connected_within(nbr, block & ~(1 << v))
+        # each adjacent pair lies in exactly one block
+        for a, b in {tuple(e) for e in g.edges}:
+            pair = 1 << a | 1 << b
+            assert sum(1 for block in masks if block & pair == pair) == 1

@@ -11,6 +11,7 @@ from oracles import (
     expand_f_by_decoding,
     identity_rhs_by_subtrees,
     multiply_forms_by_tuples,
+    pieces_by_choices,
     tau_dc_by_edges,
     tree_sum_by_induced,
     tree_sum_by_stripping,
@@ -473,3 +474,49 @@ def test_walk_tree_sums_match_the_induced_and_stripping_routes(case):
         for s, _, tree in _correction_sets(g, u, links, _tree_counter(nbr, links)):
             assert tree == tree_sum_by_induced(g, _members(s), weights)
             assert tree == tree_sum_by_stripping(s, nbr, links, by_core)
+
+
+@st.composite
+def glued_multigraphs(draw):
+    """Two or three connected parallel multigraphs, each glued by one of its
+    vertices onto a vertex of those before it, then up to two pendant
+    parallel classes, at shuffled edge indices: graphs with cut vertices."""
+    count = draw(st.integers(2, 3))
+    pieces = [draw(parallel_multigraphs(max_n=4, max_m=7, connected=True)) for _ in range(count)]
+    n, edges = pieces[0].n, list(pieces[0].edges)
+    for piece in pieces[1:]:
+        glue = draw(st.integers(0, n - 1))
+        at = draw(st.integers(0, piece.n - 1))
+        labels = {v: n + v - (v > at) for v in range(piece.n)}
+        labels[at] = glue
+        edges += [(labels[a], labels[b]) for a, b in piece.edges]
+        n += piece.n - 1
+    for _ in range(draw(st.integers(0, 2))):
+        edges += [(draw(st.integers(0, n - 1)), n)] * draw(st.integers(1, 3))
+        n += 1
+    return build(n, draw(st.permutations(edges)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(glued_multigraphs())
+@example(build(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (2, 4)]))
+def test_block_products_match_the_whole_graph_walk(g):
+    # the block routes against the whole-graph walk c_pieces lists, at every
+    # root: the block holding it, a cut vertex, a pendant leaf
+    tau = tau_matrix_tree(g)
+    for u in range(g.n):
+        whole = thomassen_bound(g, u) - sum(
+            p.tau_inside * p.outside_degree_product for p in c_pieces(g, u)
+        )
+        assert tau_via_grouped_formula(g, u) == tau_via_direct_formula(g, u) == whole == tau
+
+
+@settings(max_examples=80, deadline=None)
+@given(parallel_multigraphs(max_n=6, max_m=10, connected=True))
+def test_grouped_pieces_count_the_edge_picks_they_group(g):
+    # the paper's bijection: picks whose walks reach u from exactly S number
+    # tau(G[S]) times the degree product of G - S, term by term
+    for u in range(g.n):
+        picks = pieces_by_choices(g, u)
+        assert picks.pop(frozenset(range(g.n))) == tau_matrix_tree(g)
+        assert picks == {p.vertices: p.tau_inside * p.outside_degree_product for p in c_pieces(g, u)}
