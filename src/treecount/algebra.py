@@ -68,25 +68,30 @@ def multiply_forms(
     1; a form with empty support collapses the whole product to 0. Raises
     BudgetExceeded when an expansion, the starting constant 1 included,
     grows past `budget` monomials, ExponentOverflow if a variable occurs in
-    more than two forms. A step's expansion only grows as each variable of
-    its form is added in, so it is checked after each one: a step past the
-    budget stops after the variable that takes it there.
+    more than two forms of a nonempty product: coefficients are positive,
+    so that is read off a count per variable, not a test per monomial. A
+    step's expansion only grows as each variable of its form is added in,
+    so it is checked after each one: a step past the budget stops after the
+    variable that takes it there. Any form order gives the same monomials,
+    and smallest forms first keeps the steps small.
     """
     terms = _within_budget({0: 1}, budget)
+    seen: dict[int, int] = {}
     for form in forms:
         nxt: dict[Monomial, int] = {}
-        get = nxt.get
         for var in sorted(form):
-            one, two = 1 << 2 * var, 2 << 2 * var
-            for mono, coef in terms.items():
-                # the field already holds 2: a third occurrence of var
-                if mono & two:
-                    raise ExponentOverflowError(
-                        f"variable {var} would exceed exponent 2"
-                    )
-                key = mono + one
-                nxt[key] = get(key, 0) + coef
-            _within_budget(nxt, budget)
+            if terms and seen.get(var) == 2:
+                raise ExponentOverflowError(f"variable {var} would exceed exponent 2")
+            seen[var] = seen.get(var, 0) + 1
+            one = 1 << 2 * var
+            if nxt:
+                get = nxt.get
+                for mono, coef in terms.items():
+                    key = mono + one
+                    nxt[key] = get(key, 0) + coef
+                _within_budget(nxt, budget)
+            else:  # the first variable shifts every key alike: none collide
+                nxt = {mono + one: coef for mono, coef in terms.items()}
         terms = nxt
     return terms
 

@@ -269,7 +269,10 @@ def _tree_sum(s: int, links: _ClassTable) -> int:
         return total
 
     root = s & -s
-    return walk(root, inc[root.bit_length() - 1], 0)
+    try:
+        return walk(root, inc[root.bit_length() - 1], 0)
+    finally:
+        del walk  # free the closure cycle through which walk recurses
 
 
 # Spanning trees of the underlying simple graph that enumeration may walk:

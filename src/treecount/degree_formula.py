@@ -153,6 +153,8 @@ def _correction_walk(
             iso |= 1 << w
     # a vertex without edges never joins S: banned from the start
     banned = iso & ~nbr[u]
+    if iso & banned:
+        return 0
     visited = 0
 
     def grow(
@@ -218,12 +220,13 @@ def _correction_walk(
             candidates ^= low
         return total
 
-    if iso & banned:
-        return 0
     factors = rdeg[:u] + rdeg[u + 1:]
-    return grow(
-        start, banned, nbr[u], iso, 1, 1, math.prod(filter(None, factors)), factors.count(0)
-    )
+    try:
+        return grow(
+            start, banned, nbr[u], iso, 1, 1, math.prod(filter(None, factors)), factors.count(0)
+        )
+    finally:
+        del grow  # free the closure cycle through which grow recurses
 
 
 def _correction_sets(
@@ -245,29 +248,36 @@ def _tree_counter(nbr: Sequence[int], links: _ClassTable) -> Callable[[int], int
     memo: dict[int, int] = {}
 
     def count(s: int) -> int:
-        value = memo.get(s)
-        if value is not None:
-            return value
-        rest = s
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            inner = nbr[v] & s
-            if not inner & (inner - 1):
-                if not inner:
-                    value = 0 if s ^ low else 1
+        # strip leaves until a set is known or settles, then fill in the
+        # stripped sets on the way back: a loop, so no closure cycle
+        stripped: list[tuple[int, int]] = []
+        while (value := memo.get(s)) is None:
+            rest = s
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                inner = nbr[v] & s
+                if not inner & (inner - 1):
                     break
-                w = inner.bit_length() - 1
-                for x, value in links[v]:
-                    if x == w:
-                        break
-                if value:
-                    value *= count(s ^ low)
+            else:
+                value = bareiss_determinant(_laplacian_minor(s, links))
                 break
-        else:
-            value = bareiss_determinant(_laplacian_minor(s, links))
+            if not inner:
+                value = 0 if s ^ low else 1
+                break
+            w = inner.bit_length() - 1
+            for x, factor in links[v]:
+                if x == w:
+                    break
+            if not factor:
+                value = 0
+                break
+            stripped.append((s, factor))
+            s ^= low
         memo[s] = value
+        for s, factor in reversed(stripped):
+            value = memo[s] = value * factor
         return value
 
     return count

@@ -8,8 +8,13 @@ gives the matching number (largest squared part) and the edge-cover number
 matchings. Exhaustive searches are provided as independent oracles for
 both numbers.
 
-`expansion_summary` reads those statistics off the packed monomials of
-`algebra.multiply_forms` in one pass. `expand_f` turns the monomials
+The forms are multiplied smallest first, ties by vertex, which gives the
+same monomials from smaller intermediate expansions. Each monomial has
+degree n, so its squared part D and single part S satisfy 2|D| + |S| = n:
+Gallai's nu + rho = n (Ann. Univ. Sci. Budapest 2, 1959), term by term.
+`expansion_summary` therefore reads rho, the least support, off the packed
+monomials of `algebra.multiply_forms` in one pass, sets nu = n - rho, and
+decodes perfect matchings only when 2 rho == n. `expand_f` turns the monomials
 into a sorted `CoverTerm` list, which the `*_from_f` readers work on; it
 serves a full listing of the terms and callers that want the terms
 themselves; `summary_and_terms` gives both from one expansion. It
@@ -72,7 +77,9 @@ def _incidence_poly(g: Multigraph, budget: int) -> dict[Monomial, int] | None:
         )
     if g.has_isolated_vertex():
         return None
-    return multiply_forms([g.incident_edges(v) for v in range(g.n)], budget=budget)
+    # the same monomials, with smaller steps: smallest forms first, ties by vertex
+    forms = sorted((g.incident_edges(v) for v in range(g.n)), key=len)
+    return multiply_forms(forms, budget=budget)
 
 
 def _squared_bits(m: int) -> int:
@@ -98,7 +105,7 @@ def expansion_summary(g: Multigraph, budget: int = DEFAULT_TERM_BUDGET) -> Expan
     decoding or sorting the terms. Raises EmptyExpansionError when some
     vertex is isolated, and has the same vertex guard as `expand_f`.
     """
-    return _summarize(_nonempty_poly(g, budget), g.m)
+    return _summarize(_nonempty_poly(g, budget), g.n)
 
 
 def summary_and_terms(
@@ -107,7 +114,7 @@ def summary_and_terms(
     """`expansion_summary(g)` and `expand_f(g)` from one expansion, with the
     errors of `expansion_summary`."""
     poly = _nonempty_poly(g, budget)
-    return _summarize(poly, g.m), _cover_terms(poly, g.m)
+    return _summarize(poly, g.n), _cover_terms(poly, g.m)
 
 
 def _nonempty_poly(g: Multigraph, budget: int) -> dict[Monomial, int]:
@@ -117,25 +124,16 @@ def _nonempty_poly(g: Multigraph, budget: int) -> dict[Monomial, int]:
     return poly
 
 
-def _summarize(poly: dict[Monomial, int], m: int) -> ExpansionSummary:
-    squared = _squared_bits(m)
-    single = squared >> 1
-    total = 0
-    nu = 0
-    rho = m
+def _summarize(poly: dict[Monomial, int], n: int) -> ExpansionSummary:
+    # Each monomial has degree n, so 2|D| + |S| = n for its squared part D
+    # and single part S, and its support is n - |D|: nu = n - rho (Gallai's
+    # nu + rho = n). Perfect matchings need 2 rho == n, and are then exactly
+    # the terms of support rho
+    rho = min(map(int.bit_count, poly))
     perfect = []
-    for mono, coef in poly.items():
-        total += coef
-        doubled = (mono & squared).bit_count()
-        if doubled > nu:
-            nu = doubled
-        support = mono.bit_count()
-        if support < rho:
-            rho = support
-        if not mono & single:
-            perfect.append(_fields(mono))
-    perfect.sort()
-    return ExpansionSummary(len(poly), total, nu, rho, tuple(perfect))
+    if 2 * rho == n:
+        perfect = sorted(_fields(mono) for mono in poly if mono.bit_count() == rho)
+    return ExpansionSummary(len(poly), sum(poly.values()), n - rho, rho, tuple(perfect))
 
 
 def expand_f(g: Multigraph, budget: int = DEFAULT_TERM_BUDGET) -> list[CoverTerm]:

@@ -180,7 +180,10 @@ def _blocks(nbr: Sequence[int], root: int) -> list[tuple[int, int]]:
                 open_ |= child
         return low, open_
 
-    visit(root)
+    try:
+        visit(root)
+    finally:
+        del visit  # free the closure cycle through which visit recurses
     return blocks
 
 

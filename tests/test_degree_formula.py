@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 from collections import Counter
 
 import pytest
@@ -19,6 +20,7 @@ from treecount import (
     best_thomassen_bound,
     build,
     c_pieces,
+    check_identity_points,
     direct_formula_value,
     enumerate_connected_sets,
     enumerate_nst,
@@ -471,3 +473,33 @@ def test_set_budget_holds_per_block_walk(monkeypatch):
     message = "^correction walk exceeded the 11-set budget after visiting 11 sets$"
     with pytest.raises(BudgetExceededError, match=message):
         list(c_pieces(g, 0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: tau_via_grouped_formula(g, 0),
+        lambda g: tau_via_direct_formula(g, 0),
+        lambda g: check_identity_points(g, 0, [[1] * g.m, [j % 3 - 1 for j in range(g.m)]]),
+    ],
+    ids=["grouped", "direct", "identity"],
+)
+def test_degree_routes_leave_no_cycle_to_the_collector(call):
+    # the recursive walks call themselves through closure cells; each cell
+    # must be emptied when its call returns, or every call leaves a function
+    # -> cell -> function cycle holding its walk state and memo
+    g = generate_family(FamilySpec("wheel", (8,)))
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        call(g)
+        gc.collect()
+        left = [
+            obj.__qualname__
+            for obj in gc.garbage
+            if callable(obj) and getattr(obj, "__module__", "").startswith("treecount")
+        ]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []

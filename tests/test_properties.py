@@ -54,7 +54,12 @@ from treecount.degree_formula import (
     _tree_correction,
     _tree_counter,
 )
-from treecount.errors import DisconnectedError, EmptyExpansionError, ExponentOverflowError
+from treecount.errors import (
+    BudgetExceededError,
+    DisconnectedError,
+    EmptyExpansionError,
+    ExponentOverflowError,
+)
 
 
 @st.composite
@@ -225,6 +230,52 @@ def test_packed_expansion_matches_the_tuple_reference(g):
     assert {_unpack(k, g.m): c for k, c in packed.items()} == multiply_forms_by_tuples(forms)
 
 
+@st.composite
+def permuted_incidence_forms(draw):
+    """A graph's incidence forms in vertex order, and a drawn order of them."""
+    forms = _incidence_forms(draw(parallel_multigraphs()))
+    return forms, draw(st.permutations(range(len(forms))))
+
+
+def _expansion_or_overflow(route, forms):
+    try:
+        return route(forms)
+    except ExponentOverflowError:
+        return "overflow"
+
+
+def _raises_at(forms, budget):
+    try:
+        multiply_forms(forms, budget=budget)
+    except BudgetExceededError:
+        return True
+    return False
+
+
+@settings(max_examples=80, deadline=None)
+@given(permuted_incidence_forms(), st.integers(0, 200))
+# the overflow check counts occurrences, so it must not fire on the third
+# {0} once an empty form has emptied the product, and must fire without one
+@example(([frozenset({0}), frozenset({0}), frozenset(), frozenset({0})], (2, 0, 1, 3)), 9)
+@example(([frozenset({0}), frozenset({0}), frozenset({0})], (1, 2, 0)), 9)
+def test_expansion_does_not_depend_on_form_order(case, budget):
+    forms, order = case
+    permuted = [forms[i] for i in order]
+    packed = _expansion_or_overflow(multiply_forms, permuted)
+    assert packed == _expansion_or_overflow(multiply_forms, forms)
+    tuples = _expansion_or_overflow(multiply_forms_by_tuples, permuted)
+    if packed == "overflow":
+        assert tuples == "overflow"
+        return
+    assert {_unpack(k, k.bit_length()): c for k, c in packed.items()} == tuples
+    if all(forms):
+        # with no empty form every step's expansion only grows, so the budget
+        # raises exactly below the final size in either order
+        size = len(packed)
+        for b in (budget, size - 1, size):
+            assert _raises_at(forms, b) == _raises_at(permuted, b) == (b < size)
+
+
 @settings(max_examples=60, deadline=None)
 @given(parallel_multigraphs().filter(lambda g: not g.has_isolated_vertex()), st.data())
 def test_both_expansions_overflow_on_a_third_occurrence(g, data):
@@ -248,6 +299,14 @@ def test_expand_f_matches_the_per_monomial_decode(g):
 
 @settings(max_examples=80, deadline=None)
 @given(parallel_multigraphs())
+# both sides of the summary's 2 rho == n branch: perfect matchings or none
+@example(Multigraph(0))
+@example(build(2, [(0, 1)] * 3))
+@example(build(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+@example(build(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
+@example(build(3, [(0, 1), (1, 2)]))
+@example(build(3, [(0, 1), (0, 2), (1, 2)]))
+@example(build(4, [(0, 1), (1, 2), (0, 2), (0, 2), (2, 3), (0, 3)]))
 def test_expansion_summary_matches_the_term_readers(g):
     terms = expand_f(g)
     if not terms:
@@ -262,6 +321,17 @@ def test_expansion_summary_matches_the_term_readers(g):
     assert summary.perfect_matchings == tuple(
         tuple(sorted(pm)) for pm in perfect_matchings_from_f(terms)
     )
+
+
+@settings(max_examples=80, deadline=None)
+@given(parallel_multigraphs(max_n=7, max_m=12))
+@example(Multigraph(0))
+def test_every_incidence_monomial_squares_n_minus_its_support(g):
+    # each monomial has degree n, so 2|D| + |S| = n: its squared part D has
+    # n - |D| - |S| edges, which is the summary's nu = n - rho term by term
+    squared = int("10" * g.m, 2) if g.m else 0
+    for mono in multiply_forms(_incidence_forms(g)):
+        assert (mono & squared).bit_count() == g.n - mono.bit_count()
 
 
 # small weights make zero weights and class sums that cancel common
