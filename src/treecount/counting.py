@@ -342,7 +342,10 @@ def enumerate_spanning_trees(g: Multigraph) -> Iterator[frozenset[int]]:
             yield from extend(j + 1, child, count + 1)
             chosen.pop()
 
-    yield from extend(0, list(range(g.n)), 0)
+    try:
+        yield from extend(0, list(range(g.n)), 0)
+    finally:
+        del extend  # free the closure cycle through which extend recurses
 
 
 FAMILY_KINDS = ("complete", "multipartite", "hypercube", "wheel", "multiwheel")

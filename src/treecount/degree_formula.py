@@ -30,13 +30,12 @@ whose parent's sum was never taken, is counted afresh. The grouped form
 counts it with a memoized counter, without building a subgraph: it strips
 one vertex with a single neighbour inside the set at a time, multiplying by
 its class value, and takes a Laplacian minor of the leafless core left
-over, once per core and table within one call. One routine takes that
-correction at k class tables from one walk: at the multiplicities it is
-the grouped count, at k weight points' class sums the identity's subtree
-sums. The first table rides the walk; each other table takes its product
-and its own counter from the visitor. The direct form, the one route here
-without a determinant, counts a set afresh by walking its spanning trees
-one parallel class per step (`counting._tree_sum`).
+over, once per core within one call. One routine takes that correction
+at one class table: at the multiplicities it is the grouped count, at a
+weight point's class sums the identity's subtree sums, each point its own
+walk. The direct form, the one route here without a determinant, counts a
+set afresh by walking its spanning trees one parallel class per step
+(`counting._tree_sum`).
 `enumerate_connected_sets` and `enumerate_nst` remain the public reference
 walks.
 
@@ -48,8 +47,8 @@ cut vertex through which it hangs off u's side (`graph._blocks`). A graph
 of one block runs the whole-graph walk on itself, a 2-vertex block is one
 parallel class and gives its multiplicity, and any other block is counted
 on its induced subgraph; the set budget holds per block walk. `c_pieces`,
-`direct_formula_value` (the disconnected probe) and `_grouped_corrections`
-(and so the identity) stay on the whole-graph walk, since their terms
+`direct_formula_value` (the disconnected probe) and the identity's
+`_grouped_correction` stay on the whole-graph walk, since their terms
 depend on the root and on all of G.
 """
 
@@ -115,7 +114,10 @@ def enumerate_connected_sets(
         for i, v in enumerate(candidates):
             yield from grow(current | {v}, banned | frozenset(candidates[:i]))
 
-    yield from grow(frozenset([u]), frozenset())
+    try:
+        yield from grow(frozenset([u]), frozenset())
+    finally:
+        del grow  # free the closure cycle through which grow recurses
 
 
 # Sets one correction walk may visit, kept or not: RandomSpec(n=30, m=48,
@@ -283,45 +285,11 @@ def _tree_counter(nbr: Sequence[int], links: _ClassTable) -> Callable[[int], int
     return count
 
 
-def _remainder_product(s: int, links: _ClassTable) -> int:
-    # product over the vertices outside S of their `links` values leaving S,
-    # what `_correction_walk` carries for its own table
-    value = 1
-    rest = (1 << len(links)) - 1 ^ s
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        total = 0
-        for w, c in links[low.bit_length() - 1]:
-            if not s >> w & 1:
-                total += c
-        if not total:
-            return 0
-        value *= total
-    return value
-
-
-def _grouped_corrections(g: Multigraph, u: int, tables: Sequence[_ClassTable]) -> list[int]:
-    # The grouped correction at each class table over g (multiplicities, or
-    # one weight point's class sums) from one walk of the kept sets. Those
-    # follow from the neighbour masks alone, so the walk runs over the first
-    # table and sums its terms; each other table takes its product per set
-    # and, where that is not 0, the set's tree sum from its own counter
-    if not tables:
-        return []
-    counters = [_tree_counter(g._neighbor_masks, links) for links in tables]
-    corrections = [0] * len(tables)
-
-    def visit(s: int, outside: int, tree: int) -> None:
-        for i in range(1, len(tables)):
-            product = _remainder_product(s, tables[i])
-            if product:
-                corrections[i] += product * counters[i](s)
-
-    corrections[0] = _correction_walk(
-        g, u, tables[0], counters[0], visit if len(tables) > 1 else None
-    )
-    return corrections
+def _grouped_correction(g: Multigraph, u: int, links: _ClassTable) -> int:
+    # The grouped correction over `links` (multiplicities, or one weight
+    # point's class sums): a tree sum the walk does not carry comes from a
+    # memoized counter, one determinant per leafless core
+    return _correction_walk(g, u, links, _tree_counter(g._neighbor_masks, links))
 
 
 def c_pieces(g: Multigraph, u: int) -> Iterator[InducedPiece]:
@@ -384,10 +352,7 @@ def _block_product(g: Multigraph, u: int, formula: Callable[[Multigraph, int], i
 
 
 def _grouped_value(g: Multigraph, u: int) -> int:
-    links = g._class_table
-    return thomassen_bound(g, u) - _correction_walk(
-        g, u, links, _tree_counter(g._neighbor_masks, links)
-    )
+    return thomassen_bound(g, u) - _grouped_correction(g, u, g._class_table)
 
 
 def tau_via_grouped_formula(g: Multigraph, u: int) -> int:

@@ -221,7 +221,10 @@ def brute_force_matching(g: Multigraph) -> int:
                 continue
             search(k + 1, used | {a, b}, size + 1)
 
-    search(0, frozenset(), 0)
+    try:
+        search(0, frozenset(), 0)
+    finally:
+        del search  # free the closure cycle through which search recurses
     return best
 
 

@@ -11,12 +11,12 @@ This is the grouped degree formula with every degree replaced by an
 incident weight sum, and it runs on the same routine as the grouped count.
 Each weight point first sums the weights of every parallel class, zero
 sums kept, once: the weighted tree sum is the Laplacian minor of those
-sums, and the correction is the grouped correction at those class tables,
-all points from one walk of the kept vertex sets, each point with its
-own cache of inside sums (see `degree_formula`). Neither a remainder
-graph nor an induced subgraph is built, and no tree is walked.
-`check_identity` and `identity_rhs` are the one-point case of
-`check_identity_points`.
+sums, and the correction is the grouped correction at that class table,
+one walk of the kept vertex sets with its own cache of inside sums, the
+walk `degree` runs (see `degree_formula`). Neither a remainder graph nor
+an induced subgraph is built, and no tree is walked. `check_identity` is
+the one-point case of `check_identity_points`, which checks every point's
+left side and then takes `identity_rhs` point by point.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .counting import _spanning_minor_det
-from .degree_formula import SubTree, _grouped_corrections
+from .degree_formula import SubTree, _grouped_correction
 from .errors import DisconnectedError, LengthMismatchError
 from .graph import Multigraph
 
@@ -79,20 +79,6 @@ def identity_lhs(g: Multigraph, u: int, weights: Sequence[int]) -> int:
     return product
 
 
-def _rhs_points(
-    g: Multigraph, u: int, points: Sequence[Sequence[int]]
-) -> list[tuple[int, int]]:
-    for weights in points:
-        if len(weights) != g.m:
-            raise LengthMismatchError(f"expected {g.m} weights, got {len(weights)}")
-    tables = [g._class_sums(weights) for weights in points]
-    taus = [_spanning_minor_det(g, links) for links in tables]
-    if not g.is_connected():
-        raise DisconnectedError("subtree enumeration needs a connected graph")
-    g._check_vertex(u)
-    return list(zip(taus, _grouped_corrections(g, u, tables)))
-
-
 def identity_rhs(g: Multigraph, u: int, weights: Sequence[int]) -> tuple[int, int]:
     """The two right-hand aggregates: weighted tree sum and subtree correction.
 
@@ -101,7 +87,14 @@ def identity_rhs(g: Multigraph, u: int, weights: Sequence[int]) -> tuple[int, in
     whose remainder product is 0 at these weights, contribute nothing and
     their subtrees are never counted. Needs a connected graph.
     """
-    return _rhs_points(g, u, [weights])[0]
+    if len(weights) != g.m:
+        raise LengthMismatchError(f"expected {g.m} weights, got {len(weights)}")
+    links = g._class_sums(weights)
+    tau = _spanning_minor_det(g, links)
+    if not g.is_connected():
+        raise DisconnectedError("subtree enumeration needs a connected graph")
+    g._check_vertex(u)
+    return tau, _grouped_correction(g, u, links)
 
 
 def check_identity_points(
@@ -109,9 +102,10 @@ def check_identity_points(
 ) -> list[IdentityReport]:
     """Evaluate both sides at each weight point and report, never assert.
 
-    The vertex sets through u are walked once for all points.
+    Every point's left side is taken, and so checked, before any right side.
     """
     lhs = [identity_lhs(g, u, weights) for weights in points]
+    rhs = [identity_rhs(g, u, weights) for weights in points]
     return [
         IdentityReport(
             lhs=left,
@@ -121,7 +115,7 @@ def check_identity_points(
             weight_point=tuple(weights),
             root=u,
         )
-        for left, (tau_term, nst_sum), weights in zip(lhs, _rhs_points(g, u, points), points)
+        for left, (tau_term, nst_sum), weights in zip(lhs, rhs, points)
     ]
 
 

@@ -15,7 +15,8 @@ frozenset vertex sets with a relabelled subgraph per set;
 `tree_sum_by_stripping`, each kept set leaf-stripped anew, which
 the tree sums carried down the set walk replaced; and `tau_dc_by_edges`,
 delete/contract on rebuilt `Multigraph`s with no memo. `pieces_by_choices`
-counts the degree formula's terms from the edge picks its proof counts.
+counts the degree formula's terms, or the weighted identity's, from the
+edge picks its proof counts.
 """
 
 from __future__ import annotations
@@ -260,13 +261,16 @@ def direct_value_by_frozensets(g, u):
 PICKS_BUDGET = 200_000
 
 
-def pieces_by_choices(g, u):
+def pieces_by_choices(g, u, weights=None):
     """The degree formula's bijection, pick by pick: every way to give each
     vertex but u one incident edge, counted by the set S of vertices whose
     walk along their picks reaches u. Those picks are a spanning tree of
     G[S] directed to u, and every other vertex picks an edge outside S, so
     S gets tau(G[S]) times the degree product of G - S; S = V gets tau(G).
-    Returns {S: picks}; raises BudgetExceededError past PICKS_BUDGET picks."""
+    With `weights`, each pick adds the product of its edges' weights instead
+    of 1, so S gets G[S]'s weighted tree sum times the incidence product of
+    G - S: the weighted identity's terms. Returns {S: picks, or their weight
+    sum}; raises BudgetExceededError past PICKS_BUDGET picks."""
     g._check_vertex(u)
     others = [v for v in range(g.n) if v != u]
     incident = [[j for j, e in enumerate(g.edges) if v in e] for v in others]
@@ -287,8 +291,12 @@ def pieces_by_choices(g, u):
             for v in pointed_by[stack.pop()]:
                 reached.add(v)
                 stack.append(v)
+        value = 1
+        if weights is not None:
+            for j in picks:
+                value *= weights[j]
         key = frozenset(reached)
-        counts[key] = counts.get(key, 0) + 1
+        counts[key] = counts.get(key, 0) + value
     return counts
 
 

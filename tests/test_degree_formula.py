@@ -18,12 +18,14 @@ from oracles import (
 from treecount import (
     FamilySpec,
     best_thomassen_bound,
+    brute_force_matching,
     build,
     c_pieces,
     check_identity_points,
     direct_formula_value,
     enumerate_connected_sets,
     enumerate_nst,
+    enumerate_spanning_trees,
     generate_family,
     identity_rhs,
     induced,
@@ -481,13 +483,17 @@ def test_set_budget_holds_per_block_walk(monkeypatch):
         lambda g: tau_via_grouped_formula(g, 0),
         lambda g: tau_via_direct_formula(g, 0),
         lambda g: check_identity_points(g, 0, [[1] * g.m, [j % 3 - 1 for j in range(g.m)]]),
+        lambda g: list(enumerate_connected_sets(g, 0, g.n)),
+        lambda g: list(enumerate_spanning_trees(g)),
+        brute_force_matching,
     ],
-    ids=["grouped", "direct", "identity"],
+    ids=["grouped", "direct", "identity", "connected_sets", "spanning_trees", "matching"],
 )
 def test_degree_routes_leave_no_cycle_to_the_collector(call):
-    # the recursive walks call themselves through closure cells; each cell
-    # must be emptied when its call returns, or every call leaves a function
-    # -> cell -> function cycle holding its walk state and memo
+    # the recursive walks, and the reference walks and matching search,
+    # call themselves through closure cells; each cell must be emptied when
+    # its call returns, or every call leaves a function -> cell -> function
+    # cycle holding its walk state and memo
     g = generate_family(FamilySpec("wheel", (8,)))
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)

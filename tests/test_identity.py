@@ -213,41 +213,41 @@ def test_identity_rhs_walks_only_sets_with_a_covered_remainder(monkeypatch):
     assert calls == [[]]
 
 
-def test_identity_counts_only_uncarried_sets_at_the_first_point(
-    monkeypatch, figure_one, wheel4
-):
-    # the walk carries the first point's tree sum down every join at one
-    # neighbour, so its counter sees only the sets whose last vertex closed
-    # a cycle; every later point counts each kept set with a nonzero
-    # remainder product, here all of them at positive weights
-    def kept(g, u):
-        count = _tree_counter(g._neighbor_masks, g._class_table)
-        return [s for s, _, _ in _correction_sets(g, u, g._class_table, count)]
-
-    kept_at_3, kept_at_hub = kept(figure_one, 3), kept(wheel4, 4)
-    assert kept_at_3 == [0b1000, 0b1001, 0b1100]
+def test_identity_counts_only_uncarried_sets_at_every_point(monkeypatch, figure_one, wheel4):
+    # each point's walk carries its tree sum down every join at one
+    # neighbour, so each point's counter sees only the sets whose last
+    # vertex closed a cycle, whatever the weights. Rooted at 3, figure one
+    # keeps three sets, each grown along a path
+    count = _tree_counter(figure_one._neighbor_masks, figure_one._class_table)
+    kept = _correction_sets(figure_one, 3, figure_one._class_table, count)
+    assert [s for s, _, _ in kept] == [0b1000, 0b1001, 0b1100]
     calls = _count_tree_calls(monkeypatch)
     reports = check_identity_points(figure_one, 3, [[1] * 6, [2, 3, 4, 5, 6, 7]])
     assert all(r.holds for r in reports)
-    assert calls == [[], kept_at_3]
+    assert calls == [[], []]
     calls.clear()
     # rooted at the hub 4, the four rim-hub triangles close a cycle
-    reports = check_identity_points(wheel4, 4, [[1] * 8, [2, 3, 4, 5, 6, 7, 8, 9]])
+    points = [[1] * 8, [2, 3, 4, 5, 6, 7, 8, 9]]
+    reports = check_identity_points(wheel4, 4, points)
     assert all(r.holds for r in reports)
-    assert calls == [[0b10011, 0b11001, 0b10110, 0b11100], kept_at_hub]
+    assert [(r.tau_term, r.nst_sum) for r in reports] == [
+        identity_rhs_by_subtrees(wheel4, 4, w) for w in points
+    ]
+    cycles = [0b10011, 0b11001, 0b10110, 0b11100]
+    assert calls == [cycles, cycles]
 
 
-def test_identity_counts_a_set_whose_remainder_vanishes_at_one_point_only(monkeypatch):
+def test_identity_carries_a_set_whose_remainder_vanishes_at_one_point_only(monkeypatch):
     # the sets {0} and {0, 1} leave the 2-3 pair, weighted 5 and -5 at the
-    # first point only: they are counted for the second point's sake, and
-    # the first point carries both sums down the path without a count
+    # first point only; both points carry both sums down the path, so
+    # neither counts a set
     g = build(4, [(0, 1), (1, 2), (2, 3), (2, 3)])
     calls = _count_tree_calls(monkeypatch)
     reports = check_identity_points(g, 0, [[7, 11, 5, -5], [7, 11, 5, 5]])
     assert [(r.tau_term, r.nst_sum) for r in reports] == [
         identity_rhs_by_subtrees(g, 0, w) for w in ([7, 11, 5, -5], [7, 11, 5, 5])
     ]
-    assert calls == [[], [0b1, 0b11]]
+    assert calls == [[], []]
 
 
 def test_check_identity_points_equals_one_point_at_a_time(figure_one, multiwheel4):

@@ -31,6 +31,7 @@ from treecount import (
     expand_f,
     expansion_summary,
     f_value,
+    identity_lhs,
     identity_rhs,
     induced,
     matching_number_from_f,
@@ -50,7 +51,6 @@ from treecount.degree_formula import (
     _correction_sets,
     _correction_walk,
     _members,
-    _remainder_product,
     _tree_correction,
     _tree_counter,
 )
@@ -511,13 +511,14 @@ def test_walk_sum_and_carried_products_match_the_listed_sets(case):
     # multiplicities and at cancelling class sums
     g, w = case
     nbr = g._neighbor_masks
-    for links in (g._class_table, g._class_sums(w)):
+    for links, weights in ((g._class_table, [1] * g.m), (g._class_sums(w), w)):
         for u in range(g.n):
             sets = _correction_sets(g, u, links, _tree_counter(nbr, links))
             total = _correction_walk(g, u, links, _tree_counter(nbr, links))
             assert total == sum(outside * tree for _, outside, tree in sets)
             for s, outside, _ in sets:
-                assert outside == _remainder_product(s, links)
+                rest = delete_vertices(g, _members(s))
+                assert outside == f_value(rest.graph, [weights[j] for j in rest.edge_origin])
 
 
 # rooted at 0, vertex 2 closes the triangle 0-1-2 and leaves 3, whose one
@@ -590,3 +591,30 @@ def test_grouped_pieces_count_the_edge_picks_they_group(g):
         picks = pieces_by_choices(g, u)
         assert picks.pop(frozenset(range(g.n))) == tau_matrix_tree(g)
         assert picks == {p.vertices: p.tau_inside * p.outside_degree_product for p in c_pieces(g, u)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    parallel_multigraphs(max_n=6, max_m=10, connected=True).flatmap(
+        lambda g: st.tuples(st.just(g), cancelling_weights(g))
+    )
+)
+# rooted at 0, vertex 2's classes to 1 and 3 (5 and -5) cancel
+@example((build(4, [(0, 1), (1, 2), (1, 3), (2, 3)]), [7, 5, 3, -5]))
+def test_weighted_picks_match_the_identity_terms_at_the_class_sums(case):
+    # the bijection at weights: each set's pick weights sum to its term of
+    # the walk at the class sums, S = V to the weighted tree sum, and all
+    # picks to the identity's left side. Terms are compared where nonzero,
+    # since a cancelling weight can zero a set either side keeps
+    g, w = case
+    sums = g._class_sums(w)
+    nbr = g._neighbor_masks
+    for u in range(g.n):
+        picks = pieces_by_choices(g, u, w)
+        assert sum(picks.values()) == identity_lhs(g, u, w)
+        assert picks.pop(frozenset(range(g.n))) == tau_weighted_matrix_tree(g, w)
+        terms = {
+            frozenset(_members(s)): outside * tree
+            for s, outside, tree in _correction_sets(g, u, sums, _tree_counter(nbr, sums))
+        }
+        assert {s: v for s, v in picks.items() if v} == {s: v for s, v in terms.items() if v}
