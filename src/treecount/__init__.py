@@ -4,6 +4,10 @@ Several independent routes to the count (Laplacian determinant, deletion
 contraction, explicit enumeration, and degree-product formulas) built to
 cross-check each other bit-exactly, plus the weighted identity and the
 vertex-incidence expansion those formulas rest on.
+
+The record types are namedtuple subclasses, `Multigraph` is a plain class
+and no module imports `dataclasses` or `typing`: importing those and building
+frozen dataclasses would take more than half of every CLI start (Python 3.11).
 """
 
 from .algebra import bareiss_determinant, evaluate_poly, multiply_forms

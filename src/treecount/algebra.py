@@ -11,7 +11,7 @@ constant monomial is 0.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import BudgetExceededError, ExponentOverflowError, LengthMismatchError
 

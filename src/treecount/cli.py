@@ -24,7 +24,7 @@ import math
 import random
 import sys
 import time
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .algebra import DEFAULT_TERM_BUDGET
 from .counting import (

@@ -29,9 +29,9 @@ than DEL_CON_NODE_BUDGET of them raise BudgetExceededError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import combinations
-from typing import Callable, Iterator, Sequence
 
 from .algebra import bareiss_determinant
 from .errors import (
@@ -351,21 +351,20 @@ def enumerate_spanning_trees(g: Multigraph) -> Iterator[frozenset[int]]:
 FAMILY_KINDS = ("complete", "multipartite", "hypercube", "wheel", "multiwheel")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(namedtuple("FamilySpec", "kind sizes")):
     """A parameterized graph family.
 
     kinds: complete(n), multipartite(n1..nk), hypercube(d), wheel(r),
     multiwheel(r). Wheels put the hub at the last vertex index; the
-    multiwheel doubles every hub-rim edge. Every size must be a plain int;
-    anything else, bool included, raises TypeError naming `sizes`.
+    multiwheel doubles every hub-rim edge. `sizes` is stored as a tuple.
+    Every size must be a plain int; anything else, bool included, raises
+    TypeError naming `sizes`.
     """
 
-    kind: str
-    sizes: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(self.sizes))
+    def __new__(cls, kind: str, sizes: Iterable[int]) -> FamilySpec:
+        self = super().__new__(cls, kind, tuple(sizes))
         if any(type(s) is not int for s in self.sizes):
             raise TypeError(f"family sizes must be ints, got {self.sizes!r}")
         if self.kind not in FAMILY_KINDS:
@@ -389,6 +388,11 @@ class FamilySpec:
                 f"family would have {self.vertex_count()} vertices, "
                 f"maximum is {MAX_VERTICES}"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> FamilySpec:  # so that _replace checks too
+        return cls(*iterable)
 
     def vertex_count(self) -> int:
         if self.kind == "complete":

@@ -55,8 +55,8 @@ depend on the root and on all of G.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Iterator, Sequence
 
 from .algebra import bareiss_determinant
 from .counting import (
@@ -66,23 +66,19 @@ from .errors import BudgetExceededError, DisconnectedError
 from .graph import Multigraph, _blocks, induced
 
 
-@dataclass(frozen=True)
-class SubTree:
-    """A connected acyclic subgraph anchored at a root vertex."""
+class SubTree(namedtuple("SubTree", "root vertices edges")):
+    """A connected acyclic subgraph anchored at a root vertex: the root, and
+    frozensets of its vertices and edge indices."""
 
-    root: int
-    vertices: frozenset[int]
-    edges: frozenset[int]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class InducedPiece:
+class InducedPiece(namedtuple("InducedPiece", "vertices tau_inside outside_degree_product")):
     """One grouped correction term: a connected vertex set through the root
-    whose remainder keeps every outside vertex covered."""
+    (a frozenset) whose remainder keeps every outside vertex covered, with
+    the spanning-tree count inside it and the remainder's degree product."""
 
-    vertices: frozenset[int]
-    tau_inside: int
-    outside_degree_product: int
+    __slots__ = ()
 
 
 def enumerate_connected_sets(

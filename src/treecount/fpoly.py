@@ -28,9 +28,8 @@ plus the single part's rank.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import combinations
-from typing import Sequence
 
 from .algebra import DEFAULT_TERM_BUDGET, Monomial, multiply_forms
 from .errors import BudgetExceededError, EmptyExpansionError, IsolatedVertexError
@@ -39,13 +38,11 @@ from .graph import Multigraph
 DEFAULT_MAX_VERTICES = 14
 
 
-@dataclass(frozen=True)
-class CoverTerm:
-    """One expansion monomial: squared edges, single edges, multiplicity."""
+class CoverTerm(namedtuple("CoverTerm", "doubled single coefficient")):
+    """One expansion monomial: frozensets of its squared and single edges,
+    and its multiplicity."""
 
-    doubled: frozenset[int]
-    single: frozenset[int]
-    coefficient: int
+    __slots__ = ()
 
 
 class ExpansionSummary(
@@ -59,9 +56,7 @@ class ExpansionSummary(
     `terms`, `coefficient_sum`, `matching_number` and `edge_cover_number`
     are ints. `perfect_matchings` is a tuple holding, for each perfect
     matching, its sorted edge indices as a tuple, in ascending order of
-    those index tuples. It is a namedtuple subclass because building a
-    frozen dataclass or a typing.NamedTuple class takes about a millisecond
-    more of every CLI start (Python 3.11).
+    those index tuples.
     """
 
     __slots__ = ()

@@ -7,9 +7,9 @@ is what lets weights and polynomial variables attach to individual edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     EdgeOutOfRangeError,
@@ -23,19 +23,18 @@ from .errors import (
 MAX_VERTICES = 64
 
 
-@dataclass(frozen=True)
 class Multigraph:
     """Loopless undirected multigraph with positionally indexed edges.
 
     The vertex count and every endpoint must be a plain int; anything else,
-    bool included, raises TypeError naming `n` or the edge index.
+    bool included, raises TypeError naming `n` or the edge index. Instances
+    are immutable and compare and hash by `(n, edges)`.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...] = ()
+    edges: tuple[tuple[int, int], ...]  # (low, high) pairs
 
-    def __post_init__(self) -> None:
-        n = self.n
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         # `type(...) is int` rather than isinstance, which lets bool through
         if type(n) is not int:
             raise TypeError(f"vertex count n must be an int, got {n!r}")
@@ -46,7 +45,7 @@ class Multigraph:
                 f"at most {MAX_VERTICES} vertices supported, got {n}"
             )
         norm = []
-        for j, (a, b) in enumerate(self.edges):
+        for j, (a, b) in enumerate(edges):
             if type(a) is not int or type(b) is not int:
                 raise TypeError(f"edge {j} endpoints must be ints, got ({a!r}, {b!r})")
             # one ordering test finds loops and orients the edge, so the
@@ -62,7 +61,25 @@ class Multigraph:
                     f"edge {j} endpoint out of range: ({a}, {b})"
                 )
             norm.append((lo, hi))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(norm))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.edges) == (other.n, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(n={self.n!r}, edges={self.edges!r})"
 
     @property
     def m(self) -> int:
@@ -192,12 +209,10 @@ def build(n: int, endpoint_pairs: Iterable[tuple[int, int]]) -> Multigraph:
     return Multigraph(n, tuple((a, b) for a, b in endpoint_pairs))
 
 
-class InducedSubgraph(NamedTuple):
+class InducedSubgraph(namedtuple("InducedSubgraph", "graph vertex_map edge_origin")):
     """A vertex-deletion result: the relabeled graph plus maps back to the original."""
 
-    graph: Multigraph
-    vertex_map: dict[int, int]
-    edge_origin: tuple[int, ...]
+    __slots__ = ()
 
 
 def delete_vertices(g: Multigraph, drop: Iterable[int]) -> InducedSubgraph:

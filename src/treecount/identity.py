@@ -21,8 +21,8 @@ left side and then takes `identity_rhs` point by point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .counting import _spanning_minor_det
 from .degree_formula import SubTree, _grouped_correction
@@ -30,16 +30,10 @@ from .errors import DisconnectedError, LengthMismatchError
 from .graph import Multigraph
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """One evaluation of the identity at a concrete weight point."""
+class IdentityReport(namedtuple("IdentityReport", "lhs tau_term nst_sum holds weight_point root")):
+    """One evaluation of the identity at a concrete weight point (a tuple of ints)."""
 
-    lhs: int
-    tau_term: int
-    nst_sum: int
-    holds: bool
-    weight_point: tuple[int, ...]
-    root: int
+    __slots__ = ()
 
 
 def f_value(g: Multigraph, weights: Sequence[int]) -> int:

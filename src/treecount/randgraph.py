@@ -4,27 +4,24 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidSpecError
 from .graph import MAX_VERTICES, Multigraph
 
 
-@dataclass(frozen=True)
-class RandomSpec:
+class RandomSpec(namedtuple("RandomSpec", "n m parallel_prob seed require_connected")):
     """Exact vertex and edge counts, parallel-edge bias, seed, connectivity.
 
     n and m must be plain ints; anything else, bool included, raises
     TypeError naming the field.
     """
 
-    n: int
-    m: int
-    parallel_prob: float = 0.3
-    seed: int = 0
-    require_connected: bool = True
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, n: int, m: int, parallel_prob: float = 0.3, seed: int = 0,
+                require_connected: bool = True) -> RandomSpec:
+        self = super().__new__(cls, n, m, parallel_prob, seed, require_connected)
         for name, value in (("n", self.n), ("m", self.m)):
             if type(value) is not int:  # as in Multigraph: no bool, no float
                 raise TypeError(f"random graph {name} must be an int, got {value!r}")
@@ -42,6 +39,11 @@ class RandomSpec:
             )
         if not 0.0 <= self.parallel_prob <= 1.0:
             raise InvalidSpecError("parallel probability must lie in [0, 1]")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> RandomSpec:  # so that _replace checks too
+        return cls(*iterable)
 
 
 def _random_tree_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:

@@ -640,6 +640,21 @@ def test_one_parser_serves_every_call_in_a_process(argv_paths):
     assert together[2][1].startswith("usage: treecount count")
 
 
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # these three cost most of a cold start; -S keeps site .pth files from
+    # importing typing first, and -I ignores PYTHONPATH, so src goes in argv
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import treecount.cli; "
+        "print(*sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    src = str(Path(treecount.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", probe, src],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.split() == []
+
+
 def test_count_reports_the_enum_budget_as_its_entry(capsys, tmp_path):
     path = tmp_path / "k10.graph"
     path.write_text(serialize(generate_family(FamilySpec("complete", (10,)))))
