@@ -10,7 +10,7 @@ and no module imports `dataclasses` or `typing`: importing those and building
 frozen dataclasses would take more than half of every CLI start (Python 3.11).
 """
 
-from .algebra import bareiss_determinant, evaluate_poly, multiply_forms
+from .algebra import bareiss_determinant, multiply_forms
 from .counting import (
     FamilySpec,
     closed_form_tau,
@@ -94,7 +94,6 @@ __all__ = [
     "enumerate_connected_sets",
     "enumerate_nst",
     "enumerate_spanning_trees",
-    "evaluate_poly",
     "expand_f",
     "expansion_summary",
     "f_value",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .errors import BudgetExceededError, ExponentOverflowError, LengthMismatchError
+from .errors import BudgetExceededError, ExponentOverflowError
 
 Monomial = int
 
@@ -102,24 +102,3 @@ def _within_budget(terms: dict[Monomial, int], budget: int) -> dict[Monomial, in
         raise BudgetExceededError(f"expansion exceeded the {budget}-monomial budget")
     return terms
 
-
-def evaluate_poly(p: dict[Monomial, int], weights: Sequence[int]) -> int:
-    """Evaluate a `multiply_forms` result at an integer point, weights[i]
-    being the value of variable i."""
-    total = 0
-    for mono, coef in p.items():
-        value = coef
-        idx = 0
-        while mono:
-            exp = mono & 3
-            if exp:
-                if idx >= len(weights):
-                    raise LengthMismatchError(
-                        f"monomial uses variable {idx} but only "
-                        f"{len(weights)} weights were given"
-                    )
-                value *= weights[idx] ** exp
-            mono >>= 2
-            idx += 1
-        total += value
-    return total

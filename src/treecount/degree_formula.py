@@ -43,13 +43,12 @@ The two tau routes multiply the formula over the biconnected blocks of G,
 since tau(G) is the product of tau over them, and the sets a walk visits
 roughly multiply across cut vertices. Each block is rooted at its vertex
 nearest u: the block holding u keeps u, and every other block takes the
-cut vertex through which it hangs off u's side (`graph._blocks`). A graph
-of one block runs the whole-graph walk on itself, a 2-vertex block is one
-parallel class and gives its multiplicity, and any other block is counted
-on its induced subgraph; the set budget holds per block walk. `c_pieces`,
-`direct_formula_value` (the disconnected probe) and the identity's
-`_grouped_correction` stay on the whole-graph walk, since their terms
-depend on the root and on all of G.
+cut vertex through which it hangs off u's side (`graph._blocks`). Every
+block is walked on G itself inside its vertex mask, on a class table that
+keeps only the classes inside the block; the set budget holds per block
+walk. `c_pieces`, `direct_formula_value` (the disconnected probe) and the
+identity walk the whole vertex mask, since their terms depend on the root
+and on all of G.
 """
 
 from __future__ import annotations
@@ -122,33 +121,32 @@ CORRECTION_SET_BUDGET = 1_000_000
 
 
 def _correction_walk(
-    g: Multigraph, u: int, links: _ClassTable, inside: Callable[[int], int],
-    visit: Callable[[int, int, int], object] | None = None,
+    g: Multigraph, u: int, links: _ClassTable, within: int,
+    inside: Callable[[int], int], visit: Callable[[int, int, int], object] | None = None,
 ) -> int:
-    # Sum of outside * tree over every connected S through u whose remainder
-    # has no isolated vertex; `visit(S mask, outside, tree)` sees each in
-    # enumerate_connected_sets order. `outside` is the product over G - S of
-    # each vertex's `links` values leaving S (with weight sums, the
-    # remainder's incidence product), `tree` G[S]'s tree sum over `links`. A
-    # set of n-1 vertices leaves one isolated vertex and all n is no
-    # correction, so |S| stops at n-2. The sums follow S on join and undo;
-    # the product of the nonzero ones and the count of zero ones go down each
-    # join. `iso` masks the remainder vertices with no neighbour left; a
-    # banned isolated remainder vertex never joins S, so its branch is cut.
-    # A tree sum not carried down a join at one neighbour (None) comes from
-    # `inside(S)`.
-    max_size = g.n - 2
+    # Sum of outside * tree over every connected S through u inside the
+    # vertex mask `within` whose remainder there has no isolated vertex;
+    # `visit(S mask, outside, tree)` sees each in enumerate_connected_sets
+    # order. No row of `links` in `within` has a pair leaving it. `outside`
+    # is the product over `within` - S of each vertex's `links` values
+    # leaving S (with weight sums, the remainder's incidence product), `tree`
+    # G[S]'s tree sum over `links`. S stops two vertices short of `within`:
+    # one left out is isolated, and all of it is no correction. The sums
+    # follow S on join and undo; the product of the nonzero ones and the
+    # count of zero ones go down each join. `iso` masks the remainder
+    # vertices with no neighbour left; a banned isolated one never joins S,
+    # so its branch is cut. A tree sum not carried down a join at one
+    # neighbour (None) comes from `inside(S)`.
+    max_size = within.bit_count() - 2
     if max_size <= 0:
         return 0
-    nbr = g._neighbor_masks
+    nbr = [mask & within for mask in g._neighbor_masks]
     rdeg = [sum(c for _, c in pairs) for pairs in links]
     start = 1 << u
-    iso = 0
+    rest = _members(within ^ start)
     for w, c in links[u]:
         rdeg[w] -= c
-    for w in range(g.n):
-        if w != u and not nbr[w] & ~start:
-            iso |= 1 << w
+    iso = sum(1 << w for w in rest if not nbr[w] & ~start)
     # a vertex without edges never joins S: banned from the start
     banned = iso & ~nbr[u]
     if iso & banned:
@@ -218,7 +216,7 @@ def _correction_walk(
             candidates ^= low
         return total
 
-    factors = rdeg[:u] + rdeg[u + 1:]
+    factors = [rdeg[w] for w in rest]
     try:
         return grow(
             start, banned, nbr[u], iso, 1, 1, math.prod(filter(None, factors)), factors.count(0)
@@ -232,7 +230,7 @@ def _correction_sets(
 ) -> list[tuple[int, int, int]]:
     # (S mask, outside, tree) for each set `_correction_walk` adds in
     sets: list[tuple[int, int, int]] = []
-    _correction_walk(g, u, links, inside, lambda *kept: sets.append(kept))
+    _correction_walk(g, u, links, (1 << g.n) - 1, inside, lambda *kept: sets.append(kept))
     return sets
 
 
@@ -281,11 +279,11 @@ def _tree_counter(nbr: Sequence[int], links: _ClassTable) -> Callable[[int], int
     return count
 
 
-def _grouped_correction(g: Multigraph, u: int, links: _ClassTable) -> int:
+def _grouped_correction(g: Multigraph, u: int, links: _ClassTable, within: int) -> int:
     # The grouped correction over `links` (multiplicities, or one weight
-    # point's class sums): a tree sum the walk does not carry comes from a
-    # memoized counter, one determinant per leafless core
-    return _correction_walk(g, u, links, _tree_counter(g._neighbor_masks, links))
+    # point's class sums) inside `within`: a tree sum the walk does not carry
+    # comes from a memoized counter, one determinant per leafless core
+    return _correction_walk(g, u, links, within, _tree_counter(g._neighbor_masks, links))
 
 
 def c_pieces(g: Multigraph, u: int) -> Iterator[InducedPiece]:
@@ -329,26 +327,20 @@ def best_thomassen_bound(g: Multigraph) -> tuple[int, int]:
     return best_u, best
 
 
-def _block_product(g: Multigraph, u: int, formula: Callable[[Multigraph, int], int]) -> int:
-    # tau(G) as the product of `formula` over G's blocks, each at its vertex
-    # nearest u. One block is g itself; a bridge class gives its
-    # multiplicity; any other block is counted on its induced subgraph
-    blocks = _blocks(g._neighbor_masks, u)
-    if len(blocks) == 1:
-        return formula(g, u)
+def _block_product(
+    g: Multigraph, u: int, correction: Callable[[Multigraph, int, _ClassTable, int], int]
+) -> int:
+    # tau(G) as the product over G's blocks, each at its vertex nearest u,
+    # walked on g inside its mask with only its own classes: its row sums'
+    # product off the root, less `correction(g, root, classes, block)`
     value = 1
-    for block, root in blocks:
-        if block.bit_count() == 2:
-            w = (block ^ 1 << root).bit_length() - 1
-            value *= next(c for x, c in g._class_table[root] if x == w)
-        else:
-            sub = induced(g, _members(block))
-            value *= formula(sub.graph, sub.vertex_map[root])
+    for block, root in _blocks(g._neighbor_masks, u):
+        links: list[tuple[tuple[int, int], ...]] = [()] * g.n
+        for v in _members(block):
+            links[v] = tuple(pair for pair in g._class_table[v] if block >> pair[0] & 1)
+        bound = math.prod(sum(c for _, c in links[v]) for v in _members(block ^ 1 << root))
+        value *= bound - correction(g, root, links, block)
     return value
-
-
-def _grouped_value(g: Multigraph, u: int) -> int:
-    return thomassen_bound(g, u) - _grouped_correction(g, u, g._class_table)
 
 
 def tau_via_grouped_formula(g: Multigraph, u: int) -> int:
@@ -360,7 +352,7 @@ def tau_via_grouped_formula(g: Multigraph, u: int) -> int:
     if not g.is_connected():
         raise DisconnectedError("grouped formula needs a connected graph")
     g._check_vertex(u)
-    return _block_product(g, u, _grouped_value)
+    return _block_product(g, u, _grouped_correction)
 
 
 def enumerate_nst(g: Multigraph, u: int) -> Iterator[SubTree]:
@@ -379,11 +371,11 @@ def enumerate_nst(g: Multigraph, u: int) -> Iterator[SubTree]:
             yield SubTree(u, s, frozenset(sub.edge_origin[j] for j in tree))
 
 
-def _tree_correction(g: Multigraph, u: int, links: _ClassTable) -> int:
-    # Sum over kept sets S through u of S's tree sum times the remainder
-    # product, both over `links`; a tree sum the walk does not carry is
-    # walked tree by tree, so no determinant is taken
-    return _correction_walk(g, u, links, lambda s: _tree_sum(s, links))
+def _tree_correction(g: Multigraph, u: int, links: _ClassTable, within: int) -> int:
+    # Sum over kept sets S through u inside `within` of S's tree sum times
+    # the remainder product, both over `links`; a tree sum the walk does not
+    # carry is walked tree by tree, so no determinant is taken
+    return _correction_walk(g, u, links, within, lambda s: _tree_sum(s, links))
 
 
 def direct_formula_value(g: Multigraph, u: int) -> int:
@@ -393,7 +385,7 @@ def direct_formula_value(g: Multigraph, u: int) -> int:
     input can be probed empirically. Equals tau(G) on connected graphs.
     """
     g._check_vertex(u)
-    return thomassen_bound(g, u) - _tree_correction(g, u, g._class_table)
+    return thomassen_bound(g, u) - _tree_correction(g, u, g._class_table, (1 << g.n) - 1)
 
 
 def tau_via_direct_formula(g: Multigraph, u: int) -> int:
@@ -405,4 +397,4 @@ def tau_via_direct_formula(g: Multigraph, u: int) -> int:
     if not g.is_connected():
         raise DisconnectedError("direct formula needs a connected graph")
     g._check_vertex(u)
-    return _block_product(g, u, direct_formula_value)
+    return _block_product(g, u, _tree_correction)

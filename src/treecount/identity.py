@@ -88,7 +88,7 @@ def identity_rhs(g: Multigraph, u: int, weights: Sequence[int]) -> tuple[int, in
     if not g.is_connected():
         raise DisconnectedError("subtree enumeration needs a connected graph")
     g._check_vertex(u)
-    return tau, _grouped_correction(g, u, links)
+    return tau, _grouped_correction(g, u, links, (1 << g.n) - 1)
 
 
 def check_identity_points(

@@ -16,7 +16,8 @@ frozenset vertex sets with a relabelled subgraph per set;
 the tree sums carried down the set walk replaced; and `tau_dc_by_edges`,
 delete/contract on rebuilt `Multigraph`s with no memo. `pieces_by_choices`
 counts the degree formula's terms, or the weighted identity's, from the
-edge picks its proof counts.
+edge picks its proof counts. `evaluate_poly` evaluates a `multiply_forms`
+result at an integer point, monomial by monomial.
 """
 
 from __future__ import annotations
@@ -350,6 +351,28 @@ def tree_sum_by_stripping(s, nbr, links, by_core):
     if count is None:
         count = by_core[core] = naive_determinant(_laplacian_minor(core, links))
     return value * count
+
+
+def evaluate_poly(p, weights) -> int:
+    """A packed-monomial polynomial at an integer point, weights[i] being
+    the value of variable i."""
+    total = 0
+    for mono, coef in p.items():
+        value = coef
+        idx = 0
+        while mono:
+            exp = mono & 3
+            if exp:
+                if idx >= len(weights):
+                    raise LengthMismatchError(
+                        f"monomial uses variable {idx} but only "
+                        f"{len(weights)} weights were given"
+                    )
+                value *= weights[idx] ** exp
+            mono >>= 2
+            idx += 1
+        total += value
+    return total
 
 
 def _raise_power(mono, var):

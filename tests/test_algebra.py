@@ -5,10 +5,8 @@ import tracemalloc
 
 import pytest
 
-from oracles import naive_determinant
-from treecount import (
-    FamilySpec, bareiss_determinant, evaluate_poly, generate_family, multiply_forms
-)
+from oracles import evaluate_poly, naive_determinant
+from treecount import FamilySpec, bareiss_determinant, generate_family, multiply_forms
 from treecount.errors import (
     BudgetExceededError,
     ExponentOverflowError,

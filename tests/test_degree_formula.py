@@ -17,6 +17,7 @@ from oracles import (
 )
 from treecount import (
     FamilySpec,
+    Multigraph,
     best_thomassen_bound,
     brute_force_matching,
     build,
@@ -434,27 +435,39 @@ def test_block_product_at_every_root(g, tau):
         assert tau_via_direct_formula(g, u) == tau
 
 
-def test_block_product_calls_the_formula_once_per_block_of_three_or_more():
+def test_block_product_walks_each_block_inside_its_mask_on_g(monkeypatch):
+    # one correction per block, bridges included, each on g itself at the
+    # block's root in g's labels, over the block's mask and its own classes:
+    # neither tau route builds an induced subgraph or any other graph
+    wheel = generate_family(FamilySpec("wheel", (4,)))
+    star = build(4, [(0, 1)] * 2 + [(0, 2), (0, 3)] * 3)
+
+    def refuse(*args):
+        raise AssertionError("the block product built a graph")
+
+    monkeypatch.setattr(degree_formula, "induced", refuse)
+    monkeypatch.setattr(Multigraph, "__init__", refuse)
     calls = []
 
-    def formula(sub, root):
-        calls.append((sub, root))
-        return tau_matrix_tree(sub)
+    def correction(h, root, links, block):
+        assert h is g
+        assert all(not row for v, row in enumerate(links) if not block >> v & 1)
+        assert all(block >> w & 1 for row in links for w, _ in row)
+        calls.append((root, block))
+        return degree_formula._grouped_correction(h, root, links, block)
 
-    # one block: the formula runs on g itself at u
-    wheel = generate_family(FamilySpec("wheel", (4,)))
-    assert degree_formula._block_product(wheel, 2, formula) == 45
-    assert len(calls) == 1 and calls[0][0] is wheel and calls[0][1] == 2
-    # bridge classes are read off the class table; nothing is built
-    calls.clear()
-    star = build(4, [(0, 1)] * 2 + [(0, 2), (0, 3)] * 3)
-    assert degree_formula._block_product(star, 1, formula) == 18
-    assert calls == []
-    # from 4, the far triangle hangs off 2, which is vertex 2 of G[{0, 1, 2}];
-    # the near one keeps 4, relabelled 2 in G[{2, 3, 4}]
-    triangle = build(3, [(0, 1), (1, 2), (0, 2)])
-    assert degree_formula._block_product(BOWTIE, 4, formula) == 9
-    assert sorted((sub.edges, root) for sub, root in calls) == [(triangle.edges, 2)] * 2
+    for g, u, tau, blocks in [
+        # one block: the whole vertex mask at u
+        (wheel, 2, 45, [(2, 0b11111)]),
+        # three bridge classes, each a 2-vertex block whose walk is empty
+        (star, 1, 18, [(0, 0b101), (0, 0b1001), (1, 0b11)]),
+        # from 4, the near triangle keeps 4 and the far one hangs off 2
+        (BOWTIE, 4, 9, [(2, 0b111), (4, 0b11100)]),
+    ]:
+        calls.clear()
+        assert degree_formula._block_product(g, u, correction) == tau
+        assert sorted(calls) == blocks
+        assert tau_via_grouped_formula(g, u) == tau_via_direct_formula(g, u) == tau
 
 
 def test_chain_of_cliques_counts_fast_by_blocks():

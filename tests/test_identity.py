@@ -6,7 +6,7 @@ import pytest
 
 import treecount.degree_formula
 from conftest import seeded_suite
-from oracles import identity_rhs_by_subtrees
+from oracles import evaluate_poly, identity_rhs_by_subtrees
 from treecount import (
     Multigraph,
     SubTree,
@@ -18,7 +18,6 @@ from treecount import (
     identity_lhs,
     identity_rhs,
     multiply_forms,
-    evaluate_poly,
     tau_matrix_tree,
     thomassen_bound,
     tree_weight,

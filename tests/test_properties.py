@@ -48,6 +48,7 @@ from treecount import (
 )
 from treecount.counting import _tree_sum
 from treecount.degree_formula import (
+    _block_product,
     _correction_sets,
     _correction_walk,
     _members,
@@ -60,6 +61,7 @@ from treecount.errors import (
     EmptyExpansionError,
     ExponentOverflowError,
 )
+from treecount.graph import _blocks
 
 
 @st.composite
@@ -429,7 +431,7 @@ def test_identity_points_match_the_subtree_and_tree_walk_routes(case):
     assert [r.weight_point for r in reports] == [tuple(w) for w in points]
     for report, w in zip(reports, points):
         assert (report.tau_term, report.nst_sum) == identity_rhs_by_subtrees(g, u, w)
-        assert report.nst_sum == _tree_correction(g, u, g._class_sums(w))
+        assert report.nst_sum == _tree_correction(g, u, g._class_sums(w), (1 << g.n) - 1)
         assert report.holds
 
 
@@ -514,7 +516,7 @@ def test_walk_sum_and_carried_products_match_the_listed_sets(case):
     for links, weights in ((g._class_table, [1] * g.m), (g._class_sums(w), w)):
         for u in range(g.n):
             sets = _correction_sets(g, u, links, _tree_counter(nbr, links))
-            total = _correction_walk(g, u, links, _tree_counter(nbr, links))
+            total = _correction_walk(g, u, links, (1 << g.n) - 1, _tree_counter(nbr, links))
             assert total == sum(outside * tree for _, outside, tree in sets)
             for s, outside, _ in sets:
                 rest = delete_vertices(g, _members(s))
@@ -573,13 +575,37 @@ def glued_multigraphs(draw):
 @example(build(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (2, 4)]))
 def test_block_products_match_the_whole_graph_walk(g):
     # the block routes against the whole-graph walk c_pieces lists, at every
-    # root: the block holding it, a cut vertex, a pendant leaf
+    # root: the block holding it, a cut vertex, a pendant leaf. Each block's
+    # walk inside its mask lists the sets, outside products and tree sums
+    # that the whole-graph walk lists on the block's induced subgraph
     tau = tau_matrix_tree(g)
+    nbr = g._neighbor_masks
     for u in range(g.n):
         whole = thomassen_bound(g, u) - sum(
             p.tau_inside * p.outside_degree_product for p in c_pieces(g, u)
         )
         assert tau_via_grouped_formula(g, u) == tau_via_direct_formula(g, u) == whole == tau
+        walked = []
+
+        def listed(h, root, links, block):
+            sets = []
+            total = _correction_walk(
+                h, root, links, block, _tree_counter(nbr, links), lambda *kept: sets.append(kept)
+            )
+            walked.append((block, root, sets))
+            return total
+
+        assert _block_product(g, u, listed) == tau
+        assert [(block, root) for block, root, _ in walked] == _blocks(nbr, u)
+        for block, root, sets in walked:
+            sub = induced(g, _members(block))
+            h, labels = sub.graph, sorted(sub.vertex_map)
+            count = _tree_counter(h._neighbor_masks, h._class_table)
+            induced_sets = _correction_sets(h, sub.vertex_map[root], h._class_table, count)
+            assert sets == [
+                (sum(1 << labels[v] for v in _members(s)), outside, tree)
+                for s, outside, tree in induced_sets
+            ]
 
 
 @settings(max_examples=80, deadline=None)
