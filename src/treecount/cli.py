@@ -59,7 +59,6 @@ from .fpoly import (
     expand_f,
     expansion_summary,
     matching_number_from_f,
-    summary_and_terms,
 )
 from .graph import Multigraph, parse, serialize
 from .identity import check_identity, check_identity_points
@@ -481,11 +480,7 @@ def cmd_fpoly(args: argparse.Namespace) -> _Report:
         }
         line = "isolated vertex present: the incidence product is identically 0"
         return EXIT_OK, doc, [line], [line]
-    # only the listing needs the decoded, sorted terms
-    if args.dump:
-        summary, terms = summary_and_terms(g, budget=args.budget)
-    else:
-        summary, terms = expansion_summary(g, budget=args.budget), []
+    summary = expansion_summary(g, budget=args.budget)
     nu_oracle = brute_force_matching(g)
     rho_oracle = brute_force_edge_cover(g)
     nu = summary.matching_number
@@ -514,12 +509,14 @@ def cmd_fpoly(args: argparse.Namespace) -> _Report:
         + (" ".join("{" + ",".join(map(str, pm)) + "}" for pm in matchings) or "none"),
         f"oracle agreement: {'yes' if agree else 'NO'}",
     ]
-    for t in terms:
-        lines.append(
-            "2:{" + ",".join(map(str, sorted(t.doubled))) + "} "
-            "1:{" + ",".join(map(str, sorted(t.single))) + "} "
-            f"c:{t.coefficient}"
-        )
+    # only the text listing needs the decoded, sorted terms
+    if args.dump and not (args.json or args.quiet):
+        for t in expand_f(g, budget=args.budget):
+            lines.append(
+                "2:{" + ",".join(map(str, sorted(t.doubled))) + "} "
+                "1:{" + ",".join(map(str, sorted(t.single))) + "} "
+                f"c:{t.coefficient}"
+            )
     quiet_lines = [f"nu={nu} rho={rho} agree={'yes' if agree else 'NO'}"]
     return (EXIT_OK if agree else EXIT_VIOLATION), doc, lines, quiet_lines
 

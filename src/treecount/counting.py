@@ -316,9 +316,6 @@ def enumerate_spanning_trees(g: Multigraph) -> Iterator[frozenset[int]]:
     need = g.n - 1
     edges = g.edges
     m = g.m
-    if need == 0:
-        yield frozenset()
-        return
     chosen: list[int] = []
 
     def find(parent: list[int], x: int) -> int:

@@ -147,10 +147,9 @@ def _correction_walk(
     for w, c in links[u]:
         rdeg[w] -= c
     iso = sum(1 << w for w in rest if not nbr[w] & ~start)
-    # a vertex without edges never joins S: banned from the start
+    # a vertex without edges never joins S: banned from the start, and
+    # isolated in every remainder, so no set is kept
     banned = iso & ~nbr[u]
-    if iso & banned:
-        return 0
     visited = 0
 
     def grow(
@@ -266,9 +265,6 @@ def _tree_counter(nbr: Sequence[int], links: _ClassTable) -> Callable[[int], int
             for x, factor in links[v]:
                 if x == w:
                     break
-            if not factor:
-                value = 0
-                break
             stripped.append((s, factor))
             s ^= low
         memo[s] = value

@@ -16,13 +16,13 @@ Gallai's nu + rho = n (Ann. Univ. Sci. Budapest 2, 1959), term by term.
 monomials of `algebra.multiply_forms` in one pass, sets nu = n - rho, and
 decodes perfect matchings only when 2 rho == n. `expand_f` turns the monomials
 into a sorted `CoverTerm` list, which the `*_from_f` readers work on; it
-serves a full listing of the terms and callers that want the terms
-themselves; `summary_and_terms` gives both from one expansion. It
-decodes each distinct squared part and each distinct single part once,
-into one frozenset shared by every term that has it, and ranks each kind
-in the order of its index tuples; the terms are then sorted on one
-integer each, the squared part's rank times the number of single parts
-plus the single part's rank.
+serves a full listing of the terms, which expands the product once more
+after the summary, and callers that want the terms themselves. It decodes
+each distinct squared part and each distinct single part once, into one
+frozenset shared by every term that has it, and ranks each kind in the
+order of its index tuples; the terms are then sorted on one integer each,
+the squared part's rank times the number of single parts plus the single
+part's rank.
 """
 
 from __future__ import annotations
@@ -100,23 +100,10 @@ def expansion_summary(g: Multigraph, budget: int = DEFAULT_TERM_BUDGET) -> Expan
     decoding or sorting the terms. Raises EmptyExpansionError when some
     vertex is isolated, and has the same vertex guard as `expand_f`.
     """
-    return _summarize(_nonempty_poly(g, budget), g.n)
-
-
-def summary_and_terms(
-    g: Multigraph, budget: int = DEFAULT_TERM_BUDGET
-) -> tuple[ExpansionSummary, list[CoverTerm]]:
-    """`expansion_summary(g)` and `expand_f(g)` from one expansion, with the
-    errors of `expansion_summary`."""
-    poly = _nonempty_poly(g, budget)
-    return _summarize(poly, g.n), _cover_terms(poly, g.m)
-
-
-def _nonempty_poly(g: Multigraph, budget: int) -> dict[Monomial, int]:
     poly = _incidence_poly(g, budget)
     if poly is None:
         raise EmptyExpansionError("an isolated vertex makes the expansion empty")
-    return poly
+    return _summarize(poly, g.n)
 
 
 def _summarize(poly: dict[Monomial, int], n: int) -> ExpansionSummary:
@@ -231,8 +218,6 @@ def brute_force_edge_cover(g: Multigraph) -> int:
         raise BudgetExceededError(
             f"brute-force cover guarded at {DEFAULT_MAX_VERTICES} vertices"
         )
-    if g.n == 0:
-        return 0
     pairs = _distinct_pairs(g)
     for k in range((g.n + 1) // 2, len(pairs) + 1):
         for chosen in combinations(pairs, k):

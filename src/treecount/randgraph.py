@@ -48,8 +48,6 @@ class RandomSpec(namedtuple("RandomSpec", "n m parallel_prob seed require_connec
 
 def _random_tree_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
     # decode a uniform random code sequence into a uniform labeled tree
-    if n == 2:
-        return [(0, 1)]
     seq = [rng.randrange(n) for _ in range(n - 2)]
     deg = [1] * n
     for v in seq:

@@ -1,0 +1,203 @@
+"""Mutation suite: one-place faults that named tests must catch.
+
+Each mutant replaces one anchor text, which occurs exactly once in its
+file, with faulty code, and names the tests expected to fail on it.
+
+    python tests/mutants.py
+
+copies src/, tests/ and pyproject.toml to a temporary directory, applies
+each mutant there in turn, runs only its killing tests, and prints it as
+killed or survived. It exits 1 if any mutant survived or its tests could
+not run. Hypothesis draws from a fixed seed, so a run is repeatable.
+`tests/test_mutants.py` checks that every anchor text still occurs once,
+so a refactor that moves one must carry its mutant along.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from collections import namedtuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+Mutant = namedtuple("Mutant", "name path old new tests")
+
+DF = "src/treecount/degree_formula.py"
+DF_TESTS = "tests/test_degree_formula.py"
+PROPS = "tests/test_properties.py"
+
+MUTANTS = (
+    Mutant(
+        "block rooted at its least vertex",
+        DF,
+        "    for block, root in _blocks(g._neighbor_masks, u):\n",
+        "    for block, _ in _blocks(g._neighbor_masks, u):\n"
+        "        root = (block & -block).bit_length() - 1\n",
+        (f"{DF_TESTS}::test_block_product_walks_each_block_inside_its_mask_on_g",),
+    ),
+    Mutant(
+        "bridge class counted as 1",
+        DF,
+        "        value *= bound - correction(g, root, links, block)\n",
+        "        value *= 1 if block.bit_count() == 2 else bound - correction(g, root, links, block)\n",
+        (f"{DF_TESTS}::test_block_product_at_every_root",),
+    ),
+    Mutant(
+        "vertex sets of two grouped terms swapped",
+        DF,
+        "    for s, outside, tree in _correction_sets(g, u, links, _tree_counter(g._neighbor_masks, links)):\n",
+        "    kept = _correction_sets(g, u, links, _tree_counter(g._neighbor_masks, links))\n"
+        "    if len(kept) > 1:\n"
+        "        (a, *x), (b, *y) = kept[:2]\n"
+        "        kept[:2] = [(b, *x), (a, *y)]\n"
+        "    for s, outside, tree in kept:\n",
+        (f"{DF_TESTS}::test_c_pieces_wheel",
+         f"{PROPS}::test_grouped_pieces_count_the_edge_picks_they_group"),
+    ),
+    Mutant(
+        "overflow check fires on an emptied product",
+        "src/treecount/algebra.py",
+        "            if terms and seen.get(var) == 2:\n",
+        "            if seen.get(var) == 2:\n",
+        (f"{PROPS}::test_expansion_does_not_depend_on_form_order",),
+    ),
+    Mutant(
+        "overflow check never fires",
+        "src/treecount/algebra.py",
+        "            if terms and seen.get(var) == 2:\n",
+        "            if terms and seen.get(var) == 2 and False:\n",
+        ("tests/test_algebra.py::test_three_occurrences_overflow",
+         f"{PROPS}::test_expansion_does_not_depend_on_form_order"),
+    ),
+    Mutant(
+        "summary lists least-support terms without the 2 rho == n test",
+        "src/treecount/fpoly.py",
+        "    if 2 * rho == n:\n",
+        "    if 2 * rho >= n:\n",
+        ("tests/test_fpoly.py::test_expansion_summary_small_cases",
+         f"{PROPS}::test_expansion_summary_matches_the_term_readers"),
+    ),
+    Mutant(
+        "tree sum carried as tree * abs(c)",
+        DF,
+        "                        child_tree = tree * c\n",
+        "                        child_tree = tree * abs(c)\n",
+        ("tests/test_cli.py::test_identity_random_points",
+         f"{PROPS}::test_weighted_picks_match_the_identity_terms_at_the_class_sums"),
+    ),
+    # the general paths that serve the inputs of removed special cases
+    Mutant(
+        "summary of an isolated vertex's empty expansion does not raise",
+        "src/treecount/fpoly.py",
+        "    poly = _incidence_poly(g, budget)\n    if poly is None:\n        raise",
+        "    poly = _incidence_poly(g, budget) or {}\n    if poly is None:\n        raise",
+        ("tests/test_fpoly.py::test_expansion_summary_guards",),
+    ),
+    Mutant(
+        "fpoly --dump decodes terms for --json and --quiet",
+        "src/treecount/cli.py",
+        "    if args.dump and not (args.json or args.quiet):\n",
+        "    if args.dump:\n",
+        ("tests/test_cli.py::test_fpoly_dump_decodes_no_terms_for_json_or_quiet",),
+    ),
+    Mutant(
+        "fpoly --dump lists the terms out of order",
+        "src/treecount/cli.py",
+        "        for t in expand_f(g, budget=args.budget):\n",
+        "        for t in reversed(expand_f(g, budget=args.budget)):\n",
+        ("tests/test_cli.py::test_fpoly_dump_lists_the_expansion_under_its_summary",),
+    ),
+    Mutant(
+        "walk keeps the root set beside a banned isolated vertex",
+        DF,
+        "        if not iso:\n",
+        "        if not iso & ~banned:\n",
+        (f"{DF_TESTS}::test_direct_value_with_an_edgeless_vertex_keeps_no_set_through_the_rest",),
+    ),
+    Mutant(
+        "tree counter skips a zero class value on a stripped leaf",
+        DF,
+        "            value = memo[s] = value * factor\n",
+        "            value = memo[s] = value * (factor or 1)\n",
+        (f"{DF_TESTS}::test_zero_pendant_class_value_zeroes_every_set_through_it",),
+    ),
+    Mutant(
+        "spanning-tree enumeration stops only after an edge",
+        "src/treecount/counting.py",
+        "        if count == need:\n",
+        "        if count == need > 0:\n",
+        ("tests/test_counting.py::test_enumeration_single_vertex",),
+    ),
+    Mutant(
+        "edge cover of no vertex counted as one edge",
+        "src/treecount/fpoly.py",
+        "                return k\n",
+        "                return max(k, 1)\n",
+        ("tests/test_fpoly.py::test_brute_force_edge_cover_values",),
+    ),
+    Mutant(
+        "empty code sequence draws from the generator",
+        "src/treecount/randgraph.py",
+        "    seq = [rng.randrange(n) for _ in range(n - 2)]\n",
+        "    seq = [rng.randrange(n) for _ in range(n - 2)] or [rng.randrange(n)][:0]\n",
+        ("tests/test_randgraph.py::test_two_vertex_tree_draws_nothing",),
+    ),
+    Mutant(
+        "empty code sequence decodes to no edge",
+        "src/treecount/randgraph.py",
+        "    edges.append((a, b))\n",
+        "    edges.extend([(a, b)] if seq else [])\n",
+        ("tests/test_randgraph.py::test_two_vertex_tree_draws_nothing",),
+    ),
+)
+
+
+def _run(mutant: Mutant, work: Path) -> str:
+    target = work / mutant.path
+    original = target.read_text()
+    target.write_text(original.replace(mutant.old, mutant.new, 1))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "--hypothesis-seed=0", *mutant.tests],
+            cwd=work, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+        )
+    finally:
+        target.write_text(original)
+    # pytest exits 1 when a test failed, 0 when all passed, higher when none could run
+    statuses = {0: "survived", 1: "killed"}
+    return statuses.get(proc.returncode, f"error (pytest exit {proc.returncode})")
+
+
+def main() -> int:
+    start = time.perf_counter()
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, work / name, ignore=skip)
+        shutil.copy2(ROOT / "pyproject.toml", work)
+        for mutant in MUTANTS:
+            if (work / mutant.path).read_text().count(mutant.old) != 1:
+                status = "error (anchor text does not occur exactly once)"
+            else:
+                status = _run(mutant, work)
+            failed += status != "killed"
+            print(f"{status}: {mutant.name}", flush=True)
+    print(
+        f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed "
+        f"in {time.perf_counter() - start:.1f} s"
+    )
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -21,6 +21,7 @@ import treecount.cli
 from treecount import FamilySpec, Multigraph, build, generate_family, parse, serialize
 from treecount.cli import COUNT_METHODS, main
 from treecount.counting import FAMILY_KINDS
+from treecount.fpoly import expand_f, expansion_summary
 
 
 @pytest.fixture
@@ -523,17 +524,41 @@ def test_fpoly_output_is_pinned(capsys, pinned_graph_file):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_fpoly_dump_expands_once(capsys, monkeypatch, figure_one_file):
-    # the summary and the listing are read off one expansion
-    calls = []
-    real = treecount.fpoly.multiply_forms
-    monkeypatch.setattr(
-        treecount.fpoly, "multiply_forms", lambda *a, **k: calls.append(a) or real(*a, **k)
-    )
-    code, out, _ = run(capsys, ["fpoly", figure_one_file, "--dump"])
+@pytest.mark.parametrize("pinned_graph_file", ["figure-one", "wheel-5"], indirect=True)
+def test_fpoly_dump_lists_the_expansion_under_its_summary(capsys, pinned_graph_file):
+    # the header is the one-pass summary, the listing every term of expand_f in order
+    _, path = pinned_graph_file
+    g = parse(Path(path).read_text())
+    summary = expansion_summary(g)
+    code, out, _ = run(capsys, ["fpoly", path, "--dump"])
+    lines = out.splitlines()
     assert code == 0
-    assert len(calls) == 1
-    assert "2:{0,4} 1:{} c:1" in out.splitlines()
+    assert lines[2:6] == [
+        f"terms: {summary.terms} (coefficient sum {summary.coefficient_sum})",
+        f"matching number: {summary.matching_number} (brute force {summary.matching_number})",
+        f"edge cover number: {summary.edge_cover_number} "
+        f"(brute force {summary.edge_cover_number})",
+        "perfect matchings: " + " ".join(
+            "{" + ",".join(map(str, pm)) + "}" for pm in summary.perfect_matchings
+        ),
+    ]
+    assert lines[7:] == [
+        f"2:{{{','.join(map(str, sorted(t.doubled)))}}} "
+        f"1:{{{','.join(map(str, sorted(t.single)))}}} c:{t.coefficient}"
+        for t in expand_f(g)
+    ]
+
+
+def test_fpoly_dump_decodes_no_terms_for_json_or_quiet(capsys, monkeypatch, figure_one_file):
+    # neither the JSON document nor the quiet line lists terms
+    def refuse(*args, **kwargs):
+        raise AssertionError("expand_f called")
+
+    monkeypatch.setattr(treecount.cli, "expand_f", refuse)
+    for flag in ("--json", "--quiet"):
+        expected = run(capsys, ["fpoly", figure_one_file, flag])
+        assert expected[0] == 0
+        assert run(capsys, ["fpoly", figure_one_file, "--dump", flag]) == expected
 
 
 def test_fpoly_budget_exceeded_prints_only_the_message(capsys, tmp_path):

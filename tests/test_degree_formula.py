@@ -142,6 +142,17 @@ def test_tree_shaped_set_gives_the_product_of_its_multiplicities():
     assert _piece(g, 1, {0, 1}).tau_inside == 2
 
 
+def test_zero_pendant_class_value_zeroes_every_set_through_it():
+    # triangle 0-1-2 and a class 2-3 of two edges weighted 2 and -2: every set
+    # holding both 2 and 3 sums to 0, the triangle left after the strip included
+    g = build(4, [(0, 1), (1, 2), (0, 2), (2, 3), (2, 3)])
+    count = degree_formula._tree_counter(g._neighbor_masks, g._class_sums([1, 1, 1, 2, -2]))
+    assert count(0b1111) == 0
+    assert count(0b0111) == 3
+    assert count(0b1100) == 0
+    assert count(0b1000) == 1
+
+
 def test_core_cache_hit_equals_a_fresh_determinant(monkeypatch):
     # K4 on 0..3 with pendant 4 (double edge) off 1 and pendant 5 off 2;
     # {0..4} and {0..3, 5} strip to the same core, counted once
@@ -319,6 +330,17 @@ def test_direct_value_on_disconnected_inputs_probes_zero():
             continue
         for u in range(g.n):
             assert direct_formula_value(g, u) == 0
+
+
+def test_direct_value_with_an_edgeless_vertex_keeps_no_set_through_the_rest():
+    # vertex 3 has no edge: it stays isolated in every remainder, so a walk
+    # rooted elsewhere keeps no set, and one rooted at it keeps only {3}
+    g = build(4, [(0, 1), (1, 2)])
+    count = degree_formula._tree_counter(g._neighbor_masks, g._class_table)
+    for u in range(g.n):
+        assert direct_formula_value(g, u) == 0
+        kept = degree_formula._correction_sets(g, u, g._class_table, count)
+        assert kept == ([(0b1000, 2, 1)] if u == 3 else [])
 
 
 def test_thomassen_bound_values(wheel4, multiwheel4, triangle):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from treecount import RandomSpec, random_multigraph
 from treecount.errors import InvalidSpecError
+from treecount.randgraph import _random_tree_edges
 
 
 def test_exact_counts_and_connectivity():
@@ -37,6 +40,20 @@ def test_unconnected_mode_allows_sparse_graphs():
         RandomSpec(n=6, m=2, parallel_prob=0.0, seed=1, require_connected=False)
     )
     assert g.n == 6 and g.m == 2
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_two_vertices_pinned(m):
+    for seed in range(6):
+        assert random_multigraph(RandomSpec(n=2, m=m, seed=seed)).edges == ((0, 1),) * m
+
+
+def test_two_vertex_tree_draws_nothing():
+    # the empty code sequence decodes to the one edge, with no draw
+    rng = random.Random(7)
+    state = rng.getstate()
+    assert _random_tree_edges(rng, 2) == [(0, 1)]
+    assert rng.getstate() == state
 
 
 def test_single_vertex():
