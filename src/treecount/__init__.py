@@ -58,7 +58,6 @@ from .graph import (
 from .identity import (
     IdentityReport,
     check_identity,
-    check_identity_points,
     f_value,
     identity_lhs,
     identity_rhs,
@@ -84,7 +83,6 @@ __all__ = [
     "build",
     "c_pieces",
     "check_identity",
-    "check_identity_points",
     "closed_form_tau",
     "contract_edge",
     "count_spanning_trees",

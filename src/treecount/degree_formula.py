@@ -61,7 +61,7 @@ from .algebra import bareiss_determinant
 from .counting import (
     _ClassTable, _laplacian_minor, _members, _tree_sum, enumerate_spanning_trees
 )
-from .errors import BudgetExceededError, DisconnectedError
+from .errors import BudgetExceededError, DisconnectedError, EmptyGraphError
 from .graph import Multigraph, _blocks, induced
 
 
@@ -345,6 +345,8 @@ def tau_via_grouped_formula(g: Multigraph, u: int) -> int:
     Multiplies the formula over the blocks of g, each rooted at its vertex
     nearest u.
     """
+    if g.n == 0:
+        raise EmptyGraphError("tau needs at least one vertex")
     if not g.is_connected():
         raise DisconnectedError("grouped formula needs a connected graph")
     g._check_vertex(u)
@@ -390,6 +392,8 @@ def tau_via_direct_formula(g: Multigraph, u: int) -> int:
     Multiplies the formula over the blocks of g, each rooted at its vertex
     nearest u.
     """
+    if g.n == 0:
+        raise EmptyGraphError("tau needs at least one vertex")
     if not g.is_connected():
         raise DisconnectedError("direct formula needs a connected graph")
     g._check_vertex(u)

@@ -103,19 +103,15 @@ def expansion_summary(g: Multigraph, budget: int = DEFAULT_TERM_BUDGET) -> Expan
     poly = _incidence_poly(g, budget)
     if poly is None:
         raise EmptyExpansionError("an isolated vertex makes the expansion empty")
-    return _summarize(poly, g.n)
-
-
-def _summarize(poly: dict[Monomial, int], n: int) -> ExpansionSummary:
     # Each monomial has degree n, so 2|D| + |S| = n for its squared part D
     # and single part S, and its support is n - |D|: nu = n - rho (Gallai's
     # nu + rho = n). Perfect matchings need 2 rho == n, and are then exactly
     # the terms of support rho
     rho = min(map(int.bit_count, poly))
     perfect = []
-    if 2 * rho == n:
+    if 2 * rho == g.n:
         perfect = sorted(_fields(mono) for mono in poly if mono.bit_count() == rho)
-    return ExpansionSummary(len(poly), sum(poly.values()), n - rho, rho, tuple(perfect))
+    return ExpansionSummary(len(poly), sum(poly.values()), g.n - rho, rho, tuple(perfect))
 
 
 def expand_f(g: Multigraph, budget: int = DEFAULT_TERM_BUDGET) -> list[CoverTerm]:
@@ -219,6 +215,7 @@ def brute_force_edge_cover(g: Multigraph) -> int:
             f"brute-force cover guarded at {DEFAULT_MAX_VERTICES} vertices"
         )
     pairs = _distinct_pairs(g)
+    # with no isolated vertex all the pairs together cover, so the loop returns
     for k in range((g.n + 1) // 2, len(pairs) + 1):
         for chosen in combinations(pairs, k):
             covered = set()
@@ -227,5 +224,3 @@ def brute_force_edge_cover(g: Multigraph) -> int:
                 covered.add(b)
             if len(covered) == g.n:
                 return k
-    # unreachable: with no isolated vertex, taking every pair is a cover
-    return len(pairs)

@@ -139,10 +139,6 @@ class Multigraph:
         self._check_vertex(v)
         return tuple(w for w, _ in self._class_table[v])
 
-    def other_end(self, j: int, v: int) -> int:
-        a, b = self.edges[j]
-        return b if v == a else a
-
     def is_connected(self) -> bool:
         """True iff every vertex is reachable from vertex 0; n <= 1 counts as connected."""
         return not self.n or _connected(self._neighbor_masks)

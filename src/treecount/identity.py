@@ -14,9 +14,9 @@ sums kept, once: the weighted tree sum is the Laplacian minor of those
 sums, and the correction is the grouped correction at that class table,
 one walk of the kept vertex sets with its own cache of inside sums, the
 walk `degree` runs (see `degree_formula`). Neither a remainder graph nor
-an induced subgraph is built, and no tree is walked. `check_identity` is
-the one-point case of `check_identity_points`, which checks every point's
-left side and then takes `identity_rhs` point by point.
+an induced subgraph is built, and no tree is walked. `check_identity`
+takes the left side, which checks the point's length and root, before the
+right side; k points are k calls.
 """
 
 from __future__ import annotations
@@ -91,28 +91,15 @@ def identity_rhs(g: Multigraph, u: int, weights: Sequence[int]) -> tuple[int, in
     return tau, _grouped_correction(g, u, links, (1 << g.n) - 1)
 
 
-def check_identity_points(
-    g: Multigraph, u: int, points: Sequence[Sequence[int]]
-) -> list[IdentityReport]:
-    """Evaluate both sides at each weight point and report, never assert.
-
-    Every point's left side is taken, and so checked, before any right side.
-    """
-    lhs = [identity_lhs(g, u, weights) for weights in points]
-    rhs = [identity_rhs(g, u, weights) for weights in points]
-    return [
-        IdentityReport(
-            lhs=left,
-            tau_term=tau_term,
-            nst_sum=nst_sum,
-            holds=left == tau_term + nst_sum,
-            weight_point=tuple(weights),
-            root=u,
-        )
-        for left, (tau_term, nst_sum), weights in zip(lhs, rhs, points)
-    ]
-
-
 def check_identity(g: Multigraph, u: int, weights: Sequence[int]) -> IdentityReport:
     """Evaluate both sides at one weight point and report, never assert."""
-    return check_identity_points(g, u, [weights])[0]
+    lhs = identity_lhs(g, u, weights)
+    tau_term, nst_sum = identity_rhs(g, u, weights)
+    return IdentityReport(
+        lhs=lhs,
+        tau_term=tau_term,
+        nst_sum=nst_sum,
+        holds=lhs == tau_term + nst_sum,
+        weight_point=tuple(weights),
+        root=u,
+    )

@@ -30,6 +30,8 @@ Mutant = namedtuple("Mutant", "name path old new tests")
 
 DF = "src/treecount/degree_formula.py"
 DF_TESTS = "tests/test_degree_formula.py"
+CLI = "src/treecount/cli.py"
+CLI_TESTS = "tests/test_cli.py"
 PROPS = "tests/test_properties.py"
 
 MUTANTS = (
@@ -78,8 +80,8 @@ MUTANTS = (
     Mutant(
         "summary lists least-support terms without the 2 rho == n test",
         "src/treecount/fpoly.py",
-        "    if 2 * rho == n:\n",
-        "    if 2 * rho >= n:\n",
+        "    if 2 * rho == g.n:\n",
+        "    if 2 * rho >= g.n:\n",
         ("tests/test_fpoly.py::test_expansion_summary_small_cases",
          f"{PROPS}::test_expansion_summary_matches_the_term_readers"),
     ),
@@ -101,14 +103,14 @@ MUTANTS = (
     ),
     Mutant(
         "fpoly --dump decodes terms for --json and --quiet",
-        "src/treecount/cli.py",
+        CLI,
         "    if args.dump and not (args.json or args.quiet):\n",
         "    if args.dump:\n",
         ("tests/test_cli.py::test_fpoly_dump_decodes_no_terms_for_json_or_quiet",),
     ),
     Mutant(
         "fpoly --dump lists the terms out of order",
-        "src/treecount/cli.py",
+        CLI,
         "        for t in expand_f(g, budget=args.budget):\n",
         "        for t in reversed(expand_f(g, budget=args.budget)):\n",
         ("tests/test_cli.py::test_fpoly_dump_lists_the_expansion_under_its_summary",),
@@ -154,6 +156,92 @@ MUTANTS = (
         "    edges.append((a, b))\n",
         "    edges.extend([(a, b)] if seq else [])\n",
         ("tests/test_randgraph.py::test_two_vertex_tree_draws_nothing",),
+    ),
+    # the identity report, the degree routes on the empty graph, and the
+    # input guards no other test reaches
+    Mutant(
+        "identity holds when the left side equals the tree sum alone",
+        "src/treecount/identity.py",
+        "        holds=lhs == tau_term + nst_sum,\n",
+        "        holds=lhs == tau_term,\n",
+        ("tests/test_identity.py::test_check_identity_figure_one_random_points",),
+    ),
+    Mutant(
+        "identity walks the right side before it checks the point",
+        "src/treecount/identity.py",
+        "    lhs = identity_lhs(g, u, weights)\n    tau_term, nst_sum = identity_rhs(g, u, weights)\n",
+        "    tau_term, nst_sum = identity_rhs(g, u, weights)\n    lhs = identity_lhs(g, u, weights)\n",
+        ("tests/test_identity.py::test_check_identity_checks_the_point_before_its_walk",),
+    ),
+    Mutant(
+        "grouped formula lets the empty graph through",
+        DF,
+        "    if g.n == 0:\n        raise EmptyGraphError(\"tau needs at least one vertex\")\n"
+        "    if not g.is_connected():\n        raise DisconnectedError(\"grouped",
+        "    if not g.is_connected():\n        raise DisconnectedError(\"grouped",
+        (f"{DF_TESTS}::test_every_route_rejects_the_empty_graph",
+         f"{CLI_TESTS}::test_count_on_the_empty_graph_keeps_one_error_per_route"),
+    ),
+    Mutant(
+        "direct formula lets the empty graph through",
+        DF,
+        "    if g.n == 0:\n        raise EmptyGraphError(\"tau needs at least one vertex\")\n"
+        "    if not g.is_connected():\n        raise DisconnectedError(\"direct",
+        "    if not g.is_connected():\n        raise DisconnectedError(\"direct",
+        (f"{DF_TESTS}::test_every_route_rejects_the_empty_graph",
+         f"{CLI_TESTS}::test_count_on_the_empty_graph_keeps_one_error_per_route"),
+    ),
+    Mutant(
+        "count names a root it does not have",
+        CLI,
+        "            if root is not None:\n                entry[\"root\"] = root\n",
+        "            entry[\"root\"] = root\n",
+        (f"{CLI_TESTS}::test_count_on_the_empty_graph_keeps_one_error_per_route",),
+    ),
+    Mutant(
+        "weights file skips a line that is not an integer",
+        CLI,
+        "            except ValueError:\n                raise ParseError(\n",
+        "            except ValueError:\n                continue\n                raise ParseError(\n",
+        (f"{CLI_TESTS}::test_identity_weights_file_names_its_non_integer_line",),
+    ),
+    Mutant(
+        "bad random weight seed read as 0",
+        CLI,
+        "            raise ParseError(f\"bad random weight seed in {source!r}\") from None\n",
+        "            seed = 0\n",
+        (f"{CLI_TESTS}::test_identity_bad_random_seed_is_parse_error",),
+    ),
+    Mutant(
+        "spanning-tree enumeration lets the empty graph through",
+        "src/treecount/counting.py",
+        "    small graphs; the count grows superexponentially.\n    \"\"\"\n    if g.n == 0:\n",
+        "    small graphs; the count grows superexponentially.\n    \"\"\"\n    if g.n < 0:\n",
+        ("tests/test_counting.py::test_enumeration_rejects_the_empty_graph",),
+    ),
+    Mutant(
+        "family vertex cap off by one",
+        "src/treecount/counting.py",
+        "        if self.vertex_count() > MAX_VERTICES:\n",
+        "        if self.vertex_count() > MAX_VERTICES + 1:\n",
+        ("tests/test_counting.py::test_family_over_the_vertex_cap_names_its_size",
+         f"{CLI_TESTS}::test_family_over_the_vertex_cap_is_one_line"),
+    ),
+    Mutant(
+        "cover search guarded one vertex late",
+        "src/treecount/fpoly.py",
+        "    if g.n > DEFAULT_MAX_VERTICES:\n        raise BudgetExceededError(\n"
+        "            f\"brute-force cover",
+        "    if g.n > DEFAULT_MAX_VERTICES + 1:\n        raise BudgetExceededError(\n"
+        "            f\"brute-force cover",
+        ("tests/test_fpoly.py::test_brute_force_edge_cover_guard",),
+    ),
+    Mutant(
+        "graph equality with another type answers False itself",
+        "src/treecount/graph.py",
+        "            return NotImplemented\n",
+        "            return False\n",
+        ("tests/test_graph.py::test_equality_with_another_type_is_left_to_the_other_side",),
     ),
 )
 

@@ -224,7 +224,7 @@ def outside_degree_product(g, inside):
     for v in range(g.n):
         if v in inside:
             continue
-        d = sum(1 for j in g._incidence[v] if g.other_end(j, v) not in inside)
+        d = sum(1 for j in g._incidence[v] if sum(g.edges[j]) - v not in inside)
         if d == 0:
             return 0
         product *= d
@@ -285,7 +285,7 @@ def pieces_by_choices(g, u, weights=None):
         # who points at whom, then every vertex reached backwards from u
         pointed_by = {v: [] for v in range(g.n)}
         for v, j in zip(others, picks):
-            pointed_by[g.other_end(j, v)].append(v)
+            pointed_by[sum(g.edges[j]) - v].append(v)
         reached = {u}
         stack = [u]
         while stack:

@@ -136,6 +136,22 @@ def test_count_enum_on_the_empty_graph_keeps_its_error_entry(capsys, tmp_path):
     assert entry["error"] == "spanning trees need at least one vertex"
 
 
+def test_count_on_the_empty_graph_keeps_one_error_per_route(capsys, tmp_path):
+    # every route raises the same error type itself; no degree entry names a root
+    path = tmp_path / "empty.graph"
+    path.write_text("n 0\n")
+    code, out, _ = run(capsys, ["count", str(path), "--json"])
+    assert code == 0
+    methods = json.loads(out)["methods"]
+    assert {name: (entry.keys(), entry["error"]) for name, entry in methods.items()} == {
+        "matrix-tree": ({"error", "ms"}, "tau needs at least one vertex"),
+        "del-con": ({"error", "ms"}, "tau needs at least one vertex"),
+        "enum": ({"error", "ms"}, "spanning trees need at least one vertex"),
+        "degree": ({"error", "ms"}, "tau needs at least one vertex"),
+        "degree-direct": ({"error", "ms"}, "tau needs at least one vertex"),
+    }
+
+
 def test_count_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.graph"
     bad.write_text("nonsense\n")
@@ -363,6 +379,20 @@ def test_identity_weights_and_weights_file_are_exclusive(capsys, figure_one_file
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --weights-file: not allowed with argument --weights" in captured.err
+
+
+def test_identity_weights_file_names_its_non_integer_line(capsys, figure_one_file, tmp_path):
+    wfile = tmp_path / "w.txt"
+    wfile.write_text("# weights\n1\n1\n1\nx\n1\n1\n1\n")
+    code, out, err = run(capsys, ["identity", figure_one_file, "--weights-file", str(wfile)])
+    assert (code, out) == (2, "")
+    assert err == f"treecount identity: parse error: {wfile}:5: not an integer: 'x'\n"
+
+
+def test_identity_bad_random_seed_is_parse_error(capsys, figure_one_file):
+    code, out, err = run(capsys, ["identity", figure_one_file, "--weights", "random:x"])
+    assert (code, out) == (2, "")
+    assert err == "treecount identity: parse error: bad random weight seed in 'random:x'\n"
 
 
 def test_identity_missing_weights_file_is_parse_error(capsys, figure_one_file, tmp_path):
@@ -920,6 +950,12 @@ def test_family_hypercube_beyond_the_vertex_cap_is_one_line(capsys):
         code, out, err = run(capsys, ["family", "hypercube", d])
         assert (code, out) == (1, "")
         assert err == f"treecount family: family would have 2^{d} vertices, maximum is 64\n"
+
+
+def test_family_over_the_vertex_cap_is_one_line(capsys):
+    code, out, err = run(capsys, ["family", "complete", "65"])
+    assert (code, out) == (1, "")
+    assert err == "treecount family: family would have 65 vertices, maximum is 64\n"
 
 
 def test_budget_errors_in_verify_are_one_line(capsys):

@@ -277,6 +277,12 @@ def test_enumeration_disconnected_is_empty():
     assert list(enumerate_spanning_trees(build(3, [(0, 1)]))) == []
 
 
+def test_enumeration_rejects_the_empty_graph():
+    trees = enumerate_spanning_trees(Multigraph(0))
+    with pytest.raises(EmptyGraphError, match="^spanning trees need at least one vertex$"):
+        next(trees)
+
+
 def test_enumeration_single_vertex():
     assert list(enumerate_spanning_trees(build(1, []))) == [frozenset()]
 
@@ -394,6 +400,11 @@ def test_multipartite_shape():
 def test_invalid_family_specs(kind, sizes):
     with pytest.raises(InvalidSpecError):
         FamilySpec(kind, sizes)
+
+
+def test_family_over_the_vertex_cap_names_its_size():
+    with pytest.raises(InvalidSpecError, match="^family would have 65 vertices, maximum is 64$"):
+        FamilySpec("complete", (65,))
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,8 @@ from treecount import (
     brute_force_matching,
     build,
     c_pieces,
-    check_identity_points,
+    check_identity,
+    count_spanning_trees,
     direct_formula_value,
     enumerate_connected_sets,
     enumerate_nst,
@@ -30,12 +31,18 @@ from treecount import (
     generate_family,
     identity_rhs,
     induced,
+    tau_deletion_contraction,
     tau_matrix_tree,
     tau_via_direct_formula,
     tau_via_grouped_formula,
     thomassen_bound,
 )
-from treecount.errors import BudgetExceededError, DisconnectedError, VertexOutOfRangeError
+from treecount.errors import (
+    BudgetExceededError,
+    DisconnectedError,
+    EmptyGraphError,
+    VertexOutOfRangeError,
+)
 
 
 def test_connected_sets_along_a_path(path3):
@@ -91,6 +98,25 @@ def test_c_pieces_multiwheel(multiwheel4):
         by_size.setdefault(len(p.vertices), set()).add(p.tau_inside)
     assert by_size[2] == {2}
     assert by_size[3] == {8}
+
+
+@pytest.mark.parametrize(
+    "route, message",
+    [
+        (tau_matrix_tree, "tau needs at least one vertex"),
+        (tau_deletion_contraction, "tau needs at least one vertex"),
+        (count_spanning_trees, "spanning trees need at least one vertex"),
+        (lambda g: tau_via_grouped_formula(g, 0), "tau needs at least one vertex"),
+        (lambda g: tau_via_grouped_formula(g, None), "tau needs at least one vertex"),
+        (lambda g: tau_via_direct_formula(g, 0), "tau needs at least one vertex"),
+        (lambda g: tau_via_direct_formula(g, None), "tau needs at least one vertex"),
+    ],
+    ids=["matrix-tree", "del-con", "enum", "grouped", "grouped-no-root", "direct", "direct-no-root"],
+)
+def test_every_route_rejects_the_empty_graph(route, message):
+    # the empty graph counts as connected, so the degree routes test for it first
+    with pytest.raises(EmptyGraphError, match=f"^{message}$"):
+        route(Multigraph(0))
 
 
 def test_c_pieces_two_vertices_is_empty():
@@ -517,7 +543,9 @@ def test_set_budget_holds_per_block_walk(monkeypatch):
     [
         lambda g: tau_via_grouped_formula(g, 0),
         lambda g: tau_via_direct_formula(g, 0),
-        lambda g: check_identity_points(g, 0, [[1] * g.m, [j % 3 - 1 for j in range(g.m)]]),
+        lambda g: [
+            check_identity(g, 0, w) for w in ([1] * g.m, [j % 3 - 1 for j in range(g.m)])
+        ],
         lambda g: list(enumerate_connected_sets(g, 0, g.n)),
         lambda g: list(enumerate_spanning_trees(g)),
         brute_force_matching,

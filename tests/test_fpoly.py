@@ -248,6 +248,11 @@ def test_brute_force_edge_cover_values(path3):
     assert brute_force_edge_cover(Multigraph(0)) == 0
 
 
+def test_brute_force_edge_cover_guard():
+    with pytest.raises(BudgetExceededError, match="^brute-force cover guarded at 14 vertices$"):
+        brute_force_edge_cover(cycle(15))
+
+
 def test_brute_force_edge_cover_rejects_isolated_vertex():
     with pytest.raises(IsolatedVertexError):
         brute_force_edge_cover(build(3, [(0, 1)]))

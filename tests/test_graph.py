@@ -30,6 +30,12 @@ def test_build_figure_one_shape(figure_one):
     assert figure_one.edges == ((0, 1), (1, 2), (0, 2), (0, 2), (2, 3), (0, 3))
 
 
+def test_equality_with_another_type_is_left_to_the_other_side(figure_one):
+    pair = (figure_one.n, figure_one.edges)
+    assert figure_one.__eq__(pair) is NotImplemented
+    assert not figure_one == pair
+
+
 def test_build_single_vertex():
     g = build(1, [])
     assert g.n == 1 and g.m == 0

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import treecount.degree_formula
+import treecount.identity
 from conftest import seeded_suite
 from oracles import evaluate_poly, identity_rhs_by_subtrees
 from treecount import (
@@ -12,7 +13,6 @@ from treecount import (
     SubTree,
     build,
     check_identity,
-    check_identity_points,
     direct_formula_value,
     f_value,
     identity_lhs,
@@ -221,13 +221,13 @@ def test_identity_counts_only_uncarried_sets_at_every_point(monkeypatch, figure_
     kept = _correction_sets(figure_one, 3, figure_one._class_table, count)
     assert [s for s, _, _ in kept] == [0b1000, 0b1001, 0b1100]
     calls = _count_tree_calls(monkeypatch)
-    reports = check_identity_points(figure_one, 3, [[1] * 6, [2, 3, 4, 5, 6, 7]])
+    reports = [check_identity(figure_one, 3, w) for w in ([1] * 6, [2, 3, 4, 5, 6, 7])]
     assert all(r.holds for r in reports)
     assert calls == [[], []]
     calls.clear()
     # rooted at the hub 4, the four rim-hub triangles close a cycle
     points = [[1] * 8, [2, 3, 4, 5, 6, 7, 8, 9]]
-    reports = check_identity_points(wheel4, 4, points)
+    reports = [check_identity(wheel4, 4, w) for w in points]
     assert all(r.holds for r in reports)
     assert [(r.tau_term, r.nst_sum) for r in reports] == [
         identity_rhs_by_subtrees(wheel4, 4, w) for w in points
@@ -242,33 +242,23 @@ def test_identity_carries_a_set_whose_remainder_vanishes_at_one_point_only(monke
     # neither counts a set
     g = build(4, [(0, 1), (1, 2), (2, 3), (2, 3)])
     calls = _count_tree_calls(monkeypatch)
-    reports = check_identity_points(g, 0, [[7, 11, 5, -5], [7, 11, 5, 5]])
+    points = ([7, 11, 5, -5], [7, 11, 5, 5])
+    reports = [check_identity(g, 0, w) for w in points]
     assert [(r.tau_term, r.nst_sum) for r in reports] == [
-        identity_rhs_by_subtrees(g, 0, w) for w in ([7, 11, 5, -5], [7, 11, 5, 5])
+        identity_rhs_by_subtrees(g, 0, w) for w in points
     ]
     assert calls == [[], []]
 
 
-def test_check_identity_points_equals_one_point_at_a_time(figure_one, multiwheel4):
-    # every point has its own class sums and core cache: a core counted at
-    # one point is never reused at another
-    rng = random.Random(8080)
-    suite = seeded_suite(20, seed=1357, max_n=8, max_m=14, parallel_prob=0.5)
-    for g in [figure_one, multiwheel4] + suite:
-        u = rng.randrange(g.n)
-        points = [
-            [rng.choice([0, 1, -1, rng.randint(-50, 50)]) for _ in range(g.m)]
-            for _ in range(rng.randint(1, 4))
-        ]
-        assert check_identity_points(g, u, points) == [check_identity(g, u, w) for w in points]
+def test_check_identity_checks_the_point_before_its_walk(monkeypatch, figure_one):
+    def walk(g, u, weights):
+        raise AssertionError("the walk ran on a point its left side rejects")
 
-
-def test_check_identity_points_checks_every_point_first(figure_one):
-    assert check_identity_points(figure_one, 3, []) == []
+    monkeypatch.setattr(treecount.identity, "identity_rhs", walk)
     with pytest.raises(LengthMismatchError, match="expected 6 weights, got 5"):
-        check_identity_points(figure_one, 3, [[1] * 6, [1] * 5])
+        check_identity(figure_one, 3, [1] * 5)
     with pytest.raises(VertexOutOfRangeError):
-        check_identity_points(figure_one, 4, [[1] * 6])
+        check_identity(figure_one, 4, [1] * 6)
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ from treecount import (
     build,
     c_pieces,
     check_identity,
-    check_identity_points,
     contract_edge,
     count_spanning_trees,
     delete_vertices,
@@ -424,10 +423,10 @@ def test_identity_rhs_matches_the_per_subtree_route(case):
 # cancel (5 and -5) while 3 and 4 stay covered by the 3-4 edge
 @example((build(5, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 4), (0, 3)]), 0, [[2, 3, 5, -5, 7, 1], [1] * 6]))
 def test_identity_points_match_the_subtree_and_tree_walk_routes(case):
-    # one set walk for every point against two routes taken one point at a
-    # time: per subtree, and each kept set's trees walked on its class sums
+    # each point's set walk against two routes: per subtree, and each kept
+    # set's trees walked on its class sums
     g, u, points = case
-    reports = check_identity_points(g, u, points)
+    reports = [check_identity(g, u, w) for w in points]
     assert [r.weight_point for r in reports] == [tuple(w) for w in points]
     for report, w in zip(reports, points):
         assert (report.tau_term, report.nst_sum) == identity_rhs_by_subtrees(g, u, w)
