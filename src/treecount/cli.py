@@ -23,7 +23,6 @@ import json
 import math
 import random
 import sys
-import time
 from collections.abc import Iterator, Sequence
 
 from .algebra import DEFAULT_TERM_BUDGET
@@ -182,7 +181,6 @@ def _require_root(g: Multigraph) -> None:
 
 def _run_method(name: str, g: Multigraph, root: int | None) -> dict:
     entry: dict = {}
-    start = time.perf_counter()
     try:
         if name == "matrix-tree":
             entry["value"] = tau_matrix_tree(g)
@@ -199,7 +197,6 @@ def _run_method(name: str, g: Multigraph, root: int | None) -> dict:
                 entry["value"] = tau_via_direct_formula(g, root)
     except TreecountError as exc:
         entry["error"] = str(exc)
-    entry["ms"] = round((time.perf_counter() - start) * 1000, 3)
     return entry
 
 
@@ -227,7 +224,7 @@ def cmd_count(args: argparse.Namespace) -> _Report:
         entry = methods[name]
         if "value" in entry:
             extra = f"  root={entry['root']}" if "root" in entry else ""
-            lines.append(f"{name:<14} {entry['value']}   {entry['ms']} ms{extra}")
+            lines.append(f"{name:<14} {entry['value']}{extra}")
             quiet_lines.append(f"{name} {entry['value']}")
         else:
             lines.append(f"{name:<14} error: {entry['error']}")

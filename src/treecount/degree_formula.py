@@ -302,11 +302,8 @@ def thomassen_bound(g: Multigraph, u: int) -> int:
     Always an upper bound for the spanning-tree count.
     """
     g._check_vertex(u)
-    bound = 1
-    for v in range(g.n):
-        if v != u:
-            bound *= g.degree(v)
-    return bound
+    degrees = g.degrees()
+    return math.prod(degrees[:u] + degrees[u + 1 :])
 
 
 def best_thomassen_bound(g: Multigraph) -> tuple[int, int]:
@@ -339,17 +336,23 @@ def _block_product(
     return value
 
 
+def _require_tau_input(g: Multigraph, u: int, route: str) -> None:
+    # the entry checks of both tau degree routes; `route` names the formula
+    # in the connectivity error
+    if g.n == 0:
+        raise EmptyGraphError("tau needs at least one vertex")
+    if not g.is_connected():
+        raise DisconnectedError(f"{route} formula needs a connected graph")
+    g._check_vertex(u)
+
+
 def tau_via_grouped_formula(g: Multigraph, u: int) -> int:
     """Spanning-tree count from degrees, correction grouped by vertex set.
 
     Multiplies the formula over the blocks of g, each rooted at its vertex
     nearest u.
     """
-    if g.n == 0:
-        raise EmptyGraphError("tau needs at least one vertex")
-    if not g.is_connected():
-        raise DisconnectedError("grouped formula needs a connected graph")
-    g._check_vertex(u)
+    _require_tau_input(g, u, "grouped")
     return _block_product(g, u, _grouped_correction)
 
 
@@ -392,9 +395,5 @@ def tau_via_direct_formula(g: Multigraph, u: int) -> int:
     Multiplies the formula over the blocks of g, each rooted at its vertex
     nearest u.
     """
-    if g.n == 0:
-        raise EmptyGraphError("tau needs at least one vertex")
-    if not g.is_connected():
-        raise DisconnectedError("direct formula needs a connected graph")
-    g._check_vertex(u)
+    _require_tau_input(g, u, "direct")
     return _block_product(g, u, _tree_correction)

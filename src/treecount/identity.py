@@ -21,6 +21,7 @@ right side; k points are k calls.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from collections.abc import Sequence
 
@@ -36,17 +37,21 @@ class IdentityReport(namedtuple("IdentityReport", "lhs tau_term nst_sum holds we
     __slots__ = ()
 
 
+def _weight_sums(g: Multigraph, weights: Sequence[int]) -> list[int]:
+    # each vertex's incident weight sum, added up edge by edge from the raw
+    # weights: the left side reads no class table, so a fault in the one
+    # `identity_rhs` reads breaks the identity instead of cancelling out
+    if len(weights) != g.m:
+        raise LengthMismatchError(f"expected {g.m} weights, got {len(weights)}")
+    return [sum(weights[j] for j in edges) for edges in g._incidence]
+
+
 def f_value(g: Multigraph, weights: Sequence[int]) -> int:
     """Product over all vertices of the sum of incident edge weights.
 
     The empty graph gives 1; any isolated vertex forces 0.
     """
-    if len(weights) != g.m:
-        raise LengthMismatchError(f"expected {g.m} weights, got {len(weights)}")
-    product = 1
-    for v in range(g.n):
-        product *= sum(weights[j] for j in g._incidence[v])
-    return product
+    return math.prod(_weight_sums(g, weights))
 
 
 def tree_weight(t: SubTree, weights: Sequence[int]) -> int:
@@ -64,13 +69,8 @@ def tree_weight(t: SubTree, weights: Sequence[int]) -> int:
 def identity_lhs(g: Multigraph, u: int, weights: Sequence[int]) -> int:
     """Product over vertices other than u of their incident weight sums."""
     g._check_vertex(u)
-    if len(weights) != g.m:
-        raise LengthMismatchError(f"expected {g.m} weights, got {len(weights)}")
-    product = 1
-    for v in range(g.n):
-        if v != u:
-            product *= sum(weights[j] for j in g._incidence[v])
-    return product
+    sums = _weight_sums(g, weights)
+    return math.prod(sums[:u] + sums[u + 1 :])
 
 
 def identity_rhs(g: Multigraph, u: int, weights: Sequence[int]) -> tuple[int, int]:

@@ -174,22 +174,23 @@ MUTANTS = (
         ("tests/test_identity.py::test_check_identity_checks_the_point_before_its_walk",),
     ),
     Mutant(
-        "grouped formula lets the empty graph through",
+        "degree routes let the empty graph through",
         DF,
         "    if g.n == 0:\n        raise EmptyGraphError(\"tau needs at least one vertex\")\n"
-        "    if not g.is_connected():\n        raise DisconnectedError(\"grouped",
-        "    if not g.is_connected():\n        raise DisconnectedError(\"grouped",
+        "    if not g.is_connected():\n        raise DisconnectedError(f\"{route}",
+        "    if not g.is_connected():\n        raise DisconnectedError(f\"{route}",
         (f"{DF_TESTS}::test_every_route_rejects_the_empty_graph",
          f"{CLI_TESTS}::test_count_on_the_empty_graph_keeps_one_error_per_route"),
     ),
     Mutant(
-        "direct formula lets the empty graph through",
-        DF,
-        "    if g.n == 0:\n        raise EmptyGraphError(\"tau needs at least one vertex\")\n"
-        "    if not g.is_connected():\n        raise DisconnectedError(\"direct",
-        "    if not g.is_connected():\n        raise DisconnectedError(\"direct",
-        (f"{DF_TESTS}::test_every_route_rejects_the_empty_graph",
-         f"{CLI_TESTS}::test_count_on_the_empty_graph_keeps_one_error_per_route"),
+        "incident weight sums skip the length check",
+        "src/treecount/identity.py",
+        "    if len(weights) != g.m:\n"
+        "        raise LengthMismatchError(f\"expected {g.m} weights, got {len(weights)}\")\n"
+        "    return [sum(",
+        "    return [sum(",
+        ("tests/test_identity.py::test_f_value_rejects_bad_length",
+         "tests/test_identity.py::test_check_identity_checks_the_point_before_its_walk"),
     ),
     Mutant(
         "count names a root it does not have",

@@ -224,6 +224,9 @@ def test_criterion_8_determinism(capsys, tmp_path):
         ["verify", "--n", "5", "--m", "8", "--trials", "4", "--seed", "99", "--json"],
         ["identity", str(graph_file), "--weights", "random:21", "--trials", "4"],
         ["fpoly", str(graph_file), "--dump"],
+        ["count", str(graph_file)],
+        ["count", str(graph_file), "--json"],
+        ["bound", str(graph_file)],
     ]
     ok = True
     for argv in argv_sets:

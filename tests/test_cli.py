@@ -6,7 +6,6 @@ import hashlib
 import io
 import json
 import os
-import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -83,11 +82,7 @@ def test_count_single_method_with_root(capsys, tmp_path):
     code, out, _ = run(capsys, ["count", str(path), "--method", "degree", "--root", "5", "--json"])
     assert code == 0
     doc = json.loads(out)
-    assert doc["methods"]["degree"] == {
-        "value": 722,
-        "root": 5,
-        "ms": doc["methods"]["degree"]["ms"],
-    }
+    assert doc["methods"]["degree"] == {"value": 722, "root": 5}
 
 
 def test_count_disconnected_reports_errors_honestly(capsys, disconnected_file):
@@ -132,7 +127,7 @@ def test_count_enum_on_the_empty_graph_keeps_its_error_entry(capsys, tmp_path):
     code, out, _ = run(capsys, ["count", str(path), "--method", "enum", "--json"])
     assert code == 0
     entry = json.loads(out)["methods"]["enum"]
-    assert entry.keys() == {"error", "ms"}
+    assert entry.keys() == {"error"}
     assert entry["error"] == "spanning trees need at least one vertex"
 
 
@@ -144,11 +139,11 @@ def test_count_on_the_empty_graph_keeps_one_error_per_route(capsys, tmp_path):
     assert code == 0
     methods = json.loads(out)["methods"]
     assert {name: (entry.keys(), entry["error"]) for name, entry in methods.items()} == {
-        "matrix-tree": ({"error", "ms"}, "tau needs at least one vertex"),
-        "del-con": ({"error", "ms"}, "tau needs at least one vertex"),
-        "enum": ({"error", "ms"}, "spanning trees need at least one vertex"),
-        "degree": ({"error", "ms"}, "tau needs at least one vertex"),
-        "degree-direct": ({"error", "ms"}, "tau needs at least one vertex"),
+        "matrix-tree": ({"error"}, "tau needs at least one vertex"),
+        "del-con": ({"error"}, "tau needs at least one vertex"),
+        "enum": ({"error"}, "spanning trees need at least one vertex"),
+        "degree": ({"error"}, "tau needs at least one vertex"),
+        "degree-direct": ({"error"}, "tau needs at least one vertex"),
     }
 
 
@@ -779,30 +774,22 @@ def test_quiet_mode_is_terse(capsys, wheel4_file):
     assert "thomassen" not in out
 
 
-# exact outputs of the other commands in every mode; `count`'s timings are
-# masked, since they are the only part that changes between runs
-def _mask_ms(text):
-    return re.sub(r'(?<="ms": )[0-9.e-]+|[0-9.]+(?= ms)', "X", text)
-
-
 COUNT_OUT = {
     (): (
         "graph: n=5 m=8 connected=yes\n"
-        "matrix-tree    45   X ms\n"
-        "del-con        45   X ms\n"
-        "degree         45   X ms  root=4\n"
-        "degree-direct  45   X ms  root=4\n"
-        "enum           45   X ms\n"
+        "matrix-tree    45\n"
+        "del-con        45\n"
+        "degree         45  root=4\n"
+        "degree-direct  45  root=4\n"
+        "enum           45\n"
         "agreement: yes\n"
         "thomassen: root=4 bound=81\n"
     ),
     ("--json",): (
         '{"agreement": true, "bound": {"root": 4, "value": 81}, '
         '"graph": {"connected": true, "m": 8, "n": 5}, "methods": {'
-        '"degree": {"ms": X, "root": 4, "value": 45}, '
-        '"degree-direct": {"ms": X, "root": 4, "value": 45}, '
-        '"del-con": {"ms": X, "value": 45}, "enum": {"ms": X, "value": 45}, '
-        '"matrix-tree": {"ms": X, "value": 45}}}\n'
+        '"degree": {"root": 4, "value": 45}, "degree-direct": {"root": 4, "value": 45}, '
+        '"del-con": {"value": 45}, "enum": {"value": 45}, "matrix-tree": {"value": 45}}}\n'
     ),
     ("--quiet",): "matrix-tree 45\ndel-con 45\ndegree 45\ndegree-direct 45\nenum 45\n",
 }
@@ -868,8 +855,7 @@ VERIFY_OUT = {
 
 @pytest.mark.parametrize("mode", [(), ("--json",), ("--quiet",)])
 def test_command_outputs_are_pinned(capsys, wheel4_file, figure_one_file, tmp_path, mode):
-    code, out, err = run(capsys, ["count", wheel4_file, *mode])
-    assert (code, _mask_ms(out), err) == (0, COUNT_OUT[mode], "")
+    assert run(capsys, ["count", wheel4_file, *mode]) == (0, COUNT_OUT[mode], "")
     assert run(capsys, ["bound", wheel4_file, *mode]) == (0, BOUND_OUT[mode], "")
     argv = ["identity", figure_one_file, "--weights", "random:3", "--trials", "2", *mode]
     assert run(capsys, argv) == (0, IDENTITY_OUT[mode], "")
