@@ -71,7 +71,18 @@ EXIT_VIOLATION = 3
 ENUM_VERTEX_CAP = 12
 FPOLY_VERIFY_CAP = 10
 
-COUNT_METHODS = ("matrix-tree", "del-con", "degree", "degree-direct", "enum")
+# each `count` method's route, a function of (graph, root); each looks its
+# counter up in this module's globals when it runs
+_ROUTES = {
+    "matrix-tree": lambda g, root: tau_matrix_tree(g),
+    "del-con": lambda g, root: tau_deletion_contraction(g),
+    "degree": lambda g, root: tau_via_grouped_formula(g, root),
+    "degree-direct": lambda g, root: tau_via_direct_formula(g, root),
+    "enum": lambda g, root: count_spanning_trees(g),
+}
+COUNT_METHODS = tuple(_ROUTES)
+# the routes that read the root
+_DEGREE_METHODS = ("degree", "degree-direct")
 
 
 # what a command returns for `main` to render: exit code, JSON document, text
@@ -181,20 +192,10 @@ def _require_root(g: Multigraph) -> None:
 
 def _run_method(name: str, g: Multigraph, root: int | None) -> dict:
     entry: dict = {}
+    if name in _DEGREE_METHODS and root is not None:
+        entry["root"] = root
     try:
-        if name == "matrix-tree":
-            entry["value"] = tau_matrix_tree(g)
-        elif name == "del-con":
-            entry["value"] = tau_deletion_contraction(g)
-        elif name == "enum":
-            entry["value"] = count_spanning_trees(g)
-        else:
-            if root is not None:
-                entry["root"] = root
-            if name == "degree":
-                entry["value"] = tau_via_grouped_formula(g, root)
-            else:
-                entry["value"] = tau_via_direct_formula(g, root)
+        entry["value"] = _ROUTES[name](g, root)
     except TreecountError as exc:
         entry["error"] = str(exc)
     return entry
@@ -269,11 +270,8 @@ def cmd_family(args: argparse.Namespace) -> _Report:
 
 def _method_values(g: Multigraph, root: int | None) -> dict[str, int]:
     # tau by every route that applies; a disconnected graph gets no degree root
-    values = {
-        "matrix-tree": tau_matrix_tree(g),
-        "del-con": tau_deletion_contraction(g),
-        "del-con-alt": tau_deletion_contraction(g, "first-edge"),
-    }
+    values = {name: _ROUTES[name](g, root) for name in ("matrix-tree", "del-con")}
+    values["del-con-alt"] = tau_deletion_contraction(g, "first-edge")
     if g.n <= ENUM_VERTEX_CAP:
         # beside the class walk of `count --method enum`, the reference walk
         # builds one edge set per tree, so it is held to the tree budget
@@ -283,10 +281,10 @@ def _method_values(g: Multigraph, root: int | None) -> dict[str, int]:
                 f"the walk would visit {values['matrix-tree']} trees"
             )
         values["enum"] = sum(1 for _ in enumerate_spanning_trees(g))
-        values["enum-classes"] = count_spanning_trees(g)
+        values["enum-classes"] = _ROUTES["enum"](g, root)
     if root is not None:
-        values["degree"] = tau_via_grouped_formula(g, root)
-        values["degree-direct"] = tau_via_direct_formula(g, root)
+        for name in _DEGREE_METHODS:
+            values[name] = _ROUTES[name](g, root)
     return values
 
 

@@ -10,10 +10,12 @@ count tau, class weight sums give the weighted tree sum. `_laplacian_minor`
 builds any vertex set's minor from it; `_tree_sum` walks the spanning trees
 of the simple graph underlying a vertex set, one class per edge, over int
 masks (bit v for vertex v, one bit per class), each tree contributing the
-product of its class values (a class valued 0 is skipped). The grouped
-formula and the identity take their leafless cores' minors, the direct
-formula the tree sums of the sets its walk cannot carry. Enumeration walks the whole graph, once the simple graph's
-minor shows at most ENUM_TREE_BUDGET trees to visit. Delete/contract and
+product of its class values (a class valued 0 is skipped). The degree
+routes count the leafless core of each set their walk cannot carry with
+one of the two: the grouped formula and the identity by its minor's
+determinant (`_minor_det`), the direct formula by walking its trees.
+Enumeration walks the whole graph, once the simple graph's minor shows at
+most ENUM_TREE_BUDGET trees to visit. Delete/contract and
 `enumerate_spanning_trees`, the public reference walk with one edge-index
 set per tree, read the edges instead, so a fault in the table shows up as
 a disagreement between methods.
@@ -71,11 +73,16 @@ def _laplacian_minor(s: int, links: _ClassTable) -> list[list[int]]:
     return minor
 
 
+def _minor_det(s: int, links: _ClassTable) -> int:
+    # G[S]'s tree sum over `links`: its Laplacian minor's determinant
+    return bareiss_determinant(_laplacian_minor(s, links))
+
+
 def _spanning_minor_det(g: Multigraph, links: _ClassTable) -> int:
-    # g's tree sum over `links`: the Laplacian minor's determinant
+    # g's tree sum over `links`
     if g.n == 0:
         raise EmptyGraphError("tau needs at least one vertex")
-    return bareiss_determinant(_laplacian_minor((1 << g.n) - 1, links))
+    return _minor_det((1 << g.n) - 1, links)
 
 
 def tau_matrix_tree(g: Multigraph) -> int:

@@ -26,16 +26,16 @@ cut. More than CORRECTION_SET_BUDGET sets in one walk is a budget error.
 It also carries G[S]'s tree sum: a vertex joining S at one distinct
 neighbour lies on that class in every tree, so the sum is the parent's
 times the class value, and only a set whose last vertex closed a cycle, or
-whose parent's sum was never taken, is counted afresh. The grouped form
-counts it with a memoized counter, without building a subgraph: it strips
-one vertex with a single neighbour inside the set at a time, multiplying by
-its class value, and takes a Laplacian minor of the leafless core left
-over, once per core within one call. One routine takes that correction
-at one class table: at the multiplicities it is the grouped count, at a
-weight point's class sums the identity's subtree sums, each point its own
-walk. The direct form, the one route here without a determinant, counts a
-set afresh by walking its spanning trees one parallel class per step
-(`counting._tree_sum`).
+whose parent's sum was never taken, is counted afresh. Every route counts
+it with one memoized counter, without building a subgraph: it strips one
+vertex with a single neighbour inside the set at a time, multiplying by
+its class value, and counts the leafless core left over once per call.
+The routes differ only in that core counter. The grouped form and the
+identity take the core's Laplacian minor (`counting._minor_det`), at the
+multiplicities for the grouped count and at a weight point's class sums
+for the identity's subtree sums, each point its own walk. The direct form,
+the one route here without a determinant, walks the core's spanning trees
+one parallel class per step (`counting._tree_sum`).
 `enumerate_connected_sets` and `enumerate_nst` remain the public reference
 walks.
 
@@ -57,10 +57,7 @@ import math
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
 
-from .algebra import bareiss_determinant
-from .counting import (
-    _ClassTable, _laplacian_minor, _members, _tree_sum, enumerate_spanning_trees
-)
+from .counting import _ClassTable, _members, _minor_det, _tree_sum, enumerate_spanning_trees
 from .errors import BudgetExceededError, DisconnectedError, EmptyGraphError
 from .graph import Multigraph, _blocks, induced
 
@@ -233,12 +230,17 @@ def _correction_sets(
     return sets
 
 
-def _tree_counter(nbr: Sequence[int], links: _ClassTable) -> Callable[[int], int]:
+# counts the tree sum over a class table inside a leafless vertex mask:
+# `_minor_det` by a determinant, `_tree_sum` tree by tree
+_Core = Callable[[int, _ClassTable], int]
+
+
+def _tree_counter(nbr: Sequence[int], links: _ClassTable, core: _Core) -> Callable[[int], int]:
     # G[S]'s tree sum over `links` for a vertex mask S (tau(G[S]) for
     # multiplicities), memoized per mask. A vertex with one distinct
     # neighbour inside S lies on that class in every tree, so it goes and
-    # its class value multiplies; a set with none gets its Laplacian minor,
-    # so each leafless core takes one determinant per counter. A lone vertex
+    # its class value multiplies; a set with none is counted by
+    # `core(S, links)`, once per leafless core per counter. A lone vertex
     # gives 1, and a larger set with an isolated vertex 0.
     memo: dict[int, int] = {}
 
@@ -256,7 +258,7 @@ def _tree_counter(nbr: Sequence[int], links: _ClassTable) -> Callable[[int], int
                 if not inner & (inner - 1):
                     break
             else:
-                value = bareiss_determinant(_laplacian_minor(s, links))
+                value = core(s, links)
                 break
             if not inner:
                 value = 0 if s ^ low else 1
@@ -275,11 +277,11 @@ def _tree_counter(nbr: Sequence[int], links: _ClassTable) -> Callable[[int], int
     return count
 
 
-def _grouped_correction(g: Multigraph, u: int, links: _ClassTable, within: int) -> int:
-    # The grouped correction over `links` (multiplicities, or one weight
-    # point's class sums) inside `within`: a tree sum the walk does not carry
-    # comes from a memoized counter, one determinant per leafless core
-    return _correction_walk(g, u, links, within, _tree_counter(g._neighbor_masks, links))
+def _correction(g: Multigraph, u: int, links: _ClassTable, within: int, core: _Core) -> int:
+    # The correction over `links` (multiplicities, or one weight point's
+    # class sums) inside `within`: a tree sum the walk does not carry comes
+    # from a memoized counter whose leafless cores `core` counts
+    return _correction_walk(g, u, links, within, _tree_counter(g._neighbor_masks, links, core))
 
 
 def c_pieces(g: Multigraph, u: int) -> Iterator[InducedPiece]:
@@ -292,7 +294,8 @@ def c_pieces(g: Multigraph, u: int) -> Iterator[InducedPiece]:
         raise DisconnectedError("grouped formula needs a connected graph")
     g._check_vertex(u)
     links = g._class_table
-    for s, outside, tree in _correction_sets(g, u, links, _tree_counter(g._neighbor_masks, links)):
+    count = _tree_counter(g._neighbor_masks, links, _minor_det)
+    for s, outside, tree in _correction_sets(g, u, links, count):
         yield InducedPiece(frozenset(_members(s)), tree, outside)
 
 
@@ -320,19 +323,17 @@ def best_thomassen_bound(g: Multigraph) -> tuple[int, int]:
     return best_u, best
 
 
-def _block_product(
-    g: Multigraph, u: int, correction: Callable[[Multigraph, int, _ClassTable, int], int]
-) -> int:
+def _block_product(g: Multigraph, u: int, core: _Core) -> int:
     # tau(G) as the product over G's blocks, each at its vertex nearest u,
     # walked on g inside its mask with only its own classes: its row sums'
-    # product off the root, less `correction(g, root, classes, block)`
+    # product off the root, less its correction, whose cores `core` counts
     value = 1
     for block, root in _blocks(g._neighbor_masks, u):
         links: list[tuple[tuple[int, int], ...]] = [()] * g.n
         for v in _members(block):
             links[v] = tuple(pair for pair in g._class_table[v] if block >> pair[0] & 1)
         bound = math.prod(sum(c for _, c in links[v]) for v in _members(block ^ 1 << root))
-        value *= bound - correction(g, root, links, block)
+        value *= bound - _correction(g, root, links, block, core)
     return value
 
 
@@ -353,7 +354,7 @@ def tau_via_grouped_formula(g: Multigraph, u: int) -> int:
     nearest u.
     """
     _require_tau_input(g, u, "grouped")
-    return _block_product(g, u, _grouped_correction)
+    return _block_product(g, u, _minor_det)
 
 
 def enumerate_nst(g: Multigraph, u: int) -> Iterator[SubTree]:
@@ -372,13 +373,6 @@ def enumerate_nst(g: Multigraph, u: int) -> Iterator[SubTree]:
             yield SubTree(u, s, frozenset(sub.edge_origin[j] for j in tree))
 
 
-def _tree_correction(g: Multigraph, u: int, links: _ClassTable, within: int) -> int:
-    # Sum over kept sets S through u inside `within` of S's tree sum times
-    # the remainder product, both over `links`; a tree sum the walk does not
-    # carry is walked tree by tree, so no determinant is taken
-    return _correction_walk(g, u, links, within, lambda s: _tree_sum(s, links))
-
-
 def direct_formula_value(g: Multigraph, u: int) -> int:
     """Raw value of the direct degree expression at root u.
 
@@ -386,7 +380,7 @@ def direct_formula_value(g: Multigraph, u: int) -> int:
     input can be probed empirically. Equals tau(G) on connected graphs.
     """
     g._check_vertex(u)
-    return thomassen_bound(g, u) - _tree_correction(g, u, g._class_table, (1 << g.n) - 1)
+    return thomassen_bound(g, u) - _correction(g, u, g._class_table, (1 << g.n) - 1, _tree_sum)
 
 
 def tau_via_direct_formula(g: Multigraph, u: int) -> int:
@@ -396,4 +390,4 @@ def tau_via_direct_formula(g: Multigraph, u: int) -> int:
     nearest u.
     """
     _require_tau_input(g, u, "direct")
-    return _block_product(g, u, _tree_correction)
+    return _block_product(g, u, _tree_sum)

@@ -25,8 +25,8 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .counting import _spanning_minor_det
-from .degree_formula import SubTree, _grouped_correction
+from .counting import _minor_det, _spanning_minor_det
+from .degree_formula import SubTree, _correction
 from .errors import DisconnectedError, LengthMismatchError
 from .graph import Multigraph
 
@@ -88,7 +88,7 @@ def identity_rhs(g: Multigraph, u: int, weights: Sequence[int]) -> tuple[int, in
     if not g.is_connected():
         raise DisconnectedError("subtree enumeration needs a connected graph")
     g._check_vertex(u)
-    return tau, _grouped_correction(g, u, links, (1 << g.n) - 1)
+    return tau, _correction(g, u, links, (1 << g.n) - 1, _minor_det)
 
 
 def check_identity(g: Multigraph, u: int, weights: Sequence[int]) -> IdentityReport:

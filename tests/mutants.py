@@ -46,21 +46,28 @@ MUTANTS = (
     Mutant(
         "bridge class counted as 1",
         DF,
-        "        value *= bound - correction(g, root, links, block)\n",
-        "        value *= 1 if block.bit_count() == 2 else bound - correction(g, root, links, block)\n",
+        "        value *= bound - _correction(g, root, links, block, core)\n",
+        "        value *= 1 if block.bit_count() == 2 else bound - _correction(g, root, links, block, core)\n",
         (f"{DF_TESTS}::test_block_product_at_every_root",),
     ),
     Mutant(
         "vertex sets of two grouped terms swapped",
         DF,
-        "    for s, outside, tree in _correction_sets(g, u, links, _tree_counter(g._neighbor_masks, links)):\n",
-        "    kept = _correction_sets(g, u, links, _tree_counter(g._neighbor_masks, links))\n"
+        "    for s, outside, tree in _correction_sets(g, u, links, count):\n",
+        "    kept = _correction_sets(g, u, links, count)\n"
         "    if len(kept) > 1:\n"
         "        (a, *x), (b, *y) = kept[:2]\n"
         "        kept[:2] = [(b, *x), (a, *y)]\n"
         "    for s, outside, tree in kept:\n",
         (f"{DF_TESTS}::test_c_pieces_wheel",
          f"{PROPS}::test_grouped_pieces_count_the_edge_picks_they_group"),
+    ),
+    Mutant(
+        "direct route counts its cores by determinant",
+        DF,
+        "    return _block_product(g, u, _tree_sum)\n",
+        "    return _block_product(g, u, _minor_det)\n",
+        (f"{DF_TESTS}::test_direct_routes_take_no_determinant",),
     ),
     Mutant(
         "overflow check fires on an emptied product",
@@ -195,8 +202,8 @@ MUTANTS = (
     Mutant(
         "count names a root it does not have",
         CLI,
-        "            if root is not None:\n                entry[\"root\"] = root\n",
-        "            entry[\"root\"] = root\n",
+        "    if name in _DEGREE_METHODS and root is not None:\n",
+        "    if name in _DEGREE_METHODS:\n",
         (f"{CLI_TESTS}::test_count_on_the_empty_graph_keeps_one_error_per_route",),
     ),
     Mutant(

@@ -76,6 +76,26 @@ def test_count_json_round_trips(capsys, wheel4_file):
     assert doc["bound"] == {"root": 4, "value": 81}
 
 
+def test_count_looks_each_route_up_when_it_runs(capsys, monkeypatch, wheel4_file):
+    # a counter rebound on the cli module, as a tracer wrapping module
+    # globals does, is the one `count` calls, once per method
+    routes = (
+        "tau_matrix_tree",
+        "tau_deletion_contraction",
+        "tau_via_grouped_formula",
+        "tau_via_direct_formula",
+        "count_spanning_trees",
+    )
+    called = []
+    for name in routes:
+        real = getattr(treecount.cli, name)
+        monkeypatch.setattr(
+            treecount.cli, name, lambda *args, real=real, name=name: called.append(name) or real(*args)
+        )
+    assert run(capsys, ["count", wheel4_file, "--quiet"])[0] == 0
+    assert sorted(called) == sorted(routes)
+
+
 def test_count_single_method_with_root(capsys, tmp_path):
     path = tmp_path / "w5p.graph"
     path.write_text(serialize(generate_family(FamilySpec("multiwheel", (5,)))))

@@ -172,7 +172,9 @@ def test_zero_pendant_class_value_zeroes_every_set_through_it():
     # triangle 0-1-2 and a class 2-3 of two edges weighted 2 and -2: every set
     # holding both 2 and 3 sums to 0, the triangle left after the strip included
     g = build(4, [(0, 1), (1, 2), (0, 2), (2, 3), (2, 3)])
-    count = degree_formula._tree_counter(g._neighbor_masks, g._class_sums([1, 1, 1, 2, -2]))
+    count = degree_formula._tree_counter(
+        g._neighbor_masks, g._class_sums([1, 1, 1, 2, -2]), degree_formula._minor_det
+    )
     assert count(0b1111) == 0
     assert count(0b0111) == 3
     assert count(0b1100) == 0
@@ -185,9 +187,9 @@ def test_core_cache_hit_equals_a_fresh_determinant(monkeypatch):
     k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
     g = build(8, k4 + [(1, 4)] * 2 + [(2, 5), (4, 6), (5, 7), (6, 7)])
     calls = []
-    real = degree_formula.bareiss_determinant
+    real = degree_formula._minor_det
     monkeypatch.setattr(
-        degree_formula, "bareiss_determinant", lambda m: calls.append(m) or real(m)
+        degree_formula, "_minor_det", lambda s, links: calls.append(s) or real(s, links)
     )
     pieces = {p.vertices: p.tau_inside for p in c_pieces(g, 0)}
     assert pieces[frozenset({0, 1, 2, 3, 4})] == 16 * 2
@@ -195,7 +197,7 @@ def test_core_cache_hit_equals_a_fresh_determinant(monkeypatch):
     for vertices, tau_inside in pieces.items():
         assert tau_inside == tau_matrix_tree(induced(g, vertices).graph)
     # the cache lives for one call: the K4 minor is evaluated once in it
-    assert sum(1 for m in calls if len(m) == 3) == 1
+    assert calls.count(0b1111) == 1
 
 
 @pytest.mark.parametrize(
@@ -221,7 +223,7 @@ def test_pruned_walk_yields_the_reference_sets(pendant):
     others = [v for v in range(1, 7) if v != pendant]
     ring = list(zip(others, others[1:] + others[:1]))
     g = build(7, [(0, pendant), (0, others[0]), (0, others[2])] + ring + [ring[1]])
-    count = degree_formula._tree_counter(g._neighbor_masks, g._class_table)
+    count = degree_formula._tree_counter(g._neighbor_masks, g._class_table, degree_formula._minor_det)
     got = [
         (frozenset(degree_formula._members(s)), product, tree)
         for s, product, tree in degree_formula._correction_sets(g, 0, g._class_table, count)
@@ -362,7 +364,7 @@ def test_direct_value_with_an_edgeless_vertex_keeps_no_set_through_the_rest():
     # vertex 3 has no edge: it stays isolated in every remainder, so a walk
     # rooted elsewhere keeps no set, and one rooted at it keeps only {3}
     g = build(4, [(0, 1), (1, 2)])
-    count = degree_formula._tree_counter(g._neighbor_masks, g._class_table)
+    count = degree_formula._tree_counter(g._neighbor_masks, g._class_table, degree_formula._minor_det)
     for u in range(g.n):
         assert direct_formula_value(g, u) == 0
         kept = degree_formula._correction_sets(g, u, g._class_table, count)
@@ -400,9 +402,9 @@ def test_grouped_formula_determinant_count_is_pinned(monkeypatch, kind, size, de
     # one determinant per distinct leafless core of a kept set, at the best root
     g = generate_family(FamilySpec(kind, (size,)))
     calls = []
-    real = degree_formula.bareiss_determinant
+    real = degree_formula._minor_det
     monkeypatch.setattr(
-        degree_formula, "bareiss_determinant", lambda m: calls.append(len(m)) or real(m)
+        degree_formula, "_minor_det", lambda s, links: calls.append(s) or real(s, links)
     )
     u, _ = best_thomassen_bound(g)
     assert tau_via_grouped_formula(g, u) == tau_matrix_tree(g)
@@ -416,7 +418,7 @@ def test_walk_counts_only_the_sets_it_cannot_carry():
     # square 0-1-5-4, so {0, 1, 4, 5} is counted too; every other kept set
     # grows at one neighbour from a known sum
     g = build(6, [(0, 1), (0, 2), (1, 2), (2, 3), (0, 4), (1, 5), (4, 5), (4, 5)])
-    count = degree_formula._tree_counter(g._neighbor_masks, g._class_table)
+    count = degree_formula._tree_counter(g._neighbor_masks, g._class_table, degree_formula._minor_det)
     asked = []
     walked = list(
         degree_formula._correction_sets(g, 0, g._class_table, lambda s: asked.append(s) or count(s))
@@ -496,13 +498,16 @@ def test_block_product_walks_each_block_inside_its_mask_on_g(monkeypatch):
     monkeypatch.setattr(degree_formula, "induced", refuse)
     monkeypatch.setattr(Multigraph, "__init__", refuse)
     calls = []
+    real = degree_formula._correction
 
-    def correction(h, root, links, block):
+    def correction(h, root, links, block, core):
         assert h is g
         assert all(not row for v, row in enumerate(links) if not block >> v & 1)
         assert all(block >> w & 1 for row in links for w, _ in row)
         calls.append((root, block))
-        return degree_formula._grouped_correction(h, root, links, block)
+        return real(h, root, links, block, core)
+
+    monkeypatch.setattr(degree_formula, "_correction", correction)
 
     for g, u, tau, blocks in [
         # one block: the whole vertex mask at u
@@ -513,7 +518,7 @@ def test_block_product_walks_each_block_inside_its_mask_on_g(monkeypatch):
         (BOWTIE, 4, 9, [(2, 0b111), (4, 0b11100)]),
     ]:
         calls.clear()
-        assert degree_formula._block_product(g, u, correction) == tau
+        assert degree_formula._block_product(g, u, degree_formula._minor_det) == tau
         assert sorted(calls) == blocks
         assert tau_via_grouped_formula(g, u) == tau_via_direct_formula(g, u) == tau
 
@@ -525,6 +530,49 @@ def test_chain_of_cliques_counts_fast_by_blocks():
     assert g.n == 25
     for u in (0, 12, 24):
         assert tau_via_direct_formula(g, u) == tau_via_grouped_formula(g, u) == 16**8
+
+
+def test_direct_routes_take_no_determinant(monkeypatch, figure_one):
+    # the direct form counts every leafless core by walking its trees
+    graphs = [
+        generate_family(FamilySpec("wheel", (6,))),
+        generate_family(FamilySpec("complete", (5,))),
+        figure_one,
+        _glued_cliques(4, 3),
+    ]
+    taus = [tau_matrix_tree(g) for g in graphs]
+
+    def refuse(*args):
+        raise AssertionError("a direct route took a determinant")
+
+    monkeypatch.setattr(degree_formula, "_minor_det", refuse)
+    monkeypatch.setattr("treecount.counting.bareiss_determinant", refuse)
+    for g, tau in zip(graphs, taus):
+        for u in range(g.n):
+            assert tau_via_direct_formula(g, u) == direct_formula_value(g, u) == tau
+
+
+def test_direct_counter_walks_each_core_once(monkeypatch):
+    # the graph of test_core_cache_hit_equals_a_fresh_determinant: at every
+    # root, each set the walk cannot carry is stripped to its leafless core
+    # before its trees are walked, and the K4 core is walked once per call
+    k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    g = build(8, k4 + [(1, 4)] * 2 + [(2, 5), (4, 6), (5, 7), (6, 7)])
+    nbr = g._neighbor_masks
+    real = degree_formula._tree_sum
+    walked = []
+    monkeypatch.setattr(
+        degree_formula, "_tree_sum", lambda s, links: walked.append(s) or real(s, links)
+    )
+    for u in range(g.n):
+        for route in (tau_via_direct_formula, direct_formula_value):
+            walked.clear()
+            assert route(g, u) == 160
+            assert walked.count(0b1111) == 1
+            assert len(set(walked)) == len(walked)
+            for s in walked:
+                inner = [nbr[v] & s for v in degree_formula._members(s)]
+                assert all(mask & (mask - 1) for mask in inner)
 
 
 def test_set_budget_holds_per_block_walk(monkeypatch):

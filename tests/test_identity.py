@@ -22,6 +22,7 @@ from treecount import (
     thomassen_bound,
     tree_weight,
 )
+from treecount.counting import _minor_det
 from treecount.degree_formula import _correction_sets, _tree_counter
 from treecount.errors import (
     DisconnectedError,
@@ -38,8 +39,8 @@ def _count_tree_calls(monkeypatch):
     calls = []
     real = treecount.degree_formula._tree_counter
 
-    def spying(nbr, links):
-        count, seen = real(nbr, links), []
+    def spying(nbr, links, core):
+        count, seen = real(nbr, links, core), []
         calls.append(seen)
         return lambda s: seen.append(s) or count(s)
 
@@ -217,7 +218,7 @@ def test_identity_counts_only_uncarried_sets_at_every_point(monkeypatch, figure_
     # neighbour, so each point's counter sees only the sets whose last
     # vertex closed a cycle, whatever the weights. Rooted at 3, figure one
     # keeps three sets, each grown along a path
-    count = _tree_counter(figure_one._neighbor_masks, figure_one._class_table)
+    count = _tree_counter(figure_one._neighbor_masks, figure_one._class_table, _minor_det)
     kept = _correction_sets(figure_one, 3, figure_one._class_table, count)
     assert [s for s, _, _ in kept] == [0b1000, 0b1001, 0b1100]
     calls = _count_tree_calls(monkeypatch)

@@ -45,13 +45,14 @@ from treecount import (
     tau_weighted_matrix_tree,
     thomassen_bound,
 )
-from treecount.counting import _tree_sum
+import treecount.degree_formula as degree_formula
+from treecount.counting import _minor_det, _tree_sum
 from treecount.degree_formula import (
     _block_product,
+    _correction,
     _correction_sets,
     _correction_walk,
     _members,
-    _tree_correction,
     _tree_counter,
 )
 from treecount.errors import (
@@ -430,7 +431,7 @@ def test_identity_points_match_the_subtree_and_tree_walk_routes(case):
     assert [r.weight_point for r in reports] == [tuple(w) for w in points]
     for report, w in zip(reports, points):
         assert (report.tau_term, report.nst_sum) == identity_rhs_by_subtrees(g, u, w)
-        assert report.nst_sum == _tree_correction(g, u, g._class_sums(w), (1 << g.n) - 1)
+        assert report.nst_sum == _correction(g, u, g._class_sums(w), (1 << g.n) - 1, _tree_sum)
         assert report.holds
 
 
@@ -467,8 +468,8 @@ def test_weighted_set_walk_yields_the_same_sets_and_the_remainder_values(case):
     ]
     nbr = g._neighbor_masks
     for u in range(g.n):
-        walked = list(_correction_sets(g, u, weight_sums, _tree_counter(nbr, weight_sums)))
-        counted = _correction_sets(g, u, g._class_table, _tree_counter(nbr, g._class_table))
+        walked = list(_correction_sets(g, u, weight_sums, _tree_counter(nbr, weight_sums, _minor_det)))
+        counted = _correction_sets(g, u, g._class_table, _tree_counter(nbr, g._class_table, _minor_det))
         assert [s for s, _, _ in walked] == [s for s, _, _ in counted]
         for s, outside, _ in walked:
             rest = delete_vertices(g, _members(s))
@@ -485,8 +486,8 @@ def test_class_walk_matches_the_induced_route_on_every_vertex_set(g, data):
     nbr = g._neighbor_masks
     multiplicities = g._class_table
     weight_sums = g._class_sums(w)
-    count_trees = _tree_counter(nbr, multiplicities)
-    sum_trees = _tree_counter(nbr, weight_sums)
+    count_trees = _tree_counter(nbr, multiplicities, _minor_det)
+    sum_trees = _tree_counter(nbr, weight_sums, _minor_det)
     for s in range(1, 1 << g.n):
         vertices = [v for v in range(g.n) if s >> v & 1]
         count = tree_sum_by_induced(g, vertices)
@@ -514,8 +515,8 @@ def test_walk_sum_and_carried_products_match_the_listed_sets(case):
     nbr = g._neighbor_masks
     for links, weights in ((g._class_table, [1] * g.m), (g._class_sums(w), w)):
         for u in range(g.n):
-            sets = _correction_sets(g, u, links, _tree_counter(nbr, links))
-            total = _correction_walk(g, u, links, (1 << g.n) - 1, _tree_counter(nbr, links))
+            sets = _correction_sets(g, u, links, _tree_counter(nbr, links, _minor_det))
+            total = _correction(g, u, links, (1 << g.n) - 1, _minor_det)
             assert total == sum(outside * tree for _, outside, tree in sets)
             for s, outside, _ in sets:
                 rest = delete_vertices(g, _members(s))
@@ -543,7 +544,7 @@ def test_walk_tree_sums_match_the_induced_and_stripping_routes(case):
     nbr = g._neighbor_masks
     for links, weights in ((g._class_table, None), (g._class_sums(w), w)):
         by_core = {}
-        for s, _, tree in _correction_sets(g, u, links, _tree_counter(nbr, links)):
+        for s, _, tree in _correction_sets(g, u, links, _tree_counter(nbr, links, _minor_det)):
             assert tree == tree_sum_by_induced(g, _members(s), weights)
             assert tree == tree_sum_by_stripping(s, nbr, links, by_core)
 
@@ -586,20 +587,22 @@ def test_block_products_match_the_whole_graph_walk(g):
         assert tau_via_grouped_formula(g, u) == tau_via_direct_formula(g, u) == whole == tau
         walked = []
 
-        def listed(h, root, links, block):
+        def listed(h, root, links, block, core):
             sets = []
             total = _correction_walk(
-                h, root, links, block, _tree_counter(nbr, links), lambda *kept: sets.append(kept)
+                h, root, links, block, _tree_counter(nbr, links, core), lambda *kept: sets.append(kept)
             )
             walked.append((block, root, sets))
             return total
 
-        assert _block_product(g, u, listed) == tau
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(degree_formula, "_correction", listed)
+            assert _block_product(g, u, _minor_det) == tau
         assert [(block, root) for block, root, _ in walked] == _blocks(nbr, u)
         for block, root, sets in walked:
             sub = induced(g, _members(block))
             h, labels = sub.graph, sorted(sub.vertex_map)
-            count = _tree_counter(h._neighbor_masks, h._class_table)
+            count = _tree_counter(h._neighbor_masks, h._class_table, _minor_det)
             induced_sets = _correction_sets(h, sub.vertex_map[root], h._class_table, count)
             assert sets == [
                 (sum(1 << labels[v] for v in _members(s)), outside, tree)
@@ -640,6 +643,6 @@ def test_weighted_picks_match_the_identity_terms_at_the_class_sums(case):
         assert picks.pop(frozenset(range(g.n))) == tau_weighted_matrix_tree(g, w)
         terms = {
             frozenset(_members(s)): outside * tree
-            for s, outside, tree in _correction_sets(g, u, sums, _tree_counter(nbr, sums))
+            for s, outside, tree in _correction_sets(g, u, sums, _tree_counter(nbr, sums, _minor_det))
         }
         assert {s: v for s, v in picks.items() if v} == {s: v for s, v in terms.items() if v}
