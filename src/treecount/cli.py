@@ -30,6 +30,8 @@ from .counting import (
     ENUM_TREE_BUDGET,
     FAMILY_KINDS,
     FamilySpec,
+    _minor_det,
+    _tree_sum,
     closed_form_tau,
     count_spanning_trees,
     enumerate_spanning_trees,
@@ -38,6 +40,7 @@ from .counting import (
     tau_matrix_tree,
 )
 from .degree_formula import (
+    _block_product,
     best_thomassen_bound,
     direct_formula_value,
     tau_via_direct_formula,
@@ -285,6 +288,11 @@ def _method_values(g: Multigraph, root: int | None) -> dict[str, int]:
     if root is not None:
         for name in _DEGREE_METHODS:
             values[name] = _ROUTES[name](g, root)
+        # the block walks on the unreduced table, which the series-reduced
+        # degree routes replace
+        nbr, links = g._neighbor_masks, g._class_table
+        values["degree-unreduced"] = _block_product(nbr, links, _minor_det)
+        values["degree-direct-unreduced"] = _block_product(nbr, links, _tree_sum)
     return values
 
 

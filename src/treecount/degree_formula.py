@@ -39,16 +39,24 @@ one parallel class per step (`counting._tree_sum`).
 `enumerate_connected_sets` and `enumerate_nst` remain the public reference
 walks.
 
-The two tau routes multiply the formula over the biconnected blocks of G,
-since tau(G) is the product of tau over them, and the sets a walk visits
-roughly multiply across cut vertices. Each block is rooted at its vertex
-nearest u: the block holding u keeps u, and every other block takes the
-cut vertex through which it hangs off u's side (`graph._blocks`). Every
-block is walked on G itself inside its vertex mask, on a class table that
-keeps only the classes inside the block; the set budget holds per block
-walk. `c_pieces`, `direct_formula_value` (the disconnected probe) and the
-identity walk the whole vertex mask, since their terms depend on the root
-and on all of G.
+The two tau routes first shrink G, since the formula holds for any class
+values and the walk's cost grows with the number of connected sets. A
+vertex with one distinct neighbour goes, its class value a factor of tau;
+a vertex with two, at class values p and q, goes by the series rule, its
+neighbours' class gaining pq/(p+q) and tau a factor p+q. The values stay
+integers: each series step scales them all by p+q, and each step divides
+out their gcd, both tallied in a numerator and a denominator that divide
+exactly at the end. The routes then multiply the formula over the
+biconnected blocks of what is left (`graph._blocks`), since tau is the
+product of tau over them, and the sets a walk visits roughly multiply
+across cut vertices. Each block is rooted at its vertex with the fewest
+distinct neighbours in it (the lowest on ties), where the walk branches
+least, so the root u the routes take is only validated. Every block is
+walked on the reduced neighbour masks inside its vertex mask, on a class
+table that keeps only the classes inside the block; the set budget holds
+per block walk. `c_pieces`, `direct_formula_value` (the disconnected
+probe) and the identity walk the whole vertex mask of G unreduced, since
+their terms are per set through the given root and depend on all of G.
 """
 
 from __future__ import annotations
@@ -112,32 +120,35 @@ def enumerate_connected_sets(
         del grow  # free the closure cycle through which grow recurses
 
 
-# Sets one correction walk may visit, kept or not: RandomSpec(n=30, m=48,
-# seed=5), the largest graph in the tests, keeps 334,933 and fits
+# Sets one correction walk may visit, kept or not. Unreduced, the block
+# walks of RandomSpec(n=30, m=48, seed=5) keep 111,795 sets and fit, and
+# those of RandomSpec(n=40, m=64, seed=12) do not; series-reduced, they
+# keep 1,378 and 2,565
 CORRECTION_SET_BUDGET = 1_000_000
 
 
 def _correction_walk(
-    g: Multigraph, u: int, links: _ClassTable, within: int,
+    nbr: Sequence[int], u: int, links: _ClassTable, within: int,
     inside: Callable[[int], int], visit: Callable[[int, int, int], object] | None = None,
 ) -> int:
     # Sum of outside * tree over every connected S through u inside the
-    # vertex mask `within` whose remainder there has no isolated vertex;
-    # `visit(S mask, outside, tree)` sees each in enumerate_connected_sets
-    # order. No row of `links` in `within` has a pair leaving it. `outside`
-    # is the product over `within` - S of each vertex's `links` values
-    # leaving S (with weight sums, the remainder's incidence product), `tree`
-    # G[S]'s tree sum over `links`. S stops two vertices short of `within`:
-    # one left out is isolated, and all of it is no correction. The sums
-    # follow S on join and undo; the product of the nonzero ones and the
-    # count of zero ones go down each join. `iso` masks the remainder
-    # vertices with no neighbour left; a banned isolated one never joins S,
-    # so its branch is cut. A tree sum not carried down a join at one
-    # neighbour (None) comes from `inside(S)`.
+    # vertex mask `within` of the graph over the neighbour masks `nbr` whose
+    # remainder there has no isolated vertex; `visit(S mask, outside, tree)`
+    # sees each in enumerate_connected_sets order. No row of `links` in
+    # `within` has a pair leaving it. `outside` is the product over
+    # `within` - S of each vertex's `links` values leaving S (with weight
+    # sums, the remainder's incidence product), `tree` G[S]'s tree sum over
+    # `links`. S stops two vertices short of `within`: one left out is
+    # isolated, and all of it is no correction. The sums follow S on join
+    # and undo; the product of the nonzero ones and the count of zero ones
+    # go down each join. `iso` masks the remainder vertices with no
+    # neighbour left; a banned isolated one never joins S, so its branch is
+    # cut. A tree sum not carried down a join at one neighbour (None) comes
+    # from `inside(S)`.
     max_size = within.bit_count() - 2
     if max_size <= 0:
         return 0
-    nbr = [mask & within for mask in g._neighbor_masks]
+    nbr = [mask & within for mask in nbr]
     rdeg = [sum(c for _, c in pairs) for pairs in links]
     start = 1 << u
     rest = _members(within ^ start)
@@ -226,7 +237,9 @@ def _correction_sets(
 ) -> list[tuple[int, int, int]]:
     # (S mask, outside, tree) for each set `_correction_walk` adds in
     sets: list[tuple[int, int, int]] = []
-    _correction_walk(g, u, links, (1 << g.n) - 1, inside, lambda *kept: sets.append(kept))
+    _correction_walk(
+        g._neighbor_masks, u, links, (1 << g.n) - 1, inside, lambda *kept: sets.append(kept)
+    )
     return sets
 
 
@@ -277,11 +290,14 @@ def _tree_counter(nbr: Sequence[int], links: _ClassTable, core: _Core) -> Callab
     return count
 
 
-def _correction(g: Multigraph, u: int, links: _ClassTable, within: int, core: _Core) -> int:
-    # The correction over `links` (multiplicities, or one weight point's
-    # class sums) inside `within`: a tree sum the walk does not carry comes
-    # from a memoized counter whose leafless cores `core` counts
-    return _correction_walk(g, u, links, within, _tree_counter(g._neighbor_masks, links, core))
+def _correction(
+    nbr: Sequence[int], u: int, links: _ClassTable, within: int, core: _Core
+) -> int:
+    # The correction over `links` (multiplicities, one weight point's class
+    # sums, or a series-reduced table) inside `within`: a tree sum the walk
+    # does not carry comes from a memoized counter whose leafless cores
+    # `core` counts
+    return _correction_walk(nbr, u, links, within, _tree_counter(nbr, links, core))
 
 
 def c_pieces(g: Multigraph, u: int) -> Iterator[InducedPiece]:
@@ -323,17 +339,82 @@ def best_thomassen_bound(g: Multigraph) -> tuple[int, int]:
     return best_u, best
 
 
-def _block_product(g: Multigraph, u: int, core: _Core) -> int:
-    # tau(G) as the product over G's blocks, each at its vertex nearest u,
-    # walked on g inside its mask with only its own classes: its row sums'
-    # product off the root, less its correction, whose cores `core` counts
+def _block_product(nbr: Sequence[int], links: _ClassTable, core: _Core) -> int:
+    # The tree sum over `links` of the connected graph over the neighbour
+    # masks `nbr` (vertices without a neighbour left out; 1 if none has
+    # one), as the product over its blocks. Each block is walked inside its
+    # mask, with only its own classes, at its vertex with the fewest
+    # distinct neighbours in it (the lowest on ties): its row sums' product
+    # off that root, less its correction, whose cores `core` counts
     value = 1
-    for block, root in _blocks(g._neighbor_masks, u):
-        links: list[tuple[tuple[int, int], ...]] = [()] * g.n
-        for v in _members(block):
-            links[v] = tuple(pair for pair in g._class_table[v] if block >> pair[0] & 1)
-        bound = math.prod(sum(c for _, c in links[v]) for v in _members(block ^ 1 << root))
-        value *= bound - _correction(g, root, links, block, core)
+    for block, _ in _blocks(nbr, next((v for v, mask in enumerate(nbr) if mask), 0)):
+        members = _members(block)
+        root = min(members, key=lambda v: (nbr[v] & block).bit_count())
+        inner: list[tuple[tuple[int, int], ...]] = [()] * len(nbr)
+        for v in members:
+            inner[v] = tuple(pair for pair in links[v] if block >> pair[0] & 1)
+        bound = math.prod(sum(c for _, c in inner[v]) for v in members if v != root)
+        value *= bound - _correction(nbr, root, inner, block, core)
+    return value
+
+
+def _series_reduce(
+    links: _ClassTable,
+) -> tuple[list[int], list[tuple[tuple[int, int], ...]], int, int]:
+    # (neighbour masks, table, num, den) such that the connected graph's
+    # tree sum over `links` is num * (the tree sum over the returned table)
+    # / den. The lowest vertex with one or two distinct neighbours goes
+    # until none is left or one vertex remains; a removed vertex keeps no
+    # neighbour. A pendant class value p goes as a factor. A vertex with
+    # class values p and q to a and b goes by the series rule: its trees
+    # number (p+q) times those of the rest with pq/(p+q) added to the a-b
+    # class. All values are scaled by s = p+q to stay integers, which scales
+    # the tree sum of the k' vertices left by s^(k'-1): s goes into num and
+    # s^(k'-1) into den. After each step the values' gcd d is divided out
+    # and d^(k'-1) goes into num, so they do not outgrow the savings
+    rows = [dict(pairs) for pairs in links]
+    left = len(rows)
+    num = den = 1
+    todo = sum(1 << v for v, row in enumerate(rows) if len(row) <= 2)
+    while todo and left > 1:
+        low = todo & -todo
+        todo ^= low
+        v = low.bit_length() - 1
+        row, rows[v] = rows[v], {}
+        left -= 1
+        if len(row) == 1:
+            ((a, p),) = row.items()
+            num *= p
+            ends = (a,)
+        else:
+            (a, p), (b, q) = row.items()
+            s = p + q
+            for other in rows:
+                for w in other:
+                    other[w] *= s
+            rows[a][b] = rows[b][a] = rows[a].get(b, 0) + p * q
+            num *= s
+            den *= s ** (left - 1)
+            ends = (a, b)
+        for w in ends:
+            del rows[w][v]
+            if len(rows[w]) <= 2:
+                todo |= 1 << w
+        d = math.gcd(*(c for other in rows for c in other.values()))
+        if d > 1:
+            for other in rows:
+                for w in other:
+                    other[w] //= d
+            num *= d ** (left - 1)
+    masks = [sum(1 << w for w in row) for row in rows]
+    return masks, [tuple(sorted(row.items())) for row in rows], num, den
+
+
+def _reduced_block_product(g: Multigraph, core: _Core) -> int:
+    # tau(g) by the block product on g's series-reduced table
+    nbr, links, num, den = _series_reduce(g._class_table)
+    value, rest = divmod(num * _block_product(nbr, links, core), den)
+    assert not rest, "the series reduction left a remainder"
     return value
 
 
@@ -350,11 +431,12 @@ def _require_tau_input(g: Multigraph, u: int, route: str) -> None:
 def tau_via_grouped_formula(g: Multigraph, u: int) -> int:
     """Spanning-tree count from degrees, correction grouped by vertex set.
 
-    Multiplies the formula over the blocks of g, each rooted at its vertex
-    nearest u.
+    Series-reduces g first, then multiplies the formula over the blocks of
+    the reduced graph, each rooted at its vertex with the fewest distinct
+    neighbours in it. u is only validated: tau does not depend on it.
     """
     _require_tau_input(g, u, "grouped")
-    return _block_product(g, u, _minor_det)
+    return _reduced_block_product(g, _minor_det)
 
 
 def enumerate_nst(g: Multigraph, u: int) -> Iterator[SubTree]:
@@ -380,14 +462,16 @@ def direct_formula_value(g: Multigraph, u: int) -> int:
     input can be probed empirically. Equals tau(G) on connected graphs.
     """
     g._check_vertex(u)
-    return thomassen_bound(g, u) - _correction(g, u, g._class_table, (1 << g.n) - 1, _tree_sum)
+    correction = _correction(g._neighbor_masks, u, g._class_table, (1 << g.n) - 1, _tree_sum)
+    return thomassen_bound(g, u) - correction
 
 
 def tau_via_direct_formula(g: Multigraph, u: int) -> int:
     """Spanning-tree count from degrees, one correction term per subtree.
 
-    Multiplies the formula over the blocks of g, each rooted at its vertex
-    nearest u.
+    Series-reduces g first, then multiplies the formula over the blocks of
+    the reduced graph, each rooted at its vertex with the fewest distinct
+    neighbours in it. u is only validated: tau does not depend on it.
     """
     _require_tau_input(g, u, "direct")
-    return _block_product(g, u, _tree_sum)
+    return _reduced_block_product(g, _tree_sum)

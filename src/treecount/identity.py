@@ -88,7 +88,7 @@ def identity_rhs(g: Multigraph, u: int, weights: Sequence[int]) -> tuple[int, in
     if not g.is_connected():
         raise DisconnectedError("subtree enumeration needs a connected graph")
     g._check_vertex(u)
-    return tau, _correction(g, u, links, (1 << g.n) - 1, _minor_det)
+    return tau, _correction(g._neighbor_masks, u, links, (1 << g.n) - 1, _minor_det)
 
 
 def check_identity(g: Multigraph, u: int, weights: Sequence[int]) -> IdentityReport:

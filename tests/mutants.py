@@ -38,17 +38,40 @@ MUTANTS = (
     Mutant(
         "block rooted at its least vertex",
         DF,
-        "    for block, root in _blocks(g._neighbor_masks, u):\n",
-        "    for block, _ in _blocks(g._neighbor_masks, u):\n"
-        "        root = (block & -block).bit_length() - 1\n",
+        "        root = min(members, key=lambda v: (nbr[v] & block).bit_count())\n",
+        "        root = members[0]\n",
         (f"{DF_TESTS}::test_block_product_walks_each_block_inside_its_mask_on_g",),
     ),
     Mutant(
         "bridge class counted as 1",
         DF,
-        "        value *= bound - _correction(g, root, links, block, core)\n",
-        "        value *= 1 if block.bit_count() == 2 else bound - _correction(g, root, links, block, core)\n",
-        (f"{DF_TESTS}::test_block_product_at_every_root",),
+        "        value *= bound - _correction(nbr, root, inner, block, core)\n",
+        "        value *= 1 if block.bit_count() == 2 else bound - _correction(nbr, root, inner, block, core)\n",
+        (f"{DF_TESTS}::test_block_product_walks_each_block_inside_its_mask_on_g",),
+    ),
+    Mutant(
+        "series scale put into the denominator one power short",
+        DF,
+        "            den *= s ** (left - 1)\n",
+        "            den *= s ** (left - 2)\n",
+        (f"{DF_TESTS}::test_series_reduction_leaves_one_vertex_of_a_series_parallel_graph",
+         f"{DF_TESTS}::test_block_product_at_every_root"),
+    ),
+    Mutant(
+        "gcd multiplied back one power too many",
+        DF,
+        "            num *= d ** (left - 1)\n",
+        "            num *= d**left\n",
+        (f"{DF_TESTS}::test_series_reduction_leaves_one_vertex_of_a_series_parallel_graph",
+         f"{DF_TESTS}::test_block_product_at_every_root"),
+    ),
+    Mutant(
+        "pendant class value dropped",
+        DF,
+        "            num *= p\n",
+        "            pass\n",
+        (f"{DF_TESTS}::test_series_reduction_leaves_one_vertex_of_a_series_parallel_graph",
+         f"{DF_TESTS}::test_block_product_at_every_root"),
     ),
     Mutant(
         "vertex sets of two grouped terms swapped",
@@ -65,8 +88,8 @@ MUTANTS = (
     Mutant(
         "direct route counts its cores by determinant",
         DF,
-        "    return _block_product(g, u, _tree_sum)\n",
-        "    return _block_product(g, u, _minor_det)\n",
+        "    return _reduced_block_product(g, _tree_sum)\n",
+        "    return _reduced_block_product(g, _minor_det)\n",
         (f"{DF_TESTS}::test_direct_routes_take_no_determinant",),
     ),
     Mutant(

@@ -899,7 +899,8 @@ VERIFY_FAILURE_OUT = (
     + "violation[thomassen] tau=0" + _REPRODUCE.format(0)
     + "violation[disconnected_probe] degree expression vs tau=0" + _REPRODUCE.format(0)
     + "violation[cross_method] values={'matrix-tree': 2, 'del-con': 2, 'del-con-alt': 2, "
-    "'enum': 2, 'enum-classes': 3, 'degree': 2, 'degree-direct': 2}" + _REPRODUCE.format(1)
+    "'enum': 2, 'enum-classes': 3, 'degree': 2, 'degree-direct': 2, "
+    "'degree-unreduced': 2, 'degree-direct-unreduced': 2}" + _REPRODUCE.format(1)
     + "violation[thomassen] tau=2" + _REPRODUCE.format(1)
     + "violation[identity] root=0" + _REPRODUCE.format(1)
     + "violation[fpoly] expansion vs oracles" + _REPRODUCE.format(1)

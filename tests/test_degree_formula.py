@@ -43,6 +43,7 @@ from treecount.errors import (
     EmptyGraphError,
     VertexOutOfRangeError,
 )
+from treecount.randgraph import RandomSpec, random_multigraph
 
 
 def test_connected_sets_along_a_path(path3):
@@ -396,10 +397,12 @@ def test_best_thomassen_bound():
 
 @pytest.mark.parametrize(
     "kind, size, determinants",
-    [("hypercube", 4, 3308), ("complete", 9, 238), ("wheel", 12, 322), ("multiwheel", 8, 44)],
+    [("hypercube", 4, 3308), ("complete", 9, 238), ("wheel", 12, 187), ("multiwheel", 8, 25)],
 )
 def test_grouped_formula_determinant_count_is_pinned(monkeypatch, kind, size, determinants):
-    # one determinant per distinct leafless core of a kept set, at the best root
+    # one determinant per distinct leafless core of a kept set, with the
+    # block rooted at a vertex with the fewest neighbours: a rim vertex of
+    # the wheels, vertex 0 of Q4 and K9
     g = generate_family(FamilySpec(kind, (size,)))
     calls = []
     real = degree_formula._minor_det
@@ -486,10 +489,12 @@ def test_block_product_at_every_root(g, tau):
 
 
 def test_block_product_walks_each_block_inside_its_mask_on_g(monkeypatch):
-    # one correction per block, bridges included, each on g itself at the
-    # block's root in g's labels, over the block's mask and its own classes:
+    # one correction per block, bridges included, each over g's neighbour
+    # masks at the block's vertex with the fewest distinct neighbours in it
+    # (the lowest on ties), over the block's mask and its own classes:
     # neither tau route builds an induced subgraph or any other graph
     wheel = generate_family(FamilySpec("wheel", (4,)))
+    hub_first = build(5, [(0, v) for v in range(1, 5)] + [(1, 2), (2, 3), (3, 4), (1, 4)])
     star = build(4, [(0, 1)] * 2 + [(0, 2), (0, 3)] * 3)
 
     def refuse(*args):
@@ -500,27 +505,32 @@ def test_block_product_walks_each_block_inside_its_mask_on_g(monkeypatch):
     calls = []
     real = degree_formula._correction
 
-    def correction(h, root, links, block, core):
-        assert h is g
+    def correction(nbr, root, links, block, core):
         assert all(not row for v, row in enumerate(links) if not block >> v & 1)
         assert all(block >> w & 1 for row in links for w, _ in row)
-        calls.append((root, block))
-        return real(h, root, links, block, core)
+        calls.append((root, block, nbr))
+        return real(nbr, root, links, block, core)
 
     monkeypatch.setattr(degree_formula, "_correction", correction)
 
-    for g, u, tau, blocks in [
-        # one block: the whole vertex mask at u
-        (wheel, 2, 45, [(2, 0b11111)]),
+    for g, tau, blocks in [
+        # one block: the whole vertex mask, at the lowest rim vertex
+        (wheel, 45, [(0, 0b11111)]),
+        # the hub 0 has four neighbours, the rim vertices three
+        (hub_first, 45, [(1, 0b11111)]),
         # three bridge classes, each a 2-vertex block whose walk is empty
-        (star, 1, 18, [(0, 0b101), (0, 0b1001), (1, 0b11)]),
-        # from 4, the near triangle keeps 4 and the far one hangs off 2
-        (BOWTIE, 4, 9, [(2, 0b111), (4, 0b11100)]),
+        (star, 18, [(0, 0b11), (0, 0b101), (0, 0b1001)]),
+        # two triangles glued at 2, each at its lowest vertex
+        (BOWTIE, 9, [(0, 0b111), (2, 0b11100)]),
     ]:
         calls.clear()
-        assert degree_formula._block_product(g, u, degree_formula._minor_det) == tau
-        assert sorted(calls) == blocks
-        assert tau_via_grouped_formula(g, u) == tau_via_direct_formula(g, u) == tau
+        nbr, links = g._neighbor_masks, g._class_table
+        assert degree_formula._block_product(nbr, links, degree_formula._minor_det) == tau
+        assert all(nbr is g._neighbor_masks for _, _, nbr in calls)
+        assert sorted((root, block) for root, block, _ in calls) == blocks
+        # the tau routes walk the series-reduced masks, still building no graph
+        for u in range(g.n):
+            assert tau_via_grouped_formula(g, u) == tau_via_direct_formula(g, u) == tau
 
 
 def test_chain_of_cliques_counts_fast_by_blocks():
@@ -568,7 +578,9 @@ def test_direct_counter_walks_each_core_once(monkeypatch):
         for route in (tau_via_direct_formula, direct_formula_value):
             walked.clear()
             assert route(g, u) == 160
-            assert walked.count(0b1111) == 1
+            # the tau route walks the series-reduced graph, a weighted K4,
+            # whose sets stop two vertices short of the K4
+            assert walked.count(0b1111) == (route is direct_formula_value)
             assert len(set(walked)) == len(walked)
             for s in walked:
                 inner = [nbr[v] & s for v in degree_formula._members(s)]
@@ -584,6 +596,61 @@ def test_set_budget_holds_per_block_walk(monkeypatch):
     message = "^correction walk exceeded the 11-set budget after visiting 11 sets$"
     with pytest.raises(BudgetExceededError, match=message):
         list(c_pieces(g, 0))
+
+
+@pytest.mark.parametrize(
+    "g, tau",
+    [
+        (build(2, [(0, 1)] * 3), 3),
+        (build(6, [(v, (v + 1) % 6) for v in range(6)]), 6),
+        # K_{2,3}: vertices 0 and 1 joined by three paths of two edges
+        (build(5, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)]), 12),
+        # a square of double edges: the first step scales by 4, and every
+        # value left is then a multiple of 4
+        (build(4, [(0, 1), (1, 2), (2, 3), (0, 3)] * 2), 32),
+        # a triangle with a pendant triple class
+        (build(4, [(0, 1), (1, 2), (0, 2)] + [(2, 3)] * 3), 9),
+        # three pendant classes: once the double one goes, the two triple
+        # ones leave a gcd of 3
+        (build(4, [(0, 1)] * 2 + [(0, 2), (0, 3)] * 3), 18),
+    ],
+)
+def test_series_reduction_leaves_one_vertex_of_a_series_parallel_graph(g, tau):
+    # pendants and series vertices go until one vertex is left, whose tree
+    # sum is 1, so num / den is tau itself
+    nbr, links, num, den = degree_formula._series_reduce(g._class_table)
+    assert not any(nbr) and not any(links)
+    assert num == tau * den
+
+
+def test_series_reduction_keeps_a_weighted_core():
+    # the graph of test_core_cache_hit_equals_a_fresh_determinant: the
+    # double class 1-4 and the single classes 4-6, 6-7, 7-5 and 5-2 are in
+    # series, worth 1 / (1/2 + 4) = 2/9 of an edge, which joins the K4's
+    # 1-2 class: the K4 is left with that class at 11/9 of the others
+    k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    g = build(8, k4 + [(1, 4)] * 2 + [(2, 5), (4, 6), (5, 7), (6, 7)])
+    nbr, links, num, den = degree_formula._series_reduce(g._class_table)
+    assert [v for v, mask in enumerate(nbr) if mask] == [0, 1, 2, 3]
+    values = {(v, w): value for v in range(4) for w, value in links[v]}
+    unit = values[0, 1]
+    assert 9 * values[1, 2] == 11 * unit
+    assert all(value == unit for pair, value in values.items() if set(pair) != {1, 2})
+    assert num * degree_formula._minor_det(0b1111, links) == 160 * den
+    for core in (degree_formula._minor_det, degree_formula._tree_sum):
+        assert num * degree_formula._block_product(nbr, links, core) == 160 * den
+
+
+def test_series_reduction_answers_where_the_set_budget_fired(monkeypatch):
+    # unreduced, the grouped route's walk on this draw passes the
+    # 10^6-set budget after several seconds; its 40 vertices reduce to 15,
+    # whose walk visits a few thousand sets
+    g = random_multigraph(RandomSpec(n=40, m=64, seed=12))
+    nbr = degree_formula._series_reduce(g._class_table)[0]
+    assert sum(1 for mask in nbr if mask) == 15
+    monkeypatch.setattr(degree_formula, "CORRECTION_SET_BUDGET", 10_000)
+    u, _ = best_thomassen_bound(g)
+    assert tau_via_grouped_formula(g, u) == tau_via_direct_formula(g, u) == tau_matrix_tree(g)
 
 
 @pytest.mark.parametrize(

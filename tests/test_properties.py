@@ -53,6 +53,7 @@ from treecount.degree_formula import (
     _correction_sets,
     _correction_walk,
     _members,
+    _series_reduce,
     _tree_counter,
 )
 from treecount.errors import (
@@ -431,7 +432,8 @@ def test_identity_points_match_the_subtree_and_tree_walk_routes(case):
     assert [r.weight_point for r in reports] == [tuple(w) for w in points]
     for report, w in zip(reports, points):
         assert (report.tau_term, report.nst_sum) == identity_rhs_by_subtrees(g, u, w)
-        assert report.nst_sum == _correction(g, u, g._class_sums(w), (1 << g.n) - 1, _tree_sum)
+        links = g._class_sums(w)
+        assert report.nst_sum == _correction(g._neighbor_masks, u, links, (1 << g.n) - 1, _tree_sum)
         assert report.holds
 
 
@@ -516,7 +518,7 @@ def test_walk_sum_and_carried_products_match_the_listed_sets(case):
     for links, weights in ((g._class_table, [1] * g.m), (g._class_sums(w), w)):
         for u in range(g.n):
             sets = _correction_sets(g, u, links, _tree_counter(nbr, links, _minor_det))
-            total = _correction(g, u, links, (1 << g.n) - 1, _minor_det)
+            total = _correction(nbr, u, links, (1 << g.n) - 1, _minor_det)
             assert total == sum(outside * tree for _, outside, tree in sets)
             for s, outside, _ in sets:
                 rest = delete_vertices(g, _members(s))
@@ -576,8 +578,10 @@ def glued_multigraphs(draw):
 def test_block_products_match_the_whole_graph_walk(g):
     # the block routes against the whole-graph walk c_pieces lists, at every
     # root: the block holding it, a cut vertex, a pendant leaf. Each block's
-    # walk inside its mask lists the sets, outside products and tree sums
-    # that the whole-graph walk lists on the block's induced subgraph
+    # walk inside its mask, at its vertex with the fewest distinct
+    # neighbours in it (the lowest on ties), lists the sets, outside
+    # products and tree sums that the whole-graph walk lists on the block's
+    # induced subgraph
     tau = tau_matrix_tree(g)
     nbr = g._neighbor_masks
     for u in range(g.n):
@@ -585,29 +589,70 @@ def test_block_products_match_the_whole_graph_walk(g):
             p.tau_inside * p.outside_degree_product for p in c_pieces(g, u)
         )
         assert tau_via_grouped_formula(g, u) == tau_via_direct_formula(g, u) == whole == tau
-        walked = []
+    walked = []
 
-        def listed(h, root, links, block, core):
-            sets = []
-            total = _correction_walk(
-                h, root, links, block, _tree_counter(nbr, links, core), lambda *kept: sets.append(kept)
-            )
-            walked.append((block, root, sets))
-            return total
+    def listed(masks, root, links, block, core):
+        sets = []
+        count = _tree_counter(masks, links, core)
+        total = _correction_walk(masks, root, links, block, count, lambda *kept: sets.append(kept))
+        walked.append((block, root, sets))
+        return total
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(degree_formula, "_correction", listed)
-            assert _block_product(g, u, _minor_det) == tau
-        assert [(block, root) for block, root, _ in walked] == _blocks(nbr, u)
-        for block, root, sets in walked:
-            sub = induced(g, _members(block))
-            h, labels = sub.graph, sorted(sub.vertex_map)
-            count = _tree_counter(h._neighbor_masks, h._class_table, _minor_det)
-            induced_sets = _correction_sets(h, sub.vertex_map[root], h._class_table, count)
-            assert sets == [
-                (sum(1 << labels[v] for v in _members(s)), outside, tree)
-                for s, outside, tree in induced_sets
-            ]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(degree_formula, "_correction", listed)
+        assert _block_product(nbr, g._class_table, _minor_det) == tau
+    assert sorted(block for block, _, _ in walked) == sorted(block for block, _ in _blocks(nbr, 0))
+    for block, root, sets in walked:
+        inner = {v: (nbr[v] & block).bit_count() for v in _members(block)}
+        assert root == min(v for v, count in inner.items() if count == min(inner.values()))
+        sub = induced(g, _members(block))
+        h, labels = sub.graph, sorted(sub.vertex_map)
+        count = _tree_counter(h._neighbor_masks, h._class_table, _minor_det)
+        induced_sets = _correction_sets(h, sub.vertex_map[root], h._class_table, count)
+        assert sets == [
+            (sum(1 << labels[v] for v in _members(s)), outside, tree)
+            for s, outside, tree in induced_sets
+        ]
+
+
+@st.composite
+def series_chain_multigraphs(draw):
+    """Connected parallel multigraphs with up to three of their edges each
+    subdivided into a path of 2 to 5 edges, at shuffled edge indices:
+    graphs with series chains, which the tau routes reduce away."""
+    g = draw(parallel_multigraphs(max_n=6, max_m=9, connected=True))
+    chains = draw(st.lists(st.integers(0, g.m - 1), max_size=3, unique=True))
+    n, edges = g.n, []
+    for j, (a, b) in enumerate(g.edges):
+        inner = draw(st.integers(1, 4)) if j in chains else 0
+        path = [a, *range(n, n + inner), b]
+        n += inner
+        edges += zip(path, path[1:])
+    return build(n, draw(st.permutations(edges)))
+
+
+# two vertices joined by three paths of 2, 3 and 3 edges
+THETA = build(7, [(0, 2), (2, 1), (0, 3), (3, 4), (4, 1), (0, 5), (5, 6), (6, 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(series_chain_multigraphs(), glued_multigraphs()))
+@example(build(6, [(v, (v + 1) % 6) for v in range(6)]))
+@example(THETA)
+# a triangle with a pendant triple class
+@example(build(4, [(0, 1), (1, 2), (0, 2)] + [(2, 3)] * 3))
+def test_series_reduced_routes_match_the_unreduced_block_products(g):
+    # the reduced grouped and direct routes at every root, against the
+    # block product on the unreduced table with either core counter. The
+    # reduction leaves one vertex, or only vertices with three or more
+    # distinct neighbours
+    tau = tau_matrix_tree(g)
+    nbr, links = g._neighbor_masks, g._class_table
+    assert _block_product(nbr, links, _minor_det) == _block_product(nbr, links, _tree_sum) == tau
+    for u in range(g.n):
+        assert tau_via_grouped_formula(g, u) == tau_via_direct_formula(g, u) == tau
+    masks = _series_reduce(links)[0]
+    assert not any(masks) or all(mask.bit_count() >= 3 for mask in masks if mask)
 
 
 @settings(max_examples=80, deadline=None)
