@@ -58,22 +58,26 @@ def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
 
 
 def multiply_forms(
-    forms: Iterable[frozenset[int]], budget: int = DEFAULT_TERM_BUDGET
+    forms: Iterable[frozenset[int]],
+    budget: int = DEFAULT_TERM_BUDGET,
+    coefficients: Sequence[int] | None = None,
 ) -> dict[Monomial, int]:
     """Fully expand a product of sums of distinct variables.
 
-    Each form is the set of variable indices appearing with coefficient 1.
-    Returns a dict from each monomial, packed as described in the module
-    docstring, to its nonzero coefficient. The empty product is the constant
-    1; a form with empty support collapses the whole product to 0. Raises
-    BudgetExceeded when an expansion, the starting constant 1 included,
-    grows past `budget` monomials, ExponentOverflow if a variable occurs in
-    more than two forms of a nonempty product: coefficients are positive,
-    so that is read off a count per variable, not a test per monomial. A
-    step's expansion only grows as each variable of its form is added in,
-    so it is checked after each one: a step past the budget stops after the
-    variable that takes it there. Any form order gives the same monomials,
-    and smallest forms first keeps the steps small.
+    Each form is the set of variable indices appearing in it, variable
+    `var` with the positive coefficient `coefficients[var]` in every form,
+    or 1 when `coefficients` is None. Returns a dict from each monomial,
+    packed as described in the module docstring, to its nonzero
+    coefficient. The empty product is the constant 1; a form with empty
+    support collapses the whole product to 0. Raises BudgetExceeded when an
+    expansion, the starting constant 1 included, grows past `budget`
+    monomials, ExponentOverflow if a variable occurs in more than two forms
+    of a nonempty product: coefficients are positive, so that is read off a
+    count per variable, not a test per monomial. A step's expansion only
+    grows as each variable of its form is added in, so it is checked after
+    each one: a step past the budget stops after the variable that takes it
+    there. Any form order gives the same monomials, and smallest forms first
+    keeps the steps small.
     """
     terms = _within_budget({0: 1}, budget)
     seen: dict[int, int] = {}
@@ -84,14 +88,20 @@ def multiply_forms(
                 raise ExponentOverflowError(f"variable {var} would exceed exponent 2")
             seen[var] = seen.get(var, 0) + 1
             one = 1 << 2 * var
+            scale = 1 if coefficients is None else coefficients[var]
             if nxt:
                 get = nxt.get
-                for mono, coef in terms.items():
-                    key = mono + one
-                    nxt[key] = get(key, 0) + coef
+                if scale == 1:
+                    for mono, coef in terms.items():
+                        key = mono + one
+                        nxt[key] = get(key, 0) + coef
+                else:
+                    for mono, coef in terms.items():
+                        key = mono + one
+                        nxt[key] = get(key, 0) + scale * coef
                 _within_budget(nxt, budget)
             else:  # the first variable shifts every key alike: none collide
-                nxt = {mono + one: coef for mono, coef in terms.items()}
+                nxt = {mono + one: scale * coef for mono, coef in terms.items()}
         terms = nxt
     return terms
 

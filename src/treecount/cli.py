@@ -159,10 +159,13 @@ def _build_parser() -> _Parser:
     p_bound = sub.add_parser("bound", parents=[shared], help="degree-product bound report")
     p_bound.add_argument("file", help="graph file")
     p_bound.add_argument("--root", type=int, default=None, help="default: the root with the smallest bound")
-    for p in (p_verify, p_fpoly):
-        p.add_argument(
-            "--budget", type=int, default=DEFAULT_TERM_BUDGET, help="monomial budget for polynomial expansion"
-        )
+    budgets = (
+        (p_verify, "monomial budget for the incidence expansion, one monomial per edge term"),
+        (p_fpoly, "monomial budget for the incidence expansion: the summary counts one monomial"
+                  " per parallel-class term, the --dump listing one per edge term"),
+    )
+    for p, text in budgets:
+        p.add_argument("--budget", type=int, default=DEFAULT_TERM_BUDGET, help=text)
 
     return parser
 

@@ -347,7 +347,7 @@ def _block_product(nbr: Sequence[int], links: _ClassTable, core: _Core) -> int:
     # distinct neighbours in it (the lowest on ties): its row sums' product
     # off that root, less its correction, whose cores `core` counts
     value = 1
-    for block, _ in _blocks(nbr, next((v for v, mask in enumerate(nbr) if mask), 0)):
+    for block in _blocks(nbr, next((v for v, mask in enumerate(nbr) if mask), 0)):
         members = _members(block)
         root = min(members, key=lambda v: (nbr[v] & block).bit_count())
         inner: list[tuple[tuple[int, int], ...]] = [()] * len(nbr)

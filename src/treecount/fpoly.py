@@ -12,12 +12,22 @@ The forms are multiplied smallest first, ties by vertex, which gives the
 same monomials from smaller intermediate expansions. Each monomial has
 degree n, so its squared part D and single part S satisfy 2|D| + |S| = n:
 Gallai's nu + rho = n (Ann. Univ. Sci. Budapest 2, 1959), term by term.
-`expansion_summary` therefore reads rho, the least support, off the packed
-monomials of `algebra.multiply_forms` in one pass, sets nu = n - rho, and
-decodes perfect matchings only when 2 rho == n. `expand_f` turns the monomials
-into a sorted `CoverTerm` list, which the `*_from_f` readers work on; it
-serves a full listing of the terms, which expands the product once more
-after the summary, and callers that want the terms themselves. It decodes
+
+`expansion_summary` expands the product with one variable per parallel
+class, whose multiplicity c is its coefficient at both endpoints, so its
+budget counts class monomials. A class at exponent 1 stands for c edge
+monomials, and at exponent 2 for c(c+1)/2: c squares and C(c, 2) pairs.
+The summary counts the edge terms from those numbers, sums the class
+coefficients, reads rho, the least support, off the packed monomials of
+`algebra.multiply_forms` in one pass, sets nu = n - rho, and lists perfect
+matchings only when 2 rho == n, one per choice of an edge in each class
+of an all-squared class term of support rho.
+
+`expand_f` keeps one variable per edge, and its budget counts edge
+monomials. It turns the monomials into a sorted `CoverTerm` list, which
+the `*_from_f` readers work on; it serves a full listing of the terms,
+which expands the product once more after the summary, and callers that
+want the terms themselves. It decodes
 each distinct squared part and each distinct single part once, into one
 frozenset shared by every term that has it, and ranks each kind in the
 order of its index tuples; the terms are then sorted on one integer each,
@@ -27,9 +37,9 @@ part's rank.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Sequence
-from itertools import combinations
+from itertools import combinations, product
 
 from .algebra import DEFAULT_TERM_BUDGET, Monomial, multiply_forms
 from .errors import BudgetExceededError, EmptyExpansionError, IsolatedVertexError
@@ -62,19 +72,38 @@ class ExpansionSummary(
     __slots__ = ()
 
 
-def _incidence_poly(g: Multigraph, budget: int) -> dict[Monomial, int] | None:
-    # None when some vertex is isolated: its empty form zeroes the product.
-    # The vertex guard is the brute-force oracles' own, since a graph they
-    # refuse could not be checked anyway
+def _incidence_poly(
+    g: Multigraph, budget: int, classes: Sequence[Sequence[int]] | None = None
+) -> dict[Monomial, int] | None:
+    # One variable per edge, or per class of `classes`, with the class's
+    # size as its coefficient at both ends. None when some vertex is
+    # isolated: its empty form zeroes the product. The vertex guard is the
+    # brute-force oracles' own, since a graph they refuse could not be
+    # checked anyway
     if g.n > DEFAULT_MAX_VERTICES:
         raise BudgetExceededError(
             f"expansion guarded at {DEFAULT_MAX_VERTICES} vertices, graph has {g.n}"
         )
     if g.has_isolated_vertex():
         return None
+    if classes is None:
+        classes = [(j,) for j in range(g.m)]
+    ends: list[list[int]] = [[] for _ in range(g.n)]
+    for k, edges in enumerate(classes):
+        for v in g.edges[edges[0]]:
+            ends[v].append(k)
     # the same monomials, with smaller steps: smallest forms first, ties by vertex
-    forms = sorted((g.incident_edges(v) for v in range(g.n)), key=len)
-    return multiply_forms(forms, budget=budget)
+    forms = sorted(map(frozenset, ends), key=len)
+    return multiply_forms(forms, budget=budget, coefficients=[len(edges) for edges in classes])
+
+
+def _parallel_classes(g: Multigraph) -> list[list[int]]:
+    # the ascending edge indices of each parallel class, classes in the order
+    # of their first edges
+    members: dict[tuple[int, int], list[int]] = {}
+    for j, pair in enumerate(g.edges):
+        members.setdefault(pair, []).append(j)
+    return list(members.values())
 
 
 def _squared_bits(m: int) -> int:
@@ -94,24 +123,51 @@ def _fields(bits: int) -> tuple[int, ...]:
 
 def expansion_summary(g: Multigraph, budget: int = DEFAULT_TERM_BUDGET) -> ExpansionSummary:
     """Term count, coefficient sum, matching and edge-cover numbers, and the
-    perfect matchings, read in one pass over the expansion.
+    perfect matchings, read in one pass over the class expansion.
 
     Agrees with the `*_from_f` readers applied to `expand_f`, without
-    decoding or sorting the terms. Raises EmptyExpansionError when some
+    decoding or sorting the terms. The product is expanded with one
+    variable per parallel class, so `budget` counts class monomials, where
+    `expand_f`'s counts edge monomials. Raises EmptyExpansionError when some
     vertex is isolated, and has the same vertex guard as `expand_f`.
     """
-    poly = _incidence_poly(g, budget)
+    classes = _parallel_classes(g)
+    poly = _incidence_poly(g, budget, classes)
     if poly is None:
         raise EmptyExpansionError("an isolated vertex makes the expansion empty")
+    # A class of c edges at exponent 1 stands for its c edges, and at
+    # exponent 2 for c squares and C(c, 2) pairs: that many edge monomials
+    # per field, so the terms are counted per distinct multi-edge part
+    stands_for: dict[int, int] = {}
+    for k, edges in enumerate(classes):
+        c = len(edges)
+        if c > 1:
+            stands_for[1 << 2 * k] = c
+            stands_for[2 << 2 * k] = c * (c + 1) // 2
+    multi = sum(stands_for)
+    terms = 0
+    for part, count in Counter(map(multi.__and__, poly)).items():
+        while part:
+            low = part & -part
+            count *= stands_for[low]
+            part ^= low
+        terms += count
     # Each monomial has degree n, so 2|D| + |S| = n for its squared part D
     # and single part S, and its support is n - |D|: nu = n - rho (Gallai's
-    # nu + rho = n). Perfect matchings need 2 rho == n, and are then exactly
-    # the terms of support rho
+    # nu + rho = n). A squared class stands for a square of each of its
+    # edges, so the least support is the same over classes as over edges.
+    # Perfect matchings need 2 rho == n, and are then exactly the class
+    # terms of support rho, each a choice of one edge per class
     rho = min(map(int.bit_count, poly))
     perfect = []
     if 2 * rho == g.n:
-        perfect = sorted(_fields(mono) for mono in poly if mono.bit_count() == rho)
-    return ExpansionSummary(len(poly), sum(poly.values()), g.n - rho, rho, tuple(perfect))
+        perfect = sorted(
+            tuple(sorted(choice))
+            for mono in poly
+            if mono.bit_count() == rho
+            for choice in product(*(classes[k] for k in _fields(mono)))
+        )
+    return ExpansionSummary(terms, sum(poly.values()), g.n - rho, rho, tuple(perfect))
 
 
 def expand_f(g: Multigraph, budget: int = DEFAULT_TERM_BUDGET) -> list[CoverTerm]:

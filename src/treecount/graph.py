@@ -159,15 +159,14 @@ def _connected(nbr: Sequence[int]) -> bool:
     return seen == (1 << len(nbr)) - 1
 
 
-def _blocks(nbr: Sequence[int], root: int) -> list[tuple[int, int]]:
-    # (vertex mask, root) per biconnected block of the connected graph over
+def _blocks(nbr: Sequence[int], root: int) -> list[int]:
+    # the vertex mask of each biconnected block of the connected graph over
     # the neighbour masks, by a Hopcroft-Tarjan DFS from `root`. A block is
-    # closed at the vertex v whose DFS child w has no back edge above v, and
-    # v, which separates the block from `root` or is `root`, is its vertex
-    # nearest `root`. Parallel edges share one mask bit, so a bridge class is
-    # a 2-vertex block; a lone vertex has no block
+    # closed at the vertex v whose DFS child w has no back edge above v.
+    # Parallel edges share one mask bit, so a bridge class is a 2-vertex
+    # block; a lone vertex has no block
     order = [0] * len(nbr)
-    blocks: list[tuple[int, int]] = []
+    blocks: list[int] = []
     count = 0
 
     def visit(v: int) -> tuple[int, int]:
@@ -187,7 +186,7 @@ def _blocks(nbr: Sequence[int], root: int) -> list[tuple[int, int]]:
                 continue
             child_low, child = visit(w)
             if child_low >= order[v]:
-                blocks.append((child | 1 << v, v))
+                blocks.append(child | 1 << v)
             else:
                 low = min(low, child_low)
                 open_ |= child

@@ -116,6 +116,21 @@ MUTANTS = (
          f"{PROPS}::test_expansion_summary_matches_the_term_readers"),
     ),
     Mutant(
+        "C(c, 2) pairs left out of the term count",
+        "src/treecount/fpoly.py",
+        "            stands_for[2 << 2 * k] = c * (c + 1) // 2\n",
+        "            stands_for[2 << 2 * k] = c\n",
+        ("tests/test_fpoly.py::test_expansion_summary_counts_a_class_of_40_parallel_edges_as_one_monomial",
+         "tests/test_fpoly.py::test_expansion_summary_of_a_4_cycle_with_multi_edge_classes"),
+    ),
+    Mutant(
+        "a class exponent of 1 counted as one edge monomial",
+        "src/treecount/fpoly.py",
+        "            stands_for[1 << 2 * k] = c\n",
+        "            stands_for[1 << 2 * k] = 1\n",
+        ("tests/test_fpoly.py::test_expansion_summary_of_a_4_cycle_with_multi_edge_classes",),
+    ),
+    Mutant(
         "tree sum carried as tree * abs(c)",
         DF,
         "                        child_tree = tree * c\n",
@@ -127,8 +142,8 @@ MUTANTS = (
     Mutant(
         "summary of an isolated vertex's empty expansion does not raise",
         "src/treecount/fpoly.py",
-        "    poly = _incidence_poly(g, budget)\n    if poly is None:\n        raise",
-        "    poly = _incidence_poly(g, budget) or {}\n    if poly is None:\n        raise",
+        "    poly = _incidence_poly(g, budget, classes)\n    if poly is None:\n        raise",
+        "    poly = _incidence_poly(g, budget, classes) or {}\n    if poly is None:\n        raise",
         ("tests/test_fpoly.py::test_expansion_summary_guards",),
     ),
     Mutant(

@@ -75,6 +75,16 @@ def test_monomials_pack_two_bits_per_variable():
     assert poly == {0b0100_0100: 1, 0b1000_0000: 1}
 
 
+def test_coefficients_scale_each_variable_in_every_form():
+    # (3 y0 + 2 y1)(3 y0) = 9 y0^2 + 6 y0 y1; a coefficient of 1 changes nothing
+    assert multiply_forms([frozenset({0, 1}), frozenset({0})], coefficients=[3, 2]) == {
+        mono((0, 2)): 9,
+        mono((0, 1), (1, 1)): 6,
+    }
+    forms = [frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})]
+    assert multiply_forms(forms, coefficients=[1, 1, 1]) == multiply_forms(forms)
+
+
 def test_empty_product_is_constant_one():
     poly = multiply_forms([])
     assert poly == {mono(): 1}

@@ -615,6 +615,19 @@ def test_fpoly_budget_exceeded_prints_only_the_message(capsys, tmp_path):
     assert err == "treecount fpoly: expansion exceeded the 3-monomial budget\n"
 
 
+def test_fpoly_budget_counts_class_monomials_and_dump_edge_monomials(capsys, tmp_path):
+    # three parallel edges are one class: the summary's expansion is one
+    # monomial at every step, the edge expansion --dump lists is not
+    path = tmp_path / "triple.graph"
+    path.write_text("n 2\ne 0 1\ne 0 1\ne 0 1\n")
+    code, out, err = run(capsys, ["fpoly", str(path), "--budget", "1", "--json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["terms"] == 6
+    code, out, err = run(capsys, ["fpoly", str(path), "--dump", "--budget", "1"])
+    assert (code, out) == (1, "")
+    assert err == "treecount fpoly: expansion exceeded the 1-monomial budget\n"
+
+
 def test_fpoly_holds_the_empty_product_to_the_budget(capsys, tmp_path):
     # the empty graph's expansion is the constant 1: one monomial
     path = tmp_path / "empty.graph"

@@ -174,6 +174,26 @@ def test_expansion_summary_small_cases(path3, triangle):
     assert expansion_summary(Multigraph(0)) == ExpansionSummary(1, 1, 0, 0, ((),))
 
 
+def test_expansion_summary_counts_a_class_of_40_parallel_edges_as_one_monomial():
+    # one class variable y with coefficient 40 at both ends: the expansion
+    # is 1600 y^2 at every step, so a one-monomial budget holds, and y^2
+    # stands for 40 squares and C(40, 2) = 780 pairs of edge variables
+    summary = expansion_summary(build(2, [(0, 1)] * 40), budget=1)
+    assert summary == ExpansionSummary(820, 1600, 1, 1, tuple((j,) for j in range(40)))
+    with pytest.raises(BudgetExceededError):
+        expand_f(build(2, [(0, 1)] * 40), budget=1)
+
+
+def test_expansion_summary_of_a_4_cycle_with_multi_edge_classes():
+    # classes {0, 1}, {2}, {3, 4, 5}, {6}: each perfect matching of the
+    # 4-cycle picks one edge of each of its two classes
+    g = build(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (2, 3), (3, 0)])
+    assert expansion_summary(g) == ExpansionSummary(
+        98, 144, 2, 2, ((0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 6))
+    )
+    assert len(expand_f(g)) == 98
+
+
 def test_expansion_summary_guards(figure_one):
     with pytest.raises(EmptyExpansionError):
         expansion_summary(build(3, [(0, 1)]))
