@@ -91,14 +91,9 @@ def multiply_forms(
             scale = 1 if coefficients is None else coefficients[var]
             if nxt:
                 get = nxt.get
-                if scale == 1:
-                    for mono, coef in terms.items():
-                        key = mono + one
-                        nxt[key] = get(key, 0) + coef
-                else:
-                    for mono, coef in terms.items():
-                        key = mono + one
-                        nxt[key] = get(key, 0) + scale * coef
+                for mono, coef in terms.items():
+                    key = mono + one
+                    nxt[key] = get(key, 0) + scale * coef
                 _within_budget(nxt, budget)
             else:  # the first variable shifts every key alike: none collide
                 nxt = {mono + one: scale * coef for mono, coef in terms.items()}

@@ -162,7 +162,8 @@ def _build_parser() -> _Parser:
     budgets = (
         (p_verify, "monomial budget for the incidence expansion, one monomial per edge term"),
         (p_fpoly, "monomial budget for the incidence expansion: the summary counts one monomial"
-                  " per parallel-class term, the --dump listing one per edge term"),
+                  " per parallel-class term and one per perfect matching listed, the --dump"
+                  " listing one per edge term"),
     )
     for p, text in budgets:
         p.add_argument("--budget", type=int, default=DEFAULT_TERM_BUDGET, help=text)

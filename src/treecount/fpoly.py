@@ -21,7 +21,10 @@ The summary counts the edge terms from those numbers, sums the class
 coefficients, reads rho, the least support, off the packed monomials of
 `algebra.multiply_forms` in one pass, sets nu = n - rho, and lists perfect
 matchings only when 2 rho == n, one per choice of an edge in each class
-of an all-squared class term of support rho.
+of an all-squared class term of support rho. Each listed matching is an
+edge monomial, so the listing is held to the budget too: it is sized
+first, by the product of the class sizes of each such term, and never
+built past the budget.
 
 `expand_f` keeps one variable per edge, and its budget counts edge
 monomials. It turns the monomials into a sorted `CoverTerm` list, which
@@ -40,6 +43,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Sequence
 from itertools import combinations, product
+from math import prod
 
 from .algebra import DEFAULT_TERM_BUDGET, Monomial, multiply_forms
 from .errors import BudgetExceededError, EmptyExpansionError, IsolatedVertexError
@@ -128,7 +132,8 @@ def expansion_summary(g: Multigraph, budget: int = DEFAULT_TERM_BUDGET) -> Expan
     Agrees with the `*_from_f` readers applied to `expand_f`, without
     decoding or sorting the terms. The product is expanded with one
     variable per parallel class, so `budget` counts class monomials, where
-    `expand_f`'s counts edge monomials. Raises EmptyExpansionError when some
+    `expand_f`'s counts edge monomials; it also bounds the number of
+    perfect matchings listed. Raises EmptyExpansionError when some
     vertex is isolated, and has the same vertex guard as `expand_f`.
     """
     classes = _parallel_classes(g)
@@ -161,11 +166,13 @@ def expansion_summary(g: Multigraph, budget: int = DEFAULT_TERM_BUDGET) -> Expan
     rho = min(map(int.bit_count, poly))
     perfect = []
     if 2 * rho == g.n:
+        # each listed matching is one edge monomial, so the listing is held
+        # to the budget before it is built
+        chosen = [[classes[k] for k in _fields(mono)] for mono in poly if mono.bit_count() == rho]
+        if sum(prod(map(len, picks)) for picks in chosen) > budget:
+            raise BudgetExceededError(f"perfect matchings exceeded the {budget}-monomial budget")
         perfect = sorted(
-            tuple(sorted(choice))
-            for mono in poly
-            if mono.bit_count() == rho
-            for choice in product(*(classes[k] for k in _fields(mono)))
+            tuple(sorted(choice)) for picks in chosen for choice in product(*picks)
         )
     return ExpansionSummary(terms, sum(poly.values()), g.n - rho, rho, tuple(perfect))
 

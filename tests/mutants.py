@@ -131,6 +131,13 @@ MUTANTS = (
         ("tests/test_fpoly.py::test_expansion_summary_of_a_4_cycle_with_multi_edge_classes",),
     ),
     Mutant(
+        "perfect-matching listing not held to the budget",
+        "src/treecount/fpoly.py",
+        "        if sum(prod(map(len, picks)) for picks in chosen) > budget:\n",
+        "        if sum(1 for picks in chosen) > budget:\n",
+        ("tests/test_fpoly.py::test_expansion_summary_holds_the_perfect_matching_listing_to_the_budget",),
+    ),
+    Mutant(
         "tree sum carried as tree * abs(c)",
         DF,
         "                        child_tree = tree * c\n",

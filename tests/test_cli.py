@@ -617,15 +617,16 @@ def test_fpoly_budget_exceeded_prints_only_the_message(capsys, tmp_path):
 
 def test_fpoly_budget_counts_class_monomials_and_dump_edge_monomials(capsys, tmp_path):
     # three parallel edges are one class: the summary's expansion is one
-    # monomial at every step, the edge expansion --dump lists is not
+    # monomial at every step and lists 3 perfect matchings, while the edge
+    # expansion --dump lists has 6 terms
     path = tmp_path / "triple.graph"
     path.write_text("n 2\ne 0 1\ne 0 1\ne 0 1\n")
-    code, out, err = run(capsys, ["fpoly", str(path), "--budget", "1", "--json"])
+    code, out, err = run(capsys, ["fpoly", str(path), "--budget", "3", "--json"])
     assert (code, err) == (0, "")
     assert json.loads(out)["terms"] == 6
-    code, out, err = run(capsys, ["fpoly", str(path), "--dump", "--budget", "1"])
+    code, out, err = run(capsys, ["fpoly", str(path), "--dump", "--budget", "3"])
     assert (code, out) == (1, "")
-    assert err == "treecount fpoly: expansion exceeded the 1-monomial budget\n"
+    assert err == "treecount fpoly: expansion exceeded the 3-monomial budget\n"
 
 
 def test_fpoly_holds_the_empty_product_to_the_budget(capsys, tmp_path):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -176,12 +177,22 @@ def test_expansion_summary_small_cases(path3, triangle):
 
 def test_expansion_summary_counts_a_class_of_40_parallel_edges_as_one_monomial():
     # one class variable y with coefficient 40 at both ends: the expansion
-    # is 1600 y^2 at every step, so a one-monomial budget holds, and y^2
-    # stands for 40 squares and C(40, 2) = 780 pairs of edge variables
-    summary = expansion_summary(build(2, [(0, 1)] * 40), budget=1)
+    # is 1600 y^2 at every step, one monomial, and y^2 stands for 40
+    # squares and C(40, 2) = 780 pairs of edge variables. The 40 listed
+    # perfect matchings fit a 40-monomial budget; the 820 edge terms do not
+    summary = expansion_summary(build(2, [(0, 1)] * 40), budget=40)
     assert summary == ExpansionSummary(820, 1600, 1, 1, tuple((j,) for j in range(40)))
     with pytest.raises(BudgetExceededError):
-        expand_f(build(2, [(0, 1)] * 40), budget=1)
+        expand_f(build(2, [(0, 1)] * 40), budget=40)
+
+
+def test_expansion_summary_holds_the_perfect_matching_listing_to_the_budget():
+    # one all-squared class monomial stands for 4 * 4 perfect matchings
+    g = build(4, [(0, 1)] * 4 + [(2, 3)] * 4)
+    with pytest.raises(BudgetExceededError, match="perfect matchings exceeded the 15-monomial"):
+        expansion_summary(g, budget=15)
+    summary = expansion_summary(g, budget=16)
+    assert summary.perfect_matchings == tuple(product(range(4), range(4, 8)))
 
 
 def test_expansion_summary_of_a_4_cycle_with_multi_edge_classes():
