@@ -11,7 +11,7 @@ constant monomial is 0.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 
 from .errors import BudgetExceededError, ExponentOverflowError
 
@@ -58,13 +58,13 @@ def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
 
 
 def multiply_forms(
-    forms: Iterable[frozenset[int]],
+    forms: Iterable[Collection[int]],
     budget: int = DEFAULT_TERM_BUDGET,
     coefficients: Sequence[int] | None = None,
 ) -> dict[Monomial, int]:
     """Fully expand a product of sums of distinct variables.
 
-    Each form is the set of variable indices appearing in it, variable
+    Each form holds the distinct variable indices appearing in it, variable
     `var` with the positive coefficient `coefficients[var]` in every form,
     or 1 when `coefficients` is None. Returns a dict from each monomial,
     packed as described in the module docstring, to its nonzero

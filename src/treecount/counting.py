@@ -15,17 +15,20 @@ routes count the leafless core of each set their walk cannot carry with
 one of the two: the grouped formula and the identity by its minor's
 determinant (`_minor_det`), the direct formula by walking its trees.
 Enumeration walks the whole graph, once the simple graph's minor shows at
-most ENUM_TREE_BUDGET trees to visit. Delete/contract and
+most ENUM_TREE_BUDGET trees to visit. The table is built from
+`Multigraph._classes`, the graph's one grouping of its edges by endpoint
+pair. Delete/contract reads that grouping, not the table, so a fault in
+the table shows up as a disagreement between methods;
 `enumerate_spanning_trees`, the public reference walk with one edge-index
-set per tree, read the edges instead, so a fault in the table shows up as
-a disagreement between methods.
+set per tree, reads the raw edges, so a fault in the grouping does too.
 
-Delete/contract holds a (lo, hi) -> multiplicity dict built from the edges
-and recurses on contractions only: pendant classes are contracted and
-deleted classes dropped in place. Each minor it counts is memoized, for
-the rest of one call, under its vertex count and its sorted classes, each
-packed into one int (c << 12 | lo << 6 | hi, labels being below 64); more
-than DEL_CON_NODE_BUDGET of them raise BudgetExceededError.
+Delete/contract holds a fresh (lo, hi) -> multiplicity dict, one entry
+per class of `g._classes`, and recurses on contractions only: pendant
+classes are contracted and deleted classes dropped in place. Each minor
+it counts is memoized, for the rest of one call, under its vertex count
+and its sorted classes, each packed into one int (c << 12 | lo << 6 | hi,
+labels being below 64); more than DEL_CON_NODE_BUDGET of them raise
+BudgetExceededError.
 """
 
 from __future__ import annotations
@@ -132,7 +135,7 @@ DELETION_CONTRACTION_HEURISTICS: dict[str, _Pick] = {
 def tau_deletion_contraction(g: Multigraph, heuristic: str = "min-degree") -> int:
     """Spanning-tree count by the delete/contract recursion.
 
-    Works on the parallel classes read off the edges, a whole class per
+    Works on the parallel classes of `g._classes`, a whole class per
     step: tau(G) equals tau(G without the class) plus multiplicity times
     tau(G with the class contracted). A class that is its vertex's only one
     lies in every spanning tree, so it is contracted in place and its
@@ -151,14 +154,7 @@ def tau_deletion_contraction(g: Multigraph, heuristic: str = "min-degree") -> in
         pick = DELETION_CONTRACTION_HEURISTICS[heuristic]
     except KeyError:
         raise ValueError(f"unknown heuristic {heuristic!r}") from None
-    return _tau_dc(g.n, _edge_classes(g), pick, {})
-
-
-def _edge_classes(g: Multigraph) -> _Classes:
-    classes: _Classes = {}
-    for pair in g.edges:
-        classes[pair] = classes.get(pair, 0) + 1
-    return classes
+    return _tau_dc(g.n, {pair: len(js) for pair, js in g._classes}, pick, {})
 
 
 def _contract(classes: _Classes, a: int, b: int) -> _Classes:

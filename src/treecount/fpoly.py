@@ -6,7 +6,9 @@ support is an edge cover; reading extremal statistics off the expansion
 gives the matching number (largest squared part) and the edge-cover number
 (fewest distinct edges), and the all-squared terms are exactly the perfect
 matchings. Exhaustive searches are provided as independent oracles for
-both numbers.
+both numbers; they read the distinct endpoint pairs off the raw edges, not
+the graph's grouping of them, so a fault in that grouping shows up as a
+disagreement with them.
 
 The forms are multiplied smallest first, ties by vertex, which gives the
 same monomials from smaller intermediate expansions. Each monomial has
@@ -14,28 +16,28 @@ degree n, so its squared part D and single part S satisfy 2|D| + |S| = n:
 Gallai's nu + rho = n (Ann. Univ. Sci. Budapest 2, 1959), term by term.
 
 `expansion_summary` expands the product with one variable per parallel
-class, whose multiplicity c is its coefficient at both endpoints, so its
-budget counts class monomials. A class at exponent 1 stands for c edge
-monomials, and at exponent 2 for c(c+1)/2: c squares and C(c, 2) pairs.
-The summary counts the edge terms from those numbers, sums the class
-coefficients, reads rho, the least support, off the packed monomials of
-`algebra.multiply_forms` in one pass, sets nu = n - rho, and lists perfect
-matchings only when 2 rho == n, one per choice of an edge in each class
-of an all-squared class term of support rho. Each listed matching is an
-edge monomial, so the listing is held to the budget too: it is sized
-first, by the product of the class sizes of each such term, and never
-built past the budget.
+class of `Multigraph._classes`, whose multiplicity c is its coefficient at
+both endpoints, so its budget counts class monomials. A class at exponent
+1 stands for c edge monomials, and at exponent 2 for c(c+1)/2: c squares
+and C(c, 2) pairs. The summary counts the edge terms from those numbers,
+sums the class coefficients, reads rho, the least support, off the packed
+monomials of `algebra.multiply_forms` in one pass, sets nu = n - rho, and
+lists perfect matchings only when 2 rho == n, one per choice of an edge in
+each class of an all-squared class term of support rho. Each listed
+matching is an edge monomial, so the listing is held to the budget too: it
+is sized first, by the product of the class sizes of each such term, and
+never built past the budget.
 
-`expand_f` keeps one variable per edge, and its budget counts edge
-monomials. It turns the monomials into a sorted `CoverTerm` list, which
-the `*_from_f` readers work on; it serves a full listing of the terms,
-which expands the product once more after the summary, and callers that
-want the terms themselves. It decodes
-each distinct squared part and each distinct single part once, into one
-frozenset shared by every term that has it, and ranks each kind in the
-order of its index tuples; the terms are then sorted on one integer each,
-the squared part's rank times the number of single parts plus the single
-part's rank.
+`expand_f` keeps one variable per edge, each vertex's row read off
+`g._incidence`, and its budget counts edge monomials. It turns the
+monomials into a sorted `CoverTerm` list, which the `*_from_f` readers
+work on; it serves a full listing of the terms, which expands the product
+once more after the summary, and callers that want the terms themselves.
+It decodes each distinct squared part and each distinct single part once,
+into one frozenset shared by every term that has it, and ranks each kind
+in the order of its index tuples; the terms are then sorted on one integer
+each, the squared part's rank times the number of single parts plus the
+single part's rank.
 """
 
 from __future__ import annotations
@@ -77,37 +79,21 @@ class ExpansionSummary(
 
 
 def _incidence_poly(
-    g: Multigraph, budget: int, classes: Sequence[Sequence[int]] | None = None
+    g: Multigraph, budget: int, rows: Sequence[Sequence[int]], coefficients: Sequence[int] | None = None
 ) -> dict[Monomial, int] | None:
-    # One variable per edge, or per class of `classes`, with the class's
-    # size as its coefficient at both ends. None when some vertex is
-    # isolated: its empty form zeroes the product. The vertex guard is the
-    # brute-force oracles' own, since a graph they refuse could not be
-    # checked anyway
+    # The product over the vertices of the sums of the variables in their
+    # rows: one per edge (`g._incidence`), or one per parallel class with its
+    # size in `coefficients`. None when some vertex is isolated: its empty
+    # form zeroes the product. The vertex guard is the brute-force oracles'
+    # own, since a graph they refuse could not be checked anyway
     if g.n > DEFAULT_MAX_VERTICES:
         raise BudgetExceededError(
             f"expansion guarded at {DEFAULT_MAX_VERTICES} vertices, graph has {g.n}"
         )
     if g.has_isolated_vertex():
         return None
-    if classes is None:
-        classes = [(j,) for j in range(g.m)]
-    ends: list[list[int]] = [[] for _ in range(g.n)]
-    for k, edges in enumerate(classes):
-        for v in g.edges[edges[0]]:
-            ends[v].append(k)
     # the same monomials, with smaller steps: smallest forms first, ties by vertex
-    forms = sorted(map(frozenset, ends), key=len)
-    return multiply_forms(forms, budget=budget, coefficients=[len(edges) for edges in classes])
-
-
-def _parallel_classes(g: Multigraph) -> list[list[int]]:
-    # the ascending edge indices of each parallel class, classes in the order
-    # of their first edges
-    members: dict[tuple[int, int], list[int]] = {}
-    for j, pair in enumerate(g.edges):
-        members.setdefault(pair, []).append(j)
-    return list(members.values())
+    return multiply_forms(sorted(rows, key=len), budget=budget, coefficients=coefficients)
 
 
 def _squared_bits(m: int) -> int:
@@ -136,8 +122,12 @@ def expansion_summary(g: Multigraph, budget: int = DEFAULT_TERM_BUDGET) -> Expan
     perfect matchings listed. Raises EmptyExpansionError when some
     vertex is isolated, and has the same vertex guard as `expand_f`.
     """
-    classes = _parallel_classes(g)
-    poly = _incidence_poly(g, budget, classes)
+    classes = [edges for _, edges in g._classes]
+    rows: list[list[int]] = [[] for _ in range(g.n)]
+    for k, ((a, b), _) in enumerate(g._classes):
+        rows[a].append(k)
+        rows[b].append(k)
+    poly = _incidence_poly(g, budget, rows, list(map(len, classes)))
     if poly is None:
         raise EmptyExpansionError("an isolated vertex makes the expansion empty")
     # A class of c edges at exponent 1 stands for its c edges, and at
@@ -184,7 +174,7 @@ def expand_f(g: Multigraph, budget: int = DEFAULT_TERM_BUDGET) -> list[CoverTerm
     identically zero then). The expansion is inherently exponential, so
     graphs above DEFAULT_MAX_VERTICES vertices raise BudgetExceededError.
     """
-    poly = _incidence_poly(g, budget)
+    poly = _incidence_poly(g, budget, g._incidence)
     return [] if poly is None else _cover_terms(poly, g.m)
 
 
@@ -236,7 +226,8 @@ def perfect_matchings_from_f(terms: Sequence[CoverTerm]) -> list[frozenset[int]]
 
 
 def _distinct_pairs(g: Multigraph) -> list[tuple[int, int]]:
-    # parallel edges are interchangeable for matchings and covers
+    # parallel edges are interchangeable for matchings and covers; the pairs
+    # come off the raw edges, not `g._classes`, so the oracles check that grouping
     return sorted(set(g.edges))
 
 

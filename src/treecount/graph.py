@@ -93,14 +93,25 @@ class Multigraph:
             inc[b].append(j)
         return tuple(tuple(js) for js in inc)
 
+    @cached_property
+    def _classes(self) -> tuple[tuple[tuple[int, int], tuple[int, ...]], ...]:
+        # the one grouping of the edges by endpoint pair: each parallel class's
+        # (lo, hi) pair and ascending edge indices, in first-edge order
+        members: dict[tuple[int, int], list[int]] = {}
+        for j, pair in enumerate(self.edges):
+            members.setdefault(pair, []).append(j)
+        return tuple((pair, tuple(js)) for pair, js in members.items())
+
     def _class_sums(self, weights: Sequence[int]) -> tuple[tuple[tuple[int, int], ...], ...]:
         # per vertex, ascending (neighbour, weight sum) pairs, one per parallel
         # class; a class whose sum is 0 is kept, so every class is listed
-        sums: list[dict[int, int]] = [{} for _ in range(self.n)]
-        for (a, b), w in zip(self.edges, weights):
-            sums[a][b] = sums[a].get(b, 0) + w
-            sums[b][a] = sums[b].get(a, 0) + w
-        return tuple(tuple(sorted(row.items())) for row in sums)
+        at = weights.__getitem__
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for (a, b), js in self._classes:
+            w = sum(map(at, js))
+            rows[a].append((b, w))
+            rows[b].append((a, w))
+        return tuple(tuple(sorted(row)) for row in rows)
 
     @cached_property
     def _class_table(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -109,10 +120,9 @@ class Multigraph:
 
     @cached_property
     def _neighbor_masks(self) -> tuple[int, ...]:
-        # bit w of entry v is set iff v and w are adjacent; built from the edges,
-        # so a connectivity test does not build the class table
+        # bit w of entry v is set iff v and w are adjacent
         masks = [0] * self.n
-        for a, b in self.edges:
+        for (a, b), _ in self._classes:
             masks[a] |= 1 << b
             masks[b] |= 1 << a
         return tuple(masks)

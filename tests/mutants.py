@@ -149,8 +149,8 @@ MUTANTS = (
     Mutant(
         "summary of an isolated vertex's empty expansion does not raise",
         "src/treecount/fpoly.py",
-        "    poly = _incidence_poly(g, budget, classes)\n    if poly is None:\n        raise",
-        "    poly = _incidence_poly(g, budget, classes) or {}\n    if poly is None:\n        raise",
+        "    poly = _incidence_poly(g, budget, rows, list(map(len, classes)))\n    if poly is None:\n        raise",
+        "    poly = _incidence_poly(g, budget, rows, list(map(len, classes))) or {}\n    if poly is None:\n        raise",
         ("tests/test_fpoly.py::test_expansion_summary_guards",),
     ),
     Mutant(
@@ -295,6 +295,14 @@ MUTANTS = (
         "            return NotImplemented\n",
         "            return False\n",
         ("tests/test_graph.py::test_equality_with_another_type_is_left_to_the_other_side",),
+    ),
+    Mutant(
+        "`_classes` keeps only a class's first edge",
+        "src/treecount/graph.py",
+        "            members.setdefault(pair, []).append(j)\n",
+        "            members.setdefault(pair, [j])\n",
+        ("tests/test_graph.py::test_classes_list_each_pair_with_its_edges_in_first_edge_order",
+         "tests/test_fpoly.py::test_expansion_summary_of_a_4_cycle_with_multi_edge_classes"),
     ),
 )
 

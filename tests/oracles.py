@@ -422,7 +422,7 @@ def expand_f_by_decoding(g, budget=10_000_000):
     """expand_f the old way: both parts of every monomial decoded anew, the
     (doubled, single, coefficient) tuples sorted, and two frozensets built
     per term."""
-    poly = _incidence_poly(g, budget)
+    poly = _incidence_poly(g, budget, g._incidence)
     if poly is None:
         return []
     squared = int("10" * g.m, 2) if g.m else 0

@@ -4,14 +4,18 @@ import pytest
 
 from conftest import seeded_suite
 from treecount import (
+    FamilySpec,
     Multigraph,
     build,
     contract_edge,
     delete_vertices,
+    generate_family,
     induced,
     parse,
     serialize,
+    tau_deletion_contraction,
 )
+from treecount import counting
 from treecount.counting import _members
 from treecount.errors import (
     EdgeOutOfRangeError,
@@ -119,6 +123,53 @@ def test_incident_edges_isolated_vertex():
 def test_neighbors_sorted_and_distinct(figure_one):
     assert figure_one.neighbors(0) == (1, 2, 3)
     assert figure_one.neighbors(2) == (0, 1, 3)
+
+
+@pytest.mark.parametrize(
+    "g,classes",
+    [
+        # figure one: the 0-2 class holds edges 2 and 3
+        (
+            build(4, [(0, 1), (1, 2), (0, 2), (0, 2), (2, 3), (0, 3)]),
+            (((0, 1), (0,)), ((1, 2), (1,)), ((0, 2), (2, 3)), ((2, 3), (4,)), ((0, 3), (5,))),
+        ),
+        # the multiwheel on a 4-rim: every spoke doubled
+        (
+            generate_family(FamilySpec("multiwheel", (4,))),
+            (((0, 1), (0,)), ((1, 2), (1,)), ((2, 3), (2,)), ((0, 3), (3,)),
+             ((0, 4), (4, 5)), ((1, 4), (6, 7)), ((2, 4), (8, 9)), ((3, 4), (10, 11))),
+        ),
+        # a class's edges need not be adjacent, nor the first class the lowest pair
+        (
+            build(4, [(3, 2), (0, 1), (1, 2), (0, 3), (0, 2), (2, 1), (1, 0)]),
+            (((2, 3), (0,)), ((0, 1), (1, 6)), ((1, 2), (2, 5)), ((0, 3), (3,)), ((0, 2), (4,))),
+        ),
+    ],
+    ids=["figure-one", "multiwheel-4", "interleaved"],
+)
+def test_classes_list_each_pair_with_its_edges_in_first_edge_order(monkeypatch, g, classes):
+    assert g._classes == classes
+    # the neighbour masks, the class table and delete/contract's starting
+    # multiplicities are all read off that one grouping
+    masks = [0] * g.n
+    rows = [[] for _ in range(g.n)]
+    for (a, b), edges in classes:
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+        rows[a].append((b, len(edges)))
+        rows[b].append((a, len(edges)))
+    assert g._neighbor_masks == tuple(masks)
+    assert g._class_table == tuple(tuple(sorted(row)) for row in rows)
+    started = []
+    real = counting._tau_dc
+
+    def spy(n, minor, pick, memo):
+        started.append(list(minor.items()))
+        return real(n, minor, pick, memo)
+
+    monkeypatch.setattr(counting, "_tau_dc", spy)
+    tau_deletion_contraction(g)
+    assert started[0] == [(pair, len(edges)) for pair, edges in classes]
 
 
 def test_delete_vertex_from_figure_one(figure_one):

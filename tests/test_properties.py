@@ -46,7 +46,7 @@ from treecount import (
     thomassen_bound,
 )
 import treecount.degree_formula as degree_formula
-from treecount.counting import _minor_det, _tree_sum
+from treecount.counting import _minor_det, _pick_first_edge, _pick_min_degree, _tau_dc, _tree_sum
 from treecount.degree_formula import (
     _block_product,
     _correction,
@@ -145,6 +145,31 @@ def test_class_level_deletion_contraction_matches_the_edge_route(g):
     for heuristic in ("min-degree", "first-edge"):
         assert tau_deletion_contraction(g, heuristic) == reference
         assert tau_dc_by_edges(g, heuristic) == reference
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        parallel_multigraphs(max_n=8, max_m=12),
+        parallel_multigraphs(max_n=8, max_m=12, connected=True),
+    ).flatmap(
+        lambda g: st.tuples(st.just(g), st.lists(st.integers(-3, 3), min_size=g.m, max_size=g.m))
+    )
+)
+# the doubled 0-1 class's weights 2 and -2 cancel: its ends stay adjacent
+# at class value 0
+@example((build(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (0, 1)]), [2, 1, 3, 1, -1, -2]))
+def test_deletion_contraction_at_class_weight_sums_is_the_weighted_tree_sum(case):
+    # delete/contract reads only each class's value, so run at the class
+    # weight sums, added up here from the raw edges, it gives the weighted
+    # tree sum, zero and negative class values included, under both picks
+    g, w = case
+    sums = {}
+    for pair, x in zip(g.edges, w):
+        sums[pair] = sums.get(pair, 0) + x
+    expected = tau_weighted_matrix_tree(g, w)
+    for pick in (_pick_min_degree, _pick_first_edge):
+        assert _tau_dc(g.n, dict(sums), pick, {}) == expected
 
 
 @settings(max_examples=60)
