@@ -27,7 +27,6 @@ from collections.abc import Iterator, Sequence
 
 from .algebra import DEFAULT_TERM_BUDGET
 from .counting import (
-    ENUM_TREE_BUDGET,
     FAMILY_KINDS,
     FamilySpec,
     _minor_det,
@@ -48,7 +47,6 @@ from .degree_formula import (
     thomassen_bound,
 )
 from .errors import (
-    BudgetExceededError,
     DisconnectedError,
     EmptyGraphError,
     ParseError,
@@ -280,13 +278,6 @@ def _method_values(g: Multigraph, root: int | None) -> dict[str, int]:
     values = {name: _ROUTES[name](g, root) for name in ("matrix-tree", "del-con")}
     values["del-con-alt"] = tau_deletion_contraction(g, "first-edge")
     if g.n <= ENUM_VERTEX_CAP:
-        # beside the class walk of `count --method enum`, the reference walk
-        # builds one edge set per tree, so it is held to the tree budget
-        if values["matrix-tree"] > ENUM_TREE_BUDGET:
-            raise BudgetExceededError(
-                f"reference enumeration exceeds the {ENUM_TREE_BUDGET}-tree budget: "
-                f"the walk would visit {values['matrix-tree']} trees"
-            )
         values["enum"] = sum(1 for _ in enumerate_spanning_trees(g))
         values["enum-classes"] = _ROUTES["enum"](g, root)
     if root is not None:

@@ -14,13 +14,16 @@ product of its class values (a class valued 0 is skipped). The degree
 routes count the leafless core of each set their walk cannot carry with
 one of the two: the grouped formula and the identity by its minor's
 determinant (`_minor_det`), the direct formula by walking its trees.
-Enumeration walks the whole graph, once the simple graph's minor shows at
-most ENUM_TREE_BUDGET trees to visit. The table is built from
+Enumeration walks the whole graph. The table is built from
 `Multigraph._classes`, the graph's one grouping of its edges by endpoint
 pair. Delete/contract reads that grouping, not the table, so a fault in
 the table shows up as a disagreement between methods;
 `enumerate_spanning_trees`, the public reference walk with one edge-index
 set per tree, reads the raw edges, so a fault in the grouping does too.
+Both walks are sized by one rule (`_walk_size`): the minor's determinant
+counts the trees the walk would visit (the simple graph's for the class
+walk, tau for the reference walk), more than ENUM_TREE_BUDGET are refused
+before the walk starts, and a count of 0 returns without walking.
 
 Delete/contract holds a fresh (lo, hi) -> multiplicity dict, one entry
 per class of `g._classes`, and recurses on contractions only: pendant
@@ -283,6 +286,20 @@ def _tree_sum(s: int, links: _ClassTable) -> int:
 ENUM_TREE_BUDGET = 10**7
 
 
+def _walk_size(g: Multigraph, links: _ClassTable, walk: str) -> int:
+    # the trees a walk of g would visit, g's tree sum over `links`, refused
+    # past ENUM_TREE_BUDGET before the walk starts
+    if g.n == 0:
+        raise EmptyGraphError("spanning trees need at least one vertex")
+    trees = _spanning_minor_det(g, links)
+    if trees > ENUM_TREE_BUDGET:
+        raise BudgetExceededError(
+            f"{walk} exceeds the {ENUM_TREE_BUDGET}-tree budget: "
+            f"the walk would visit {trees} trees"
+        )
+    return trees
+
+
 def count_spanning_trees(g: Multigraph) -> int:
     """Spanning-tree count by enumeration.
 
@@ -295,15 +312,8 @@ def count_spanning_trees(g: Multigraph) -> int:
     figure only decides whether the walk runs: it is 0 exactly when g is
     disconnected, whose count is then 0 with no walk.
     """
-    if g.n == 0:
-        raise EmptyGraphError("spanning trees need at least one vertex")
-    leaves = _spanning_minor_det(g, [[(w, 1) for w, _ in row] for row in g._class_table])
-    if leaves > ENUM_TREE_BUDGET:
-        raise BudgetExceededError(
-            f"enumeration exceeds the {ENUM_TREE_BUDGET}-tree budget: "
-            f"the walk would visit {leaves} trees"
-        )
-    if not leaves:
+    unit = [[(w, 1) for w, _ in row] for row in g._class_table]
+    if not _walk_size(g, unit, "enumeration"):
         return 0
     return _tree_sum((1 << g.n) - 1, g._class_table)
 
@@ -311,11 +321,13 @@ def count_spanning_trees(g: Multigraph) -> int:
 def enumerate_spanning_trees(g: Multigraph) -> Iterator[frozenset[int]]:
     """Yield every spanning tree as an edge-index set, exactly once.
 
-    Order is lexicographic on the sorted index sequence. Only sensible for
-    small graphs; the count grows superexponentially.
+    Order is lexicographic on the sorted index sequence. The walk visits
+    tau(G) trees, so tau is taken first, as the Laplacian minor: past
+    ENUM_TREE_BUDGET it raises BudgetExceededError before the first tree,
+    and at 0 (g disconnected) nothing is yielded and nothing walked.
     """
-    if g.n == 0:
-        raise EmptyGraphError("spanning trees need at least one vertex")
+    if not _walk_size(g, g._class_table, "reference enumeration"):
+        return
     need = g.n - 1
     edges = g.edges
     m = g.m

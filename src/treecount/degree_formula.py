@@ -330,13 +330,8 @@ def best_thomassen_bound(g: Multigraph) -> tuple[int, int]:
 
     Ties go to the smallest vertex index. Needs n >= 1.
     """
-    best_u = 0
-    best = thomassen_bound(g, 0)
-    for u in range(1, g.n):
-        value = thomassen_bound(g, u)
-        if value < best:
-            best_u, best = u, value
-    return best_u, best
+    u = min(range(g.n), key=lambda v: thomassen_bound(g, v), default=0)
+    return u, thomassen_bound(g, u)
 
 
 def _block_product(nbr: Sequence[int], links: _ClassTable, core: _Core) -> int:

@@ -268,9 +268,25 @@ MUTANTS = (
     Mutant(
         "spanning-tree enumeration lets the empty graph through",
         "src/treecount/counting.py",
-        "    small graphs; the count grows superexponentially.\n    \"\"\"\n    if g.n == 0:\n",
-        "    small graphs; the count grows superexponentially.\n    \"\"\"\n    if g.n < 0:\n",
-        ("tests/test_counting.py::test_enumeration_rejects_the_empty_graph",),
+        "    # past ENUM_TREE_BUDGET before the walk starts\n    if g.n == 0:\n",
+        "    # past ENUM_TREE_BUDGET before the walk starts\n    if g.n < 0:\n",
+        ("tests/test_counting.py::test_enumeration_rejects_the_empty_graph",
+         "tests/test_counting.py::test_class_walk_rejects_the_empty_graph"),
+    ),
+    Mutant(
+        "reference walk not held to the tree budget",
+        "src/treecount/counting.py",
+        "    if trees > ENUM_TREE_BUDGET:\n",
+        "    if walk == \"enumeration\" and trees > ENUM_TREE_BUDGET:\n",
+        ("tests/test_counting.py::test_reference_walk_refuses_k10_before_its_first_tree",
+         "tests/test_counting.py::test_reference_walk_is_sized_by_tau"),
+    ),
+    Mutant(
+        "reference walk entered on a zero count",
+        "src/treecount/counting.py",
+        "    if not _walk_size(g, g._class_table, \"reference enumeration\"):\n        return\n",
+        "    _walk_size(g, g._class_table, \"reference enumeration\")\n",
+        ("tests/test_counting.py::test_reference_walk_of_a_disconnected_graph_does_not_walk",),
     ),
     Mutant(
         "family vertex cap off by one",

@@ -258,6 +258,48 @@ def test_enumeration_budget_counts_the_simple_trees(monkeypatch):
         count_spanning_trees(complete(4))
 
 
+def test_reference_walk_refuses_k10_before_its_first_tree():
+    with pytest.raises(
+        BudgetExceededError,
+        match="^reference enumeration exceeds the 10000000-tree budget: "
+        "the walk would visit 100000000 trees$",
+    ):
+        next(enumerate_spanning_trees(complete(10)))
+
+
+def test_reference_walk_is_sized_by_tau(monkeypatch, figure_one):
+    # figure one has tau = 12 but 8 trees in its underlying simple graph; the
+    # reference walk visits every edge set, so tau is its size
+    monkeypatch.setattr(counting, "ENUM_TREE_BUDGET", 11)
+    with pytest.raises(
+        BudgetExceededError,
+        match="^reference enumeration exceeds the 11-tree budget: the walk would visit 12 trees$",
+    ):
+        next(enumerate_spanning_trees(figure_one))
+    monkeypatch.setattr(counting, "ENUM_TREE_BUDGET", 12)
+    assert len(list(enumerate_spanning_trees(figure_one))) == 12
+
+
+def test_reference_walk_of_a_disconnected_graph_does_not_walk():
+    # K8 plus an isolated vertex has tau = 0: nothing is yielded, and the
+    # walk's recursive `extend` is never entered
+    entered = 0
+
+    def probe(frame, event, arg):
+        nonlocal entered
+        code = frame.f_code
+        if event == "call" and code.co_name == "extend" and code.co_filename == counting.__file__:
+            entered += 1
+
+    g = build(9, complete(8).edges)
+    sys.setprofile(probe)
+    try:
+        trees = list(enumerate_spanning_trees(g))
+    finally:
+        sys.setprofile(None)
+    assert (trees, entered) == ([], 0)
+
+
 def test_enumeration_triangle_order(triangle):
     assert list(enumerate_spanning_trees(triangle)) == [
         frozenset({0, 1}),

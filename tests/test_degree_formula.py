@@ -393,6 +393,8 @@ def test_best_thomassen_bound():
     assert best_thomassen_bound(triangle) == (0, 4)
     wheel = build(5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)])
     assert best_thomassen_bound(wheel) == (4, 81)
+    with pytest.raises(VertexOutOfRangeError):
+        best_thomassen_bound(Multigraph(0))
 
 
 @pytest.mark.parametrize(
