@@ -57,6 +57,9 @@ table that keeps only the classes inside the block; the set budget holds
 per block walk. `c_pieces`, `direct_formula_value` (the disconnected
 probe) and the identity walk the whole vertex mask of G unreduced, since
 their terms are per set through the given root and depend on all of G.
+One guard, `_require_rooted`, opens every walk through a root of a
+connected G (both tau routes, `c_pieces`, `enumerate_nst`, `identity_rhs`):
+it refuses the empty graph, then a disconnected one, then a bad root.
 """
 
 from __future__ import annotations
@@ -300,15 +303,23 @@ def _correction(
     return _correction_walk(nbr, u, links, within, _tree_counter(nbr, links, core))
 
 
+def _require_rooted(g: Multigraph, u: int, walk: str) -> None:
+    # the entry checks of every rooted walk (see the module docstring);
+    # `walk` names it in the connectivity error
+    if g.n == 0:
+        raise EmptyGraphError("tau needs at least one vertex")
+    if not g.is_connected():
+        raise DisconnectedError(f"{walk} needs a connected graph")
+    g._check_vertex(u)
+
+
 def c_pieces(g: Multigraph, u: int) -> Iterator[InducedPiece]:
     """Yield the grouped correction terms for root u.
 
     Covers connected sets S with u in S and 1 <= |S| <= n-2 whose deletion
     leaves no isolated vertex, in enumerate_connected_sets order.
     """
-    if not g.is_connected():
-        raise DisconnectedError("grouped formula needs a connected graph")
-    g._check_vertex(u)
+    _require_rooted(g, u, "grouped formula")
     links = g._class_table
     count = _tree_counter(g._neighbor_masks, links, _minor_det)
     for s, outside, tree in _correction_sets(g, u, links, count):
@@ -370,12 +381,13 @@ def _series_reduce(
     rows = [dict(pairs) for pairs in links]
     left = len(rows)
     num = den = 1
-    todo = sum(1 << v for v, row in enumerate(rows) if len(row) <= 2)
-    while todo and left > 1:
-        low = todo & -todo
-        todo ^= low
-        v = low.bit_length() - 1
-        row, rows[v] = rows[v], {}
+    while left > 1:
+        for v, row in enumerate(rows):
+            if 0 < len(row) <= 2:
+                break
+        else:
+            break
+        rows[v] = {}
         left -= 1
         if len(row) == 1:
             ((a, p),) = row.items()
@@ -393,8 +405,6 @@ def _series_reduce(
             ends = (a, b)
         for w in ends:
             del rows[w][v]
-            if len(rows[w]) <= 2:
-                todo |= 1 << w
         d = math.gcd(*(c for other in rows for c in other.values()))
         if d > 1:
             for other in rows:
@@ -413,16 +423,6 @@ def _reduced_block_product(g: Multigraph, core: _Core) -> int:
     return value
 
 
-def _require_tau_input(g: Multigraph, u: int, route: str) -> None:
-    # the entry checks of both tau degree routes; `route` names the formula
-    # in the connectivity error
-    if g.n == 0:
-        raise EmptyGraphError("tau needs at least one vertex")
-    if not g.is_connected():
-        raise DisconnectedError(f"{route} formula needs a connected graph")
-    g._check_vertex(u)
-
-
 def tau_via_grouped_formula(g: Multigraph, u: int) -> int:
     """Spanning-tree count from degrees, correction grouped by vertex set.
 
@@ -430,7 +430,7 @@ def tau_via_grouped_formula(g: Multigraph, u: int) -> int:
     the reduced graph, each rooted at its vertex with the fewest distinct
     neighbours in it. u is only validated: tau does not depend on it.
     """
-    _require_tau_input(g, u, "grouped")
+    _require_rooted(g, u, "grouped formula")
     return _reduced_block_product(g, _minor_det)
 
 
@@ -441,9 +441,7 @@ def enumerate_nst(g: Multigraph, u: int) -> Iterator[SubTree]:
     excluded. Deterministic order: vertex sets in enumeration order, trees
     within a set in lexicographic edge order.
     """
-    if not g.is_connected():
-        raise DisconnectedError("subtree enumeration needs a connected graph")
-    g._check_vertex(u)
+    _require_rooted(g, u, "subtree enumeration")
     for s in enumerate_connected_sets(g, u, g.n - 1):
         sub = induced(g, s)
         for tree in enumerate_spanning_trees(sub.graph):
@@ -468,5 +466,5 @@ def tau_via_direct_formula(g: Multigraph, u: int) -> int:
     the reduced graph, each rooted at its vertex with the fewest distinct
     neighbours in it. u is only validated: tau does not depend on it.
     """
-    _require_tau_input(g, u, "direct")
+    _require_rooted(g, u, "direct formula")
     return _reduced_block_product(g, _tree_sum)

@@ -129,7 +129,8 @@ class Multigraph:
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
-            raise VertexOutOfRangeError(f"vertex {v} not in 0..{self.n - 1}")
+            span = f"0..{self.n - 1}" if self.n else "the empty graph"
+            raise VertexOutOfRangeError(f"vertex {v} not in {span}")
 
     def degree(self, v: int) -> int:
         """Endpoint count at v; parallel edges count separately."""

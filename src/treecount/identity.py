@@ -14,9 +14,10 @@ sums kept, once: the weighted tree sum is the Laplacian minor of those
 sums, and the correction is the grouped correction at that class table,
 one walk of the kept vertex sets with its own cache of inside sums, the
 walk `degree` runs (see `degree_formula`). Neither a remainder graph nor
-an induced subgraph is built, and no tree is walked. `check_identity`
-takes the left side, which checks the point's length and root, before the
-right side; k points are k calls.
+an induced subgraph is built, and no tree is walked. `identity_rhs` checks
+the point's length, then graph and root by the degree walks' guard, before
+any sum; `check_identity` takes the left side, which checks the point's
+length and root, before the right side; k points are k calls.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .counting import _minor_det, _spanning_minor_det
-from .degree_formula import SubTree, _correction
-from .errors import DisconnectedError, LengthMismatchError
+from .degree_formula import SubTree, _correction, _require_rooted
+from .errors import LengthMismatchError
 from .graph import Multigraph
 
 
@@ -83,11 +84,9 @@ def identity_rhs(g: Multigraph, u: int, weights: Sequence[int]) -> tuple[int, in
     """
     if len(weights) != g.m:
         raise LengthMismatchError(f"expected {g.m} weights, got {len(weights)}")
+    _require_rooted(g, u, "subtree enumeration")
     links = g._class_sums(weights)
     tau = _spanning_minor_det(g, links)
-    if not g.is_connected():
-        raise DisconnectedError("subtree enumeration needs a connected graph")
-    g._check_vertex(u)
     return tau, _correction(g._neighbor_masks, u, links, (1 << g.n) - 1, _minor_det)
 
 

@@ -229,10 +229,19 @@ MUTANTS = (
         "degree routes let the empty graph through",
         DF,
         "    if g.n == 0:\n        raise EmptyGraphError(\"tau needs at least one vertex\")\n"
-        "    if not g.is_connected():\n        raise DisconnectedError(f\"{route}",
-        "    if not g.is_connected():\n        raise DisconnectedError(f\"{route}",
+        "    if not g.is_connected():\n        raise DisconnectedError(f\"{walk}",
+        "    if not g.is_connected():\n        raise DisconnectedError(f\"{walk}",
         (f"{DF_TESTS}::test_every_route_rejects_the_empty_graph",
          f"{CLI_TESTS}::test_count_on_the_empty_graph_keeps_one_error_per_route"),
+    ),
+    Mutant(
+        "`identity_rhs` takes its determinant before the guard",
+        "src/treecount/identity.py",
+        "    _require_rooted(g, u, \"subtree enumeration\")\n"
+        "    links = g._class_sums(weights)\n    tau = _spanning_minor_det(g, links)\n",
+        "    links = g._class_sums(weights)\n    tau = _spanning_minor_det(g, links)\n"
+        "    _require_rooted(g, u, \"subtree enumeration\")\n",
+        ("tests/test_identity.py::test_identity_rhs_refuses_its_input_before_the_determinant",),
     ),
     Mutant(
         "incident weight sums skip the length check",

@@ -111,13 +111,40 @@ def test_c_pieces_multiwheel(multiwheel4):
         (lambda g: tau_via_grouped_formula(g, None), "tau needs at least one vertex"),
         (lambda g: tau_via_direct_formula(g, 0), "tau needs at least one vertex"),
         (lambda g: tau_via_direct_formula(g, None), "tau needs at least one vertex"),
+        (lambda g: list(c_pieces(g, 0)), "tau needs at least one vertex"),
+        (lambda g: list(enumerate_nst(g, 0)), "tau needs at least one vertex"),
     ],
-    ids=["matrix-tree", "del-con", "enum", "grouped", "grouped-no-root", "direct", "direct-no-root"],
+    ids=[
+        "matrix-tree", "del-con", "enum", "grouped", "grouped-no-root", "direct",
+        "direct-no-root", "c-pieces", "nst",
+    ],
 )
 def test_every_route_rejects_the_empty_graph(route, message):
-    # the empty graph counts as connected, so the degree routes test for it first
+    # the empty graph counts as connected, so the rooted walks test for it first
     with pytest.raises(EmptyGraphError, match=f"^{message}$"):
         route(Multigraph(0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: thomassen_bound(g, 0),
+        best_thomassen_bound,
+        lambda g: direct_formula_value(g, 0),
+        lambda g: list(enumerate_connected_sets(g, 0, 1)),
+        lambda g: check_identity(g, 0, []),
+        lambda g: g.degree(0),
+        lambda g: g.incident_edges(0),
+        lambda g: g.neighbors(0),
+    ],
+    ids=[
+        "bound", "best-bound", "direct-value", "connected-sets", "identity", "degree",
+        "incident-edges", "neighbors",
+    ],
+)
+def test_vertex_check_names_the_empty_graph(call):
+    with pytest.raises(VertexOutOfRangeError, match="^vertex 0 not in the empty graph$"):
+        call(Multigraph(0))
 
 
 def test_c_pieces_two_vertices_is_empty():

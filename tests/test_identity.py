@@ -280,6 +280,22 @@ def test_identity_rhs_error_order_is_unchanged(g, u, w, error):
         identity_rhs_by_subtrees(g, u, w)
 
 
+@pytest.mark.parametrize(
+    "g, u, w, error",
+    [
+        (build(3, [(0, 1)]), 0, [1], DisconnectedError),
+        (build(3, [(0, 1), (1, 2)]), 3, [1, 1], VertexOutOfRangeError),
+    ],
+)
+def test_identity_rhs_refuses_its_input_before_the_determinant(monkeypatch, g, u, w, error):
+    def det(g, links):
+        raise AssertionError("the determinant was taken on input the guard refuses")
+
+    monkeypatch.setattr(treecount.identity, "_spanning_minor_det", det)
+    with pytest.raises(error):
+        identity_rhs(g, u, w)
+
+
 def test_identity_rhs_matches_the_subtree_route_with_zeros_and_parallel_edges(
     figure_one, multiwheel4
 ):
