@@ -27,7 +27,9 @@ before the walk starts, and a count of 0 returns without walking.
 
 Delete/contract holds a fresh (lo, hi) -> multiplicity dict, one entry
 per class of `g._classes`, and recurses on contractions only: pendant
-classes are contracted and deleted classes dropped in place. Each minor
+classes are contracted, a vertex v with two distinct neighbours a and b is
+deleted by the series rule (recursing once on (G - v)/ab, a minor of n - 2
+vertices) and deleted classes are dropped in place. Each minor
 it counts is memoized, for the rest of one call, under its vertex count
 and its sorted classes, each packed into one int (c << 12 | lo << 6 | hi,
 labels being below 64); more than DEL_CON_NODE_BUDGET of them raise
@@ -113,8 +115,8 @@ _Classes = dict[tuple[int, int], int]
 
 # Distinct minors delete/contract may count in one call. Each stays in the
 # memo until the call returns, so the budget bounds memory as well as time:
-# K11 (18,948 minors) and Q4 (34,202; 40,629 under "first-edge") fit, K12
-# (85,123) and larger complete graphs do not.
+# K11 (4,535 minors), Q4 (8,983; 5,590 under "first-edge") and K12 (16,811)
+# fit, K13 (66,899) and larger complete graphs do not.
 DEL_CON_NODE_BUDGET = 50_000
 _Pick = Callable[[_Classes, list[int], list[int]], tuple[int, int]]
 
@@ -142,8 +144,13 @@ def tau_deletion_contraction(g: Multigraph, heuristic: str = "min-degree") -> in
     step: tau(G) equals tau(G without the class) plus multiplicity times
     tau(G with the class contracted). A class that is its vertex's only one
     lies in every spanning tree, so it is contracted in place and its
-    multiplicity multiplied in; disconnection short-circuits to 0 and
-    graphs of at most 3 vertices are closed out directly. Contraction keeps
+    multiplicity multiplied in. With none left, at the lowest vertex v with
+    two distinct neighbours a and b, by classes of multiplicity p and q, a
+    tree takes one of the two classes or both: tau(G) = (p + q) * tau(G - v)
+    + pq * tau((G - v)/ab), so G - v is counted in place and only
+    (G - v)/ab recurses. Neither rule divides, so both hold at any integer
+    class values. Disconnection short-circuits to 0 and graphs of at most 3
+    vertices are closed out directly. Deletion and contraction keep
     vertices labelled in order of their least original vertex, so a minor
     reached twice has one key, and its count is memoized for the rest of
     the call (cf. Haggard, Pearce & Royle, ACM TOMS 37(3), 2010). More than
@@ -181,9 +188,9 @@ def _contract(classes: _Classes, a: int, b: int) -> _Classes:
 
 def _tau_dc(n: int, classes: _Classes, pick: _Pick, memo: dict) -> int:
     # tau of the minor `classes` on n vertices, which this call consumes.
-    # It is total + scale * tau(current graph) throughout: pendant classes
-    # and deleted classes change the graph in place and only contraction
-    # recurses, so the depth stays below n
+    # It is total + scale * tau(current graph) throughout: pendant classes,
+    # series vertices and deleted classes change the graph in place and only
+    # contraction recurses, so the depth stays below n
     key = (n, tuple(sorted(c << 12 | lo << 6 | hi for (lo, hi), c in classes.items())))
     known = memo.get(key)
     if known is not None:
@@ -212,13 +219,30 @@ def _tau_dc(n: int, classes: _Classes, pick: _Pick, memo: dict) -> int:
             degrees[b] += c
         if not _connected(nbr):
             break
-        pendant = next((v for v in range(n) if not nbr[v] & (nbr[v] - 1)), None)
-        if pendant is not None:
+        distinct = [mask.bit_count() for mask in nbr]
+        fewest = min(distinct)
+        if fewest == 1:
+            pendant = distinct.index(1)
             w = nbr[pendant].bit_length() - 1
             pair = (pendant, w) if pendant < w else (w, pendant)
             scale *= classes[pair]
             classes = _contract(classes, *pair)
             n -= 1
+            continue
+        if fewest == 2:
+            # series: a tree of G takes one of v's classes and a tree of
+            # G - v, or both and a tree of (G - v)/ab; only the last recurses
+            v = distinct.index(2)
+            a, b = (nbr[v] & -nbr[v]).bit_length() - 1, nbr[v].bit_length() - 1
+            p = classes[(a, v) if a < v else (v, a)]
+            q = classes[(v, b) if v < b else (b, v)]
+            classes = {
+                (x - (x > v), y - (y > v)): c for (x, y), c in classes.items() if x != v != y
+            }
+            n -= 1
+            joined = _contract(classes, a - (a > v), b - (b > v))
+            total += scale * p * q * _tau_dc(n - 1, joined, pick, memo)
+            scale *= p + q
             continue
         pair = pick(classes, nbr, degrees)
         c = classes.pop(pair)  # the delete branch: the loop goes on without it

@@ -341,8 +341,11 @@ def best_thomassen_bound(g: Multigraph) -> tuple[int, int]:
 
     Ties go to the smallest vertex index. Needs n >= 1.
     """
-    u = min(range(g.n), key=lambda v: thomassen_bound(g, v), default=0)
-    return u, thomassen_bound(g, u)
+    g._check_vertex(0)
+    degrees = g.degrees()
+    bounds = [math.prod(degrees[:v] + degrees[v + 1 :]) for v in range(g.n)]
+    best = min(bounds)
+    return bounds.index(best), best
 
 
 def _block_product(nbr: Sequence[int], links: _ClassTable, core: _Core) -> int:

@@ -26,9 +26,10 @@ MAX_VERTICES = 64
 class Multigraph:
     """Loopless undirected multigraph with positionally indexed edges.
 
-    The vertex count and every endpoint must be a plain int; anything else,
-    bool included, raises TypeError naming `n` or the edge index. Instances
-    are immutable and compare and hash by `(n, edges)`.
+    The vertex count, every endpoint and every vertex argument must be a
+    plain int; anything else, bool included, raises TypeError naming `n`,
+    the edge index or the vertex. Instances are immutable and compare and
+    hash by `(n, edges)`.
     """
 
     n: int
@@ -128,6 +129,8 @@ class Multigraph:
         return tuple(masks)
 
     def _check_vertex(self, v: int) -> None:
+        if type(v) is not int:
+            raise TypeError(f"vertex must be an int, got {v!r}")
         if not (0 <= v < self.n):
             span = f"0..{self.n - 1}" if self.n else "the empty graph"
             raise VertexOutOfRangeError(f"vertex {v} not in {span}")

@@ -33,6 +33,7 @@ DF_TESTS = "tests/test_degree_formula.py"
 CLI = "src/treecount/cli.py"
 CLI_TESTS = "tests/test_cli.py"
 PROPS = "tests/test_properties.py"
+DC_SERIES = "tests/test_counting.py::test_deletion_contraction_deletes_a_series_vertex_in_place"
 
 MUTANTS = (
     Mutant(
@@ -298,6 +299,34 @@ MUTANTS = (
         ("tests/test_counting.py::test_reference_walk_of_a_disconnected_graph_does_not_walk",),
     ),
     Mutant(
+        "series vertex scales by pq, not p + q",
+        "src/treecount/counting.py",
+        "            scale *= p + q\n",
+        "            scale *= p * q\n",
+        (DC_SERIES,),
+    ),
+    Mutant(
+        "series rule drops the pq term",
+        "src/treecount/counting.py",
+        "            total += scale * p * q * _tau_dc(n - 1, joined, pick, memo)\n",
+        "            pass\n",
+        (DC_SERIES,),
+    ),
+    Mutant(
+        "series rule contracts at the labels before the deletion",
+        "src/treecount/counting.py",
+        "            joined = _contract(classes, a - (a > v), b - (b > v))\n",
+        "            joined = _contract(classes, a, b)\n",
+        (DC_SERIES,),
+    ),
+    Mutant(
+        "series vertex's second class read as its first",
+        "src/treecount/counting.py",
+        "            q = classes[(v, b) if v < b else (b, v)]\n",
+        "            q = p\n",
+        (DC_SERIES,),
+    ),
+    Mutant(
         "family vertex cap off by one",
         "src/treecount/counting.py",
         "        if self.vertex_count() > MAX_VERTICES:\n",
@@ -320,6 +349,20 @@ MUTANTS = (
         "            return NotImplemented\n",
         "            return False\n",
         ("tests/test_graph.py::test_equality_with_another_type_is_left_to_the_other_side",),
+    ),
+    Mutant(
+        "vertex check lets bool through",
+        "src/treecount/graph.py",
+        "        if type(v) is not int:\n            raise TypeError(f\"vertex must",
+        "        if not isinstance(v, int):\n            raise TypeError(f\"vertex must",
+        (f"{DF_TESTS}::test_a_vertex_that_is_not_an_int_is_a_type_error",),
+    ),
+    Mutant(
+        "best degree-product root breaks ties to the highest vertex",
+        DF,
+        "    return bounds.index(best), best\n",
+        "    return len(bounds) - 1 - bounds[::-1].index(best), best\n",
+        ("tests/test_census.py::test_best_thomassen_bound_is_the_least_bound_at_its_least_root",),
     ),
     Mutant(
         "`_classes` keeps only a class's first edge",

@@ -14,7 +14,8 @@ frozenset vertex sets with a relabelled subgraph per set;
 `tree_sum_by_induced`, the per-set tree sum the class walk replaced;
 `tree_sum_by_stripping`, each kept set leaf-stripped anew, which
 the tree sums carried down the set walk replaced; and `tau_dc_by_edges`,
-delete/contract on rebuilt `Multigraph`s with no memo. `pieces_by_choices`
+delete/contract on rebuilt `Multigraph`s with no memo and no series rule,
+the reference for both the memo and that rule. `pieces_by_choices`
 counts the degree formula's terms, or the weighted identity's, from the
 edge picks its proof counts. `evaluate_poly` evaluates a `multiply_forms`
 result at an integer point, monomial by monomial.
@@ -451,7 +452,8 @@ def _pick_first_edge(g):
 def tau_dc_by_edges(g, heuristic="min-degree"):
     """tau_deletion_contraction the old way: a whole parallel class per
     step on a rebuilt Multigraph, a connectivity test and a degree-1 scan
-    at every step, and no memo. `heuristic` picks an edge index: the lowest
+    at every step, no series rule (a two-neighbour vertex is deleted and
+    contracted like any other) and no memo. `heuristic` picks an edge index: the lowest
     one at a vertex of least degree, or edge 0."""
     pick = {"min-degree": _pick_min_degree_edge, "first-edge": _pick_first_edge}[heuristic]
 

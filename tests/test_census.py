@@ -20,6 +20,7 @@ import pytest
 
 from oracles import perfect_matchings_brute, pieces_by_choices
 from treecount import (
+    best_thomassen_bound,
     brute_force_edge_cover,
     brute_force_matching,
     build,
@@ -37,6 +38,7 @@ from treecount import (
     tau_matrix_tree,
     tau_via_direct_formula,
     tau_via_grouped_formula,
+    thomassen_bound,
 )
 from treecount.counting import _minor_det, _tree_sum
 from treecount.degree_formula import _block_product
@@ -128,6 +130,12 @@ def test_degree_routes_and_the_identity_at_every_root():
             assert direct_formula_value(g, u) == tau, (g, u)
             for w in _weight_points(g.m):
                 assert check_identity(g, u, w).holds, (g, u, w)
+
+
+def test_best_thomassen_bound_is_the_least_bound_at_its_least_root():
+    for g in _every_graph():
+        u = min(range(g.n), key=lambda v: thomassen_bound(g, v))
+        assert best_thomassen_bound(g) == (u, thomassen_bound(g, u)), g
 
 
 def test_grouped_pieces_count_the_edge_picks_on_every_connected_graph():

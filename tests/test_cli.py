@@ -1041,7 +1041,7 @@ def test_del_con_budget_errors_in_verify_are_one_line(capsys, monkeypatch):
     code, out, err = run(capsys, ["verify", "--trials", "2"])
     assert (code, out) == (1, "")
     assert err == (
-        "treecount verify: delete/contract exceeded the 3-node budget after counting 4 minors\n"
+        "treecount verify: delete/contract exceeded the 3-node budget after counting 3 minors\n"
     )
 
 

@@ -158,6 +158,23 @@ def test_deletion_contraction_contracts_a_pendant_chain_in_place():
     assert tau_deletion_contraction(g, "first-edge") == tau_matrix_tree(g) == 192
 
 
+def test_deletion_contraction_deletes_a_series_vertex_in_place():
+    # a 6-cycle of classes 1, 2, 3, 1, 2, 3 with a 0-3 chord. Vertex 1 goes
+    # by the series rule with p = 1 and q = 2: G - 1 is counted in place and
+    # only (G - 1)/02, on 4 vertices, recurses, where the 0-3 chord and the
+    # 2-3 class merge into one class of 4. Vertex 4 goes the same way in
+    # each, so three minors are counted: G, (G - 1)/02 and one of 2 vertices
+    edges = [(0, 1)] + [(1, 2)] * 2 + [(2, 3)] * 3 + [(3, 4)] + [(4, 5)] * 2 + [(5, 0)] * 3 + [(0, 3)]
+    g = build(6, edges)
+    for pick in (_pick_min_degree, _pick_first_edge):
+        memo = {}
+        assert _tau_dc(6, {pair: len(js) for pair, js in g._classes}, pick, memo) == 253
+        assert sorted(n for n, _ in memo) == [2, 4, 6]
+        # (G - 1)/02, classes 1-2 of 1, 2-3 of 2, 0-3 of 3 and 0-1 of 4, as keyed
+        assert memo[4, (1 << 12 | 1 << 6 | 2, 2 << 12 | 2 << 6 | 3, 3 << 12 | 3, 4 << 12 | 1)] == 50
+    assert tau_matrix_tree(g) == 253
+
+
 @pytest.mark.parametrize(
     "edges,tau",
     [

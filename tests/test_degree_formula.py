@@ -147,6 +147,36 @@ def test_vertex_check_names_the_empty_graph(call):
         call(Multigraph(0))
 
 
+@pytest.mark.parametrize("v", [True, False, 1.5, None, "0"], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        thomassen_bound,
+        direct_formula_value,
+        lambda g, v: list(enumerate_connected_sets(g, v, 1)),
+        lambda g, v: check_identity(g, v, [1]),
+        lambda g, v: identity_rhs(g, v, [1]),
+        tau_via_grouped_formula,
+        tau_via_direct_formula,
+        lambda g, v: list(c_pieces(g, v)),
+        lambda g, v: list(enumerate_nst(g, v)),
+        Multigraph.degree,
+        Multigraph.incident_edges,
+        Multigraph.neighbors,
+        lambda g, v: induced(g, [v]),
+    ],
+    ids=[
+        "bound", "direct-value", "connected-sets", "identity", "identity-rhs", "grouped",
+        "direct", "c-pieces", "nst", "degree", "incident-edges", "neighbors", "induced",
+    ],
+)
+def test_a_vertex_that_is_not_an_int_is_a_type_error(call, v):
+    # bool included: True is not taken as vertex 1
+    with pytest.raises(TypeError) as caught:
+        call(build(2, [(0, 1)]), v)
+    assert str(caught.value) == f"vertex must be an int, got {v!r}"
+
+
 def test_c_pieces_two_vertices_is_empty():
     assert list(c_pieces(build(2, [(0, 1)]), 0)) == []
 

@@ -159,6 +159,8 @@ def test_class_level_deletion_contraction_matches_the_edge_route(g):
 # the doubled 0-1 class's weights 2 and -2 cancel: its ends stay adjacent
 # at class value 0
 @example((build(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (0, 1)]), [2, 1, 3, 1, -1, -2]))
+# vertex 0 is a series vertex whose class values 2 and -2 sum to 0
+@example((build(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]), [2, 1, 3, -2, 1]))
 def test_deletion_contraction_at_class_weight_sums_is_the_weighted_tree_sum(case):
     # delete/contract reads only each class's value, so run at the class
     # weight sums, added up here from the raw edges, it gives the weighted
