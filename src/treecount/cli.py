@@ -283,7 +283,7 @@ def _method_values(g: Multigraph, root: int | None) -> dict[str, int]:
     if root is not None:
         for name in _DEGREE_METHODS:
             values[name] = _ROUTES[name](g, root)
-        # the block walks on the unreduced table, which the series-reduced
+        # the block walks on the unreduced table, which the star-mesh-reduced
         # degree routes replace
         nbr, links = g._neighbor_masks, g._class_table
         values["degree-unreduced"] = _block_product(nbr, links, _minor_det)

@@ -41,12 +41,14 @@ walks.
 
 The two tau routes first shrink G, since the formula holds for any class
 values and the walk's cost grows with the number of connected sets. A
-vertex with one distinct neighbour goes, its class value a factor of tau;
-a vertex with two, at class values p and q, goes by the series rule, its
-neighbours' class gaining pq/(p+q) and tau a factor p+q. The values stay
-integers: each series step scales them all by p+q, and each step divides
-out their gcd, both tallied in a numerator and a denominator that divide
-exactly at the end. The routes then multiply the formula over the
+vertex with one, two or three distinct neighbours goes by the star-mesh
+rule (Kennelly's Y-Delta transform, a Schur complement of the Laplacian):
+with class values summing to s, tau gains a factor s and each pair of its
+neighbours gains w_a w_b / s on their class, a new class if they had none.
+One neighbour (a pendant) makes no pair, and two are the series rule. The
+values stay integers: each step with a pair scales them all by s, and each
+step divides out their gcd, both tallied in a numerator and a denominator
+that divide exactly at the end. The routes then multiply the formula over the
 biconnected blocks of what is left (`graph._blocks`), since tau is the
 product of tau over them, and the sets a walk visits roughly multiply
 across cut vertices. Each block is rooted at its vertex with the fewest
@@ -67,6 +69,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
+from itertools import combinations
 
 from .counting import _ClassTable, _members, _minor_det, _tree_sum, enumerate_spanning_trees
 from .errors import BudgetExceededError, DisconnectedError, EmptyGraphError
@@ -125,8 +128,9 @@ def enumerate_connected_sets(
 
 # Sets one correction walk may visit, kept or not. Unreduced, the block
 # walks of RandomSpec(n=30, m=48, seed=5) keep 111,795 sets and fit, and
-# those of RandomSpec(n=40, m=64, seed=12) do not; series-reduced, they
-# keep 1,378 and 2,565
+# those of RandomSpec(n=40, m=64, seed=12) do not; star-mesh-reduced, each
+# keeps 49, and those of seeds 0 and 3 of RandomSpec(n=40, m=64) 4,978 and
+# 5,457
 CORRECTION_SET_BUDGET = 1_000_000
 
 
@@ -297,7 +301,7 @@ def _correction(
     nbr: Sequence[int], u: int, links: _ClassTable, within: int, core: _Core
 ) -> int:
     # The correction over `links` (multiplicities, one weight point's class
-    # sums, or a series-reduced table) inside `within`: a tree sum the walk
+    # sums, or a star-mesh-reduced table) inside `within`: a tree sum the walk
     # does not carry comes from a memoized counter whose leafless cores
     # `core` counts
     return _correction_walk(nbr, u, links, within, _tree_counter(nbr, links, core))
@@ -367,47 +371,44 @@ def _block_product(nbr: Sequence[int], links: _ClassTable, core: _Core) -> int:
     return value
 
 
-def _series_reduce(
+def _star_mesh_reduce(
     links: _ClassTable,
 ) -> tuple[list[int], list[tuple[tuple[int, int], ...]], int, int]:
     # (neighbour masks, table, num, den) such that the connected graph's
     # tree sum over `links` is num * (the tree sum over the returned table)
-    # / den. The lowest vertex with one or two distinct neighbours goes
-    # until none is left or one vertex remains; a removed vertex keeps no
-    # neighbour. A pendant class value p goes as a factor. A vertex with
-    # class values p and q to a and b goes by the series rule: its trees
-    # number (p+q) times those of the rest with pq/(p+q) added to the a-b
-    # class. All values are scaled by s = p+q to stay integers, which scales
-    # the tree sum of the k' vertices left by s^(k'-1): s goes into num and
-    # s^(k'-1) into den. After each step the values' gcd d is divided out
-    # and d^(k'-1) goes into num, so they do not outgrow the savings
+    # / den. The lowest vertex with one, two or three distinct neighbours
+    # goes by the star-mesh rule until none is left or one vertex remains;
+    # a removed vertex keeps no neighbour. With class values summing to s,
+    # its trees number s times those of the rest with w_a w_b / s added to
+    # the class of each pair a, b of its neighbours, which gain a class if
+    # they had none (a Schur complement of the Laplacian). A pendant vertex
+    # has no pair: s goes as a factor and nothing is scaled. Otherwise all
+    # values are scaled by s to stay integers, which scales the tree sum of
+    # the k' vertices left by s^(k'-1): s goes into num and s^(k'-1) into
+    # den. After each step the values' gcd d is divided out and d^(k'-1)
+    # goes into num, so they do not outgrow the savings
     rows = [dict(pairs) for pairs in links]
     left = len(rows)
     num = den = 1
     while left > 1:
         for v, row in enumerate(rows):
-            if 0 < len(row) <= 2:
+            if 0 < len(row) <= 3:
                 break
         else:
             break
         rows[v] = {}
         left -= 1
-        if len(row) == 1:
-            ((a, p),) = row.items()
-            num *= p
-            ends = (a,)
-        else:
-            (a, p), (b, q) = row.items()
-            s = p + q
+        for w in row:
+            del rows[w][v]
+        s = sum(row.values())
+        num *= s
+        if len(row) > 1:
             for other in rows:
                 for w in other:
                     other[w] *= s
-            rows[a][b] = rows[b][a] = rows[a].get(b, 0) + p * q
-            num *= s
+            for (a, p), (b, q) in combinations(row.items(), 2):
+                rows[a][b] = rows[b][a] = rows[a].get(b, 0) + p * q
             den *= s ** (left - 1)
-            ends = (a, b)
-        for w in ends:
-            del rows[w][v]
         d = math.gcd(*(c for other in rows for c in other.values()))
         if d > 1:
             for other in rows:
@@ -419,18 +420,21 @@ def _series_reduce(
 
 
 def _reduced_block_product(g: Multigraph, core: _Core) -> int:
-    # tau(g) by the block product on g's series-reduced table
-    nbr, links, num, den = _series_reduce(g._class_table)
+    # tau(g) by the block product on g's star-mesh-reduced table; the
+    # division is exact, so a remainder is a fault in the reduction
+    nbr, links, num, den = _star_mesh_reduce(g._class_table)
     value, rest = divmod(num * _block_product(nbr, links, core), den)
-    assert not rest, "the series reduction left a remainder"
+    if rest:
+        raise ArithmeticError("the star-mesh reduction left a remainder")
     return value
 
 
 def tau_via_grouped_formula(g: Multigraph, u: int) -> int:
     """Spanning-tree count from degrees, correction grouped by vertex set.
 
-    Series-reduces g first, then multiplies the formula over the blocks of
-    the reduced graph, each rooted at its vertex with the fewest distinct
+    Removes vertices of three or fewer distinct neighbours first, one at a
+    time by the star-mesh rule, then multiplies the formula over the blocks
+    of the reduced graph, each rooted at its vertex with the fewest distinct
     neighbours in it. u is only validated: tau does not depend on it.
     """
     _require_rooted(g, u, "grouped formula")
@@ -465,8 +469,9 @@ def direct_formula_value(g: Multigraph, u: int) -> int:
 def tau_via_direct_formula(g: Multigraph, u: int) -> int:
     """Spanning-tree count from degrees, one correction term per subtree.
 
-    Series-reduces g first, then multiplies the formula over the blocks of
-    the reduced graph, each rooted at its vertex with the fewest distinct
+    Removes vertices of three or fewer distinct neighbours first, one at a
+    time by the star-mesh rule, then multiplies the formula over the blocks
+    of the reduced graph, each rooted at its vertex with the fewest distinct
     neighbours in it. u is only validated: tau does not depend on it.
     """
     _require_rooted(g, u, "direct formula")

@@ -69,10 +69,32 @@ MUTANTS = (
     Mutant(
         "pendant class value dropped",
         DF,
-        "            num *= p\n",
-        "            pass\n",
+        "        num *= s\n",
+        "        num *= s if len(row) > 1 else 1\n",
         (f"{DF_TESTS}::test_series_reduction_leaves_one_vertex_of_a_series_parallel_graph",
          f"{DF_TESTS}::test_block_product_at_every_root"),
+    ),
+    Mutant(
+        "star-mesh step skips a neighbour pair with no class yet",
+        DF,
+        "                rows[a][b] = rows[b][a] = rows[a].get(b, 0) + p * q\n",
+        "                if b in rows[a]:\n"
+        "                    rows[a][b] = rows[b][a] = rows[a][b] + p * q\n",
+        (f"{DF_TESTS}::test_star_mesh_step_meshes_a_three_neighbour_vertex",),
+    ),
+    Mutant(
+        "reduction takes no three-neighbour vertex",
+        DF,
+        "            if 0 < len(row) <= 3:\n",
+        "            if 0 < len(row) <= 2:\n",
+        (f"{DF_TESTS}::test_star_mesh_step_meshes_a_three_neighbour_vertex",),
+    ),
+    Mutant(
+        "star-mesh scale leaves out the third class value",
+        DF,
+        "        s = sum(row.values())\n",
+        "        s = sum(list(row.values())[:2])\n",
+        (f"{DF_TESTS}::test_star_mesh_step_meshes_a_three_neighbour_vertex",),
     ),
     Mutant(
         "vertex sets of two grouped terms swapped",

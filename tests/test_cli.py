@@ -999,17 +999,21 @@ def test_del_con_budget_is_an_error_entry_in_count(capsys, monkeypatch, wheel4_f
     assert "agreement: yes" in out
 
 
-def test_correction_walk_budget_is_an_error_entry_in_count(capsys, monkeypatch, wheel4_file):
+def test_correction_walk_budget_is_an_error_entry_in_count(capsys, monkeypatch, tmp_path):
+    # K5 has no vertex of three or fewer neighbours, so the reduction leaves
+    # it whole and both degree routes walk it
+    path = tmp_path / "k5.graph"
+    path.write_text(serialize(generate_family(FamilySpec("complete", (5,)))))
     monkeypatch.setattr(treecount.degree_formula, "CORRECTION_SET_BUDGET", 2)
     message = "correction walk exceeded the 2-set budget after visiting 2 sets"
-    code, out, err = run(capsys, ["count", wheel4_file, "--json"])
+    code, out, err = run(capsys, ["count", str(path), "--json"])
     doc = json.loads(out)
     assert (code, err) == (0, "")
     for name in ("degree", "degree-direct"):
         assert doc["methods"][name]["error"] == message
     assert doc["agreement"] is True
-    assert {e.get("value") for e in doc["methods"].values()} == {45, None}
-    code, out, err = run(capsys, ["count", wheel4_file, "--method", "degree"])
+    assert {e.get("value") for e in doc["methods"].values()} == {125, None}
+    code, out, err = run(capsys, ["count", str(path), "--method", "degree"])
     assert (code, err) == (0, "")
     assert f"degree         error: {message}" in out.splitlines()
 

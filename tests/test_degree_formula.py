@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import random
 from collections import Counter
 
 import pytest
@@ -456,12 +457,14 @@ def test_best_thomassen_bound():
 
 @pytest.mark.parametrize(
     "kind, size, determinants",
-    [("hypercube", 4, 3308), ("complete", 9, 238), ("wheel", 12, 187), ("multiwheel", 8, 25)],
+    [("hypercube", 4, 3308), ("complete", 9, 238), ("wheel", 12, 0), ("multiwheel", 8, 0)],
 )
 def test_grouped_formula_determinant_count_is_pinned(monkeypatch, kind, size, determinants):
     # one determinant per distinct leafless core of a kept set, with the
-    # block rooted at a vertex with the fewest neighbours: a rim vertex of
-    # the wheels, vertex 0 of Q4 and K9
+    # block rooted at a vertex with the fewest neighbours: vertex 0 of Q4
+    # and K9, which have no vertex of three or fewer neighbours to reduce.
+    # A wheel's rim vertices have three, so the reduction takes the whole
+    # wheel and no walk is left
     g = generate_family(FamilySpec(kind, (size,)))
     calls = []
     real = degree_formula._minor_det
@@ -677,39 +680,116 @@ def test_set_budget_holds_per_block_walk(monkeypatch):
 def test_series_reduction_leaves_one_vertex_of_a_series_parallel_graph(g, tau):
     # pendants and series vertices go until one vertex is left, whose tree
     # sum is 1, so num / den is tau itself
-    nbr, links, num, den = degree_formula._series_reduce(g._class_table)
+    nbr, links, num, den = degree_formula._star_mesh_reduce(g._class_table)
     assert not any(nbr) and not any(links)
     assert num == tau * den
 
 
 def test_series_reduction_keeps_a_weighted_core():
-    # the graph of test_core_cache_hit_equals_a_fresh_determinant: the
-    # double class 1-4 and the single classes 4-6, 6-7, 7-5 and 5-2 are in
-    # series, worth 1 / (1/2 + 4) = 2/9 of an edge, which joins the K4's
-    # 1-2 class: the K4 is left with that class at 11/9 of the others
-    k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-    g = build(8, k4 + [(1, 4)] * 2 + [(2, 5), (4, 6), (5, 7), (6, 7)])
-    nbr, links, num, den = degree_formula._series_reduce(g._class_table)
-    assert [v for v, mask in enumerate(nbr) if mask] == [0, 1, 2, 3]
-    values = {(v, w): value for v in range(4) for w, value in links[v]}
+    # a K5, whose vertices all keep four or more neighbours, with a path
+    # from 1 to 2: the double class 1-5 and the single classes 5-7, 7-8,
+    # 8-6 and 6-2 are in series, worth 1 / (1/2 + 4) = 2/9 of an edge,
+    # which joins the K5's 1-2 class: the K5 is left with that class at
+    # 11/9 of the others
+    k5 = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+    g = build(9, k5 + [(1, 5)] * 2 + [(2, 6), (5, 7), (6, 8), (7, 8)])
+    tau = tau_matrix_tree(g)
+    nbr, links, num, den = degree_formula._star_mesh_reduce(g._class_table)
+    assert [v for v, mask in enumerate(nbr) if mask] == [0, 1, 2, 3, 4]
+    values = {(v, w): value for v in range(5) for w, value in links[v]}
     unit = values[0, 1]
     assert 9 * values[1, 2] == 11 * unit
     assert all(value == unit for pair, value in values.items() if set(pair) != {1, 2})
-    assert num * degree_formula._minor_det(0b1111, links) == 160 * den
+    assert num * degree_formula._minor_det(0b11111, links) == tau * den
     for core in (degree_formula._minor_det, degree_formula._tree_sum):
-        assert num * degree_formula._block_product(nbr, links, core) == 160 * den
+        assert num * degree_formula._block_product(nbr, links, core) == tau * den
+
+
+def test_star_mesh_step_meshes_a_three_neighbour_vertex():
+    # vertex 6 has classes of value 1, 2 and 3 to 0, 1 and 2, in a K6
+    # without 0-2 and 1-2: 0-1 has a class and 0-2 and 1-2 do not. s = 6
+    # scales every value left by 6; 0-1 gains 1 * 2, and 0-2 and 1-2 gain
+    # classes of 1 * 3 and 2 * 3. The values' gcd is then 1, and every
+    # vertex left has five neighbours, so nothing else goes
+    k6 = [(a, b) for a in range(6) for b in range(a + 1, 6) if (a, b) not in ((0, 2), (1, 2))]
+    g = build(7, k6 + [(6, 0)] + [(6, 1)] * 2 + [(6, 2)] * 3)
+    nbr, links, num, den = degree_formula._star_mesh_reduce(g._class_table)
+    assert (nbr[6], links[6]) == (0, ())
+    assert all(mask == 0b111111 ^ 1 << v for v, mask in enumerate(nbr[:6]))
+    values = {(v, w): value for v in range(6) for w, value in links[v]}
+    assert [values.pop(pair) for pair in ((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1))] == [
+        8, 8, 3, 3, 6, 6,
+    ]
+    assert len(values) == 24 and set(values.values()) == {6}
+    assert (num, den) == (6, 6**5)
+    assert num * degree_formula._minor_det(0b111111, links) == tau_matrix_tree(g) * den
+    assert tau_via_grouped_formula(g, 0) == tau_via_direct_formula(g, 0) == tau_matrix_tree(g)
+
+
+def test_a_remainder_after_the_reduction_is_an_error(monkeypatch):
+    # num * value == tau * den, so 2 * den leaves a remainder at an odd tau
+    # (the wheel on 4 rim vertices has 45 trees). A raise, not an assert,
+    # so python -O keeps the check
+    real = degree_formula._star_mesh_reduce
+
+    def doubled_den(links):
+        nbr, links, num, den = real(links)
+        return nbr, links, num, 2 * den
+
+    monkeypatch.setattr(degree_formula, "_star_mesh_reduce", doubled_den)
+    g = generate_family(FamilySpec("wheel", (4,)))
+    for route in (tau_via_grouped_formula, tau_via_direct_formula):
+        with pytest.raises(ArithmeticError, match="^the star-mesh reduction left a remainder$"):
+            route(g, 0)
 
 
 def test_series_reduction_answers_where_the_set_budget_fired(monkeypatch):
     # unreduced, the grouped route's walk on this draw passes the
-    # 10^6-set budget after several seconds; its 40 vertices reduce to 15,
-    # whose walk visits a few thousand sets
+    # 10^6-set budget after several seconds; its 40 vertices reduce to 7,
+    # whose walk visits a few sets
     g = random_multigraph(RandomSpec(n=40, m=64, seed=12))
-    nbr = degree_formula._series_reduce(g._class_table)[0]
-    assert sum(1 for mask in nbr if mask) == 15
+    nbr = degree_formula._star_mesh_reduce(g._class_table)[0]
+    assert sum(1 for mask in nbr if mask) == 7
     monkeypatch.setattr(degree_formula, "CORRECTION_SET_BUDGET", 10_000)
     u, _ = best_thomassen_bound(g)
     assert tau_via_grouped_formula(g, u) == tau_via_direct_formula(g, u) == tau_matrix_tree(g)
+
+
+def test_star_mesh_reduction_answers_where_the_series_rule_left_the_set_budget():
+    # with pendants and series vertices removed only, this draw keeps 24
+    # vertices and its grouped walk passes the 10^6-set budget; meshing the
+    # three-neighbour vertices leaves 14. The direct route is left out: it
+    # walks the trees of cores of up to 12 vertices, over a minute here
+    g = random_multigraph(RandomSpec(n=40, m=64, seed=3))
+    nbr = degree_formula._star_mesh_reduce(g._class_table)[0]
+    assert sum(1 for mask in nbr if mask) == 14
+    assert tau_via_grouped_formula(g, 0) == tau_matrix_tree(g)
+
+
+def _random_cubic(n, seed):
+    # a simple connected graph with three distinct neighbours at every
+    # vertex: 3n half-edges paired at random until the pairing is one
+    rng = random.Random(seed)
+    while True:
+        ends = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(ends)
+        edges = list(zip(ends[::2], ends[1::2]))
+        if all(a != b for a, b in edges) and len({frozenset(e) for e in edges}) == len(edges):
+            g = build(n, edges)
+            if g.is_connected():
+                return g
+
+
+def test_star_mesh_reduction_shrinks_a_random_cubic_graph():
+    # no vertex has one or two distinct neighbours, so the series rule
+    # alone leaves all 30, and the grouped walk passes the 10^6-set budget
+    # there; meshing leaves 13. The grouped route only: the direct route
+    # walks the trees of the meshed cores, about 3 s here
+    g = _random_cubic(30, 2)
+    assert all(mask.bit_count() == 3 for mask in g._neighbor_masks)
+    nbr = degree_formula._star_mesh_reduce(g._class_table)[0]
+    assert sum(1 for mask in nbr if mask) == 13
+    assert tau_via_grouped_formula(g, 0) == tau_matrix_tree(g)
 
 
 @pytest.mark.parametrize(

@@ -53,7 +53,7 @@ from treecount.degree_formula import (
     _correction_sets,
     _correction_walk,
     _members,
-    _series_reduce,
+    _star_mesh_reduce,
     _tree_counter,
 )
 from treecount.errors import (
@@ -670,20 +670,22 @@ THETA = build(7, [(0, 2), (2, 1), (0, 3), (3, 4), (4, 1), (0, 5), (5, 6), (6, 1)
 @given(st.one_of(series_chain_multigraphs(), glued_multigraphs()))
 @example(build(6, [(v, (v + 1) % 6) for v in range(6)]))
 @example(THETA)
+# a doubled K4: every vertex meshes away by the star-mesh rule
+@example(build(4, [(a, b) for a in range(4) for b in range(a + 1, 4)] * 2))
 # a triangle with a pendant triple class
 @example(build(4, [(0, 1), (1, 2), (0, 2)] + [(2, 3)] * 3))
 def test_series_reduced_routes_match_the_unreduced_block_products(g):
     # the reduced grouped and direct routes at every root, against the
     # block product on the unreduced table with either core counter. The
-    # reduction leaves one vertex, or only vertices with three or more
+    # reduction leaves one vertex, or only vertices with four or more
     # distinct neighbours
     tau = tau_matrix_tree(g)
     nbr, links = g._neighbor_masks, g._class_table
     assert _block_product(nbr, links, _minor_det) == _block_product(nbr, links, _tree_sum) == tau
     for u in range(g.n):
         assert tau_via_grouped_formula(g, u) == tau_via_direct_formula(g, u) == tau
-    masks = _series_reduce(links)[0]
-    assert not any(masks) or all(mask.bit_count() >= 3 for mask in masks if mask)
+    masks = _star_mesh_reduce(links)[0]
+    assert not any(masks) or all(mask.bit_count() >= 4 for mask in masks if mask)
 
 
 @settings(max_examples=80, deadline=None)
