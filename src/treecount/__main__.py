@@ -1,0 +1,6 @@
+"""`python -m treecount`: the command-line interface, as the `treecount` script."""
+
+from .cli import console_main
+
+if __name__ == "__main__":
+    console_main()

@@ -45,23 +45,26 @@ vertex with one, two or three distinct neighbours goes by the star-mesh
 rule (Kennelly's Y-Delta transform, a Schur complement of the Laplacian):
 with class values summing to s, tau gains a factor s and each pair of its
 neighbours gains w_a w_b / s on their class, a new class if they had none.
-One neighbour (a pendant) makes no pair, and two are the series rule. The
-values stay integers: each step with a pair scales them all by s, and each
-step divides out their gcd, both tallied in a numerator and a denominator
-that divide exactly at the end. The routes then multiply the formula over the
-biconnected blocks of what is left (`graph._blocks`), since tau is the
-product of tau over them, and the sets a walk visits roughly multiply
-across cut vertices. Each block is rooted at its vertex with the fewest
-distinct neighbours in it (the lowest on ties), where the walk branches
-least, so the root u the routes take is only validated. Every block is
-walked on the reduced neighbour masks inside its vertex mask, on a class
-table that keeps only the classes inside the block; the set budget holds
-per block walk. `c_pieces`, `direct_formula_value` (the disconnected
-probe) and the identity walk the whole vertex mask of G unreduced, since
-their terms are per set through the given root and depend on all of G.
-One guard, `_require_rooted`, opens every walk through a root of a
-connected G (both tau routes, `c_pieces`, `enumerate_nst`, `identity_rhs`):
-it refuses the empty graph, then a disconnected one, then a bad root.
+One neighbour (a pendant) makes no pair, and two are the series rule. Each
+value is an exact reduced fraction while vertices go, so a step touches
+only the removed vertex's classes, and s is tallied in a numerator and a
+denominator. Once none goes, the values are put on one integer scale (the
+lcm of their denominators over the gcd of the results), tallied too, and
+the tallies divide exactly at the end. The routes then multiply the
+formula over the biconnected blocks of what is left (`graph._blocks`),
+since tau is the product of tau over them, and the sets a walk visits
+roughly multiply across cut vertices. Each block is rooted at its vertex
+with the fewest distinct neighbours in it (the lowest on ties), where the
+walk branches least, so the root u the routes take is only validated.
+Every block is walked on the reduced neighbour masks inside its vertex
+mask, on a class table that keeps only the classes inside the block; the
+set budget holds per block walk. `c_pieces`, `direct_formula_value` (the
+disconnected probe) and the identity walk the whole vertex mask of G
+unreduced, since their terms are per set through the given root and depend
+on all of G. One guard, `_require_rooted`, opens every walk through a root
+of a connected G (both tau routes, `c_pieces`, `enumerate_nst`,
+`identity_rhs`): it refuses the empty graph, then a disconnected one, then
+a bad root.
 """
 
 from __future__ import annotations
@@ -381,13 +384,18 @@ def _star_mesh_reduce(
     # a removed vertex keeps no neighbour. With class values summing to s,
     # its trees number s times those of the rest with w_a w_b / s added to
     # the class of each pair a, b of its neighbours, which gain a class if
-    # they had none (a Schur complement of the Laplacian). A pendant vertex
-    # has no pair: s goes as a factor and nothing is scaled. Otherwise all
-    # values are scaled by s to stay integers, which scales the tree sum of
-    # the k' vertices left by s^(k'-1): s goes into num and s^(k'-1) into
-    # den. After each step the values' gcd d is divided out and d^(k'-1)
-    # goes into num, so they do not outgrow the savings
-    rows = [dict(pairs) for pairs in links]
+    # they had none (a Schur complement of the Laplacian). Class values are
+    # positive multiplicities, so s > 0: a zero-sum vertex has no Schur
+    # complement and must not reach this rule. Each value is kept as a
+    # reduced fraction (p, q), so a step touches only the removed vertex's
+    # classes: s's numerator goes into num and its denominator into den.
+    # Once no vertex goes, the values are put on one integer scale, times
+    # the lcm L of their denominators and over the gcd d of the results:
+    # the gcd-1 integer table of the same values, whose tree sum over the
+    # k' vertices left is (L / d)^(k'-1) times theirs, so d^(k'-1) goes
+    # into num and L^(k'-1) into den. If no vertex went, the values stay
+    # as given
+    rows = [{w: (c, 1) for w, c in pairs} for pairs in links]
     left = len(rows)
     num = den = 1
     while left > 1:
@@ -400,23 +408,35 @@ def _star_mesh_reduce(
         left -= 1
         for w in row:
             del rows[w][v]
-        s = sum(row.values())
-        num *= s
-        if len(row) > 1:
-            for other in rows:
-                for w in other:
-                    other[w] *= s
-            for (a, p), (b, q) in combinations(row.items(), 2):
-                rows[a][b] = rows[b][a] = rows[a].get(b, 0) + p * q
-            den *= s ** (left - 1)
-        d = math.gcd(*(c for other in rows for c in other.values()))
-        if d > 1:
-            for other in rows:
-                for w in other:
-                    other[w] //= d
-            num *= d ** (left - 1)
-    masks = [sum(1 << w for w in row) for row in rows]
-    return masks, [tuple(sorted(row.items())) for row in rows], num, den
+        # s = p / q, in lowest terms
+        p, q = 0, 1
+        for c, e in row.values():
+            p, q = p * e + c * q, q * e
+        d = math.gcd(p, q)
+        p, q = p // d, q // d
+        num *= p
+        den *= q
+        # each pair gains w_a w_b / s = pa pb q / (qa qb p), one gcd per pair
+        for (a, (pa, qa)), (b, (pb, qb)) in combinations(row.items(), 2):
+            x, y = pa * pb * q, qa * qb * p
+            if b in rows[a]:
+                c, e = rows[a][b]
+                x, y = x * e + c * y, y * e
+            d = math.gcd(x, y)
+            rows[a][b] = rows[b][a] = x // d, y // d
+    # one integer scale L / d; a table as given keeps its values
+    scale = math.lcm(*(q for row in rows for _, q in row.values()))
+    d = 1
+    if left < len(rows):
+        d = math.gcd(*(p * (scale // q) for row in rows for p, q in row.values()))
+    num *= d ** (left - 1)
+    den *= scale ** (left - 1)
+    masks, table = [0] * len(rows), [()] * len(rows)
+    for v, row in enumerate(rows):
+        if row:
+            masks[v] = sum(1 << w for w in row)
+            table[v] = tuple(sorted((w, p * (scale // q) // d) for w, (p, q) in row.items()))
+    return masks, table, num, den
 
 
 def _reduced_block_product(g: Multigraph, core: _Core) -> int:

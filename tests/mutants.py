@@ -51,35 +51,55 @@ MUTANTS = (
         (f"{DF_TESTS}::test_block_product_walks_each_block_inside_its_mask_on_g",),
     ),
     Mutant(
-        "series scale put into the denominator one power short",
+        "final scale put into the denominator one power short",
         DF,
-        "            den *= s ** (left - 1)\n",
-        "            den *= s ** (left - 2)\n",
-        (f"{DF_TESTS}::test_series_reduction_leaves_one_vertex_of_a_series_parallel_graph",
-         f"{DF_TESTS}::test_block_product_at_every_root"),
+        "    den *= scale ** (left - 1)\n",
+        "    den *= scale ** (left - 2)\n",
+        (f"{DF_TESTS}::test_star_mesh_step_meshes_a_three_neighbour_vertex",
+         f"{DF_TESTS}::test_star_mesh_step_meshes_a_fractional_arm"),
     ),
     Mutant(
         "gcd multiplied back one power too many",
         DF,
-        "            num *= d ** (left - 1)\n",
-        "            num *= d**left\n",
-        (f"{DF_TESTS}::test_series_reduction_leaves_one_vertex_of_a_series_parallel_graph",
-         f"{DF_TESTS}::test_block_product_at_every_root"),
+        "    num *= d ** (left - 1)\n",
+        "    num *= d**left\n",
+        (f"{DF_TESTS}::test_star_mesh_reduction_scales_the_table_once_a_vertex_went",),
+    ),
+    Mutant(
+        "table put on one scale when no vertex went",
+        DF,
+        "    if left < len(rows):\n",
+        "    if True:\n",
+        (f"{DF_TESTS}::test_star_mesh_reduction_scales_the_table_once_a_vertex_went",),
     ),
     Mutant(
         "pendant class value dropped",
         DF,
-        "        num *= s\n",
-        "        num *= s if len(row) > 1 else 1\n",
+        "        num *= p\n",
+        "        num *= p if len(row) > 1 else 1\n",
         (f"{DF_TESTS}::test_series_reduction_leaves_one_vertex_of_a_series_parallel_graph",
          f"{DF_TESTS}::test_block_product_at_every_root"),
     ),
     Mutant(
+        "star-mesh sum's denominator left out of den",
+        DF,
+        "        den *= q\n",
+        "        den *= 1\n",
+        (f"{DF_TESTS}::test_star_mesh_step_meshes_a_fractional_arm",),
+    ),
+    Mutant(
+        "meshed pair drops the arms' denominators",
+        DF,
+        "            x, y = pa * pb * q, qa * qb * p\n",
+        "            x, y = pa * pb * q, p\n",
+        (f"{DF_TESTS}::test_star_mesh_step_meshes_a_fractional_arm",),
+    ),
+    Mutant(
         "star-mesh step skips a neighbour pair with no class yet",
         DF,
-        "                rows[a][b] = rows[b][a] = rows[a].get(b, 0) + p * q\n",
-        "                if b in rows[a]:\n"
-        "                    rows[a][b] = rows[b][a] = rows[a][b] + p * q\n",
+        "            rows[a][b] = rows[b][a] = x // d, y // d\n",
+        "            if b in rows[a]:\n"
+        "                rows[a][b] = rows[b][a] = x // d, y // d\n",
         (f"{DF_TESTS}::test_star_mesh_step_meshes_a_three_neighbour_vertex",),
     ),
     Mutant(
@@ -90,10 +110,10 @@ MUTANTS = (
         (f"{DF_TESTS}::test_star_mesh_step_meshes_a_three_neighbour_vertex",),
     ),
     Mutant(
-        "star-mesh scale leaves out the third class value",
+        "star-mesh sum leaves out the third class value",
         DF,
-        "        s = sum(row.values())\n",
-        "        s = sum(list(row.values())[:2])\n",
+        "        for c, e in row.values():\n",
+        "        for c, e in list(row.values())[:2]:\n",
         (f"{DF_TESTS}::test_star_mesh_step_meshes_a_three_neighbour_vertex",),
     ),
     Mutant(

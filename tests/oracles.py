@@ -12,6 +12,8 @@ field mask once replaced; `c_pieces_by_frozensets` and
 `direct_value_by_frozensets`, the degree formulas' corrections over
 frozenset vertex sets with a relabelled subgraph per set;
 `tree_sum_by_induced`, the per-set tree sum the class walk replaced;
+`star_mesh_reduce_by_scaling`, the star-mesh reduction on one integer
+scale for the whole table, which the per-class fractions replaced;
 `tree_sum_by_stripping`, each kept set leaf-stripped anew, which
 the tree sums carried down the set walk replaced; and `tau_dc_by_edges`,
 delete/contract on rebuilt `Multigraph`s with no memo and no series rule,
@@ -23,6 +25,7 @@ result at an integer point, monomial by monomial.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, product
 
 from treecount import (
@@ -352,6 +355,55 @@ def tree_sum_by_stripping(s, nbr, links, by_core):
     if count is None:
         count = by_core[core] = naive_determinant(_laplacian_minor(core, links))
     return value * count
+
+
+def star_mesh_reduce_by_scaling(links):
+    """`_star_mesh_reduce` the old way, kept verbatim below: each step with
+    a pair scales every class value by s and every step divides out the
+    gcd of them all, so the values stay integers throughout."""
+    # (neighbour masks, table, num, den) such that the connected graph's
+    # tree sum over `links` is num * (the tree sum over the returned table)
+    # / den. The lowest vertex with one, two or three distinct neighbours
+    # goes by the star-mesh rule until none is left or one vertex remains;
+    # a removed vertex keeps no neighbour. With class values summing to s,
+    # its trees number s times those of the rest with w_a w_b / s added to
+    # the class of each pair a, b of its neighbours, which gain a class if
+    # they had none (a Schur complement of the Laplacian). A pendant vertex
+    # has no pair: s goes as a factor and nothing is scaled. Otherwise all
+    # values are scaled by s to stay integers, which scales the tree sum of
+    # the k' vertices left by s^(k'-1): s goes into num and s^(k'-1) into
+    # den. After each step the values' gcd d is divided out and d^(k'-1)
+    # goes into num, so they do not outgrow the savings
+    rows = [dict(pairs) for pairs in links]
+    left = len(rows)
+    num = den = 1
+    while left > 1:
+        for v, row in enumerate(rows):
+            if 0 < len(row) <= 3:
+                break
+        else:
+            break
+        rows[v] = {}
+        left -= 1
+        for w in row:
+            del rows[w][v]
+        s = sum(row.values())
+        num *= s
+        if len(row) > 1:
+            for other in rows:
+                for w in other:
+                    other[w] *= s
+            for (a, p), (b, q) in combinations(row.items(), 2):
+                rows[a][b] = rows[b][a] = rows[a].get(b, 0) + p * q
+            den *= s ** (left - 1)
+        d = math.gcd(*(c for other in rows for c in other.values()))
+        if d > 1:
+            for other in rows:
+                for w in other:
+                    other[w] //= d
+            num *= d ** (left - 1)
+    masks = [sum(1 << w for w in row) for row in rows]
+    return masks, [tuple(sorted(row.items())) for row in rows], num, den
 
 
 def evaluate_poly(p, weights) -> int:

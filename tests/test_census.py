@@ -18,7 +18,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from oracles import perfect_matchings_brute, pieces_by_choices
+from oracles import perfect_matchings_brute, pieces_by_choices, star_mesh_reduce_by_scaling
 from treecount import (
     best_thomassen_bound,
     brute_force_edge_cover,
@@ -41,7 +41,7 @@ from treecount import (
     thomassen_bound,
 )
 from treecount.counting import _minor_det, _tree_sum
-from treecount.degree_formula import _block_product
+from treecount.degree_formula import _block_product, _star_mesh_reduce
 
 # (vertex count, largest multiplicity) of each census, with its size
 CENSUSES = {(1, 3): 1, (2, 3): 4, (3, 3): 20, (4, 3): 276, (5, 1): 34}
@@ -130,6 +130,20 @@ def test_degree_routes_and_the_identity_at_every_root():
             assert direct_formula_value(g, u) == tau, (g, u)
             for w in _weight_points(g.m):
                 assert check_identity(g, u, w).holds, (g, u, w)
+
+
+def test_star_mesh_reduction_matches_the_integer_scaling_reference():
+    # the same masks and table as the reference, num / den the same ratio,
+    # and a table of gcd 1 once a vertex went
+    for g in _every_graph():
+        if not g.is_connected():
+            continue
+        masks, table, num, den = _star_mesh_reduce(g._class_table)
+        ref_masks, ref_table, ref_num, ref_den = star_mesh_reduce_by_scaling(g._class_table)
+        assert (masks, table) == (ref_masks, ref_table), g
+        assert num * ref_den == ref_num * den, g
+        if any(table) and masks != list(g._neighbor_masks):
+            assert math.gcd(*(c for row in table for _, c in row)) == 1, g
 
 
 def test_best_thomassen_bound_is_the_least_bound_at_its_least_root():

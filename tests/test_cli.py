@@ -724,6 +724,23 @@ def test_one_parser_serves_every_call_in_a_process(argv_paths):
     assert together[2][1].startswith("usage: treecount count")
 
 
+def test_python_m_treecount_runs_the_cli(wheel4_file, tmp_path):
+    # `python -m treecount` is the `treecount` script: its exit codes, its stdout
+    env = {**os.environ, "PYTHONPATH": str(Path(treecount.__file__).parent.parent)}
+
+    def python_m(*argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "treecount", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        return done.returncode, done.stdout
+
+    assert python_m("count", wheel4_file, "--method", "matrix-tree", "--quiet") == (
+        0, "matrix-tree 45\n"
+    )
+    assert python_m("count", str(tmp_path / "missing.graph")) == (2, "")
+
+
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     # these three cost most of a cold start; -S keeps site .pth files from
     # importing typing first, and -I ignores PYTHONPATH, so src goes in argv

@@ -667,13 +667,12 @@ def test_set_budget_holds_per_block_walk(monkeypatch):
         (build(6, [(v, (v + 1) % 6) for v in range(6)]), 6),
         # K_{2,3}: vertices 0 and 1 joined by three paths of two edges
         (build(5, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)]), 12),
-        # a square of double edges: the first step scales by 4, and every
-        # value left is then a multiple of 4
+        # a square of double edges: the first step, s = 4, gives the
+        # opposite corners a class of 2 * 2 / 4 = 1
         (build(4, [(0, 1), (1, 2), (2, 3), (0, 3)] * 2), 32),
         # a triangle with a pendant triple class
         (build(4, [(0, 1), (1, 2), (0, 2)] + [(2, 3)] * 3), 9),
-        # three pendant classes: once the double one goes, the two triple
-        # ones leave a gcd of 3
+        # three pendant classes: tau is the product of their sums
         (build(4, [(0, 1)] * 2 + [(0, 2), (0, 3)] * 3), 18),
     ],
 )
@@ -707,10 +706,11 @@ def test_series_reduction_keeps_a_weighted_core():
 
 def test_star_mesh_step_meshes_a_three_neighbour_vertex():
     # vertex 6 has classes of value 1, 2 and 3 to 0, 1 and 2, in a K6
-    # without 0-2 and 1-2: 0-1 has a class and 0-2 and 1-2 do not. s = 6
-    # scales every value left by 6; 0-1 gains 1 * 2, and 0-2 and 1-2 gain
-    # classes of 1 * 3 and 2 * 3. The values' gcd is then 1, and every
-    # vertex left has five neighbours, so nothing else goes
+    # without 0-2 and 1-2: 0-1 has a class and 0-2 and 1-2 do not. With
+    # s = 6, 0-1 gains 1 * 2 / 6 = 1/3, and 0-2 and 1-2 gain classes of
+    # 1 * 3 / 6 and 2 * 3 / 6. On the scale 6 the values are 8, 3 and 6
+    # there and 6 elsewhere, of gcd 1, and every vertex left has five
+    # neighbours, so nothing else goes
     k6 = [(a, b) for a in range(6) for b in range(a + 1, 6) if (a, b) not in ((0, 2), (1, 2))]
     g = build(7, k6 + [(6, 0)] + [(6, 1)] * 2 + [(6, 2)] * 3)
     nbr, links, num, den = degree_formula._star_mesh_reduce(g._class_table)
@@ -724,6 +724,43 @@ def test_star_mesh_step_meshes_a_three_neighbour_vertex():
     assert (num, den) == (6, 6**5)
     assert num * degree_formula._minor_det(0b111111, links) == tau_matrix_tree(g) * den
     assert tau_via_grouped_formula(g, 0) == tau_via_direct_formula(g, 0) == tau_matrix_tree(g)
+
+
+def test_star_mesh_step_meshes_a_fractional_arm():
+    # a K5 on 2..6 with vertex 1 joined to 3 and 4, and vertex 0 in series
+    # between 1 (a double class) and 2. Vertex 0 goes first, s = 3, leaving
+    # 1-2 a class of 2 * 1 / 3 = 2/3; vertex 1 then has three neighbours
+    # with arms 2/3, 1 and 1, s = 8/3, so 2-3 and 2-4 gain 1/4 and 3-4 gains
+    # 3/8. The K5 is left with 5/4, 5/4 and 11/8 there and 1 elsewhere: on
+    # the scale 8, values 10, 10, 11 and 8 of gcd 1
+    k5 = [(a, b) for a in range(2, 7) for b in range(a + 1, 7)]
+    g = build(7, k5 + [(1, 3), (1, 4)] + [(0, 1)] * 2 + [(0, 2)])
+    nbr, links, num, den = degree_formula._star_mesh_reduce(g._class_table)
+    assert nbr[:2] == [0, 0] and links[:2] == [(), ()]
+    values = {(v, w): value for v in range(2, 7) for w, value in links[v]}
+    assert [values.pop(pair) for pair in ((2, 3), (2, 4), (3, 4))] == [10, 10, 11]
+    assert [values.pop(pair) for pair in ((3, 2), (4, 2), (4, 3))] == [10, 10, 11]
+    assert len(values) == 14 and set(values.values()) == {8}
+    # num 3 * 8 from the two sums, den 3 from the second and 8^4 for the scale
+    assert (num, den) == (24, 3 * 8**4)
+    assert num * degree_formula._minor_det(0b1111100, links) == tau_matrix_tree(g) * den
+    assert tau_via_grouped_formula(g, 0) == tau_via_direct_formula(g, 0) == tau_matrix_tree(g)
+
+
+def test_star_mesh_reduction_scales_the_table_once_a_vertex_went():
+    # a doubled K5 keeps every vertex and its values as given; with a
+    # double pendant class the pendant goes, s = 2, and the K5's values
+    # of 2 are put on the scale 1/2: num 2 * 2^4
+    k5 = [(a, b) for a in range(5) for b in range(a + 1, 5)] * 2
+    nbr, links, num, den = degree_formula._star_mesh_reduce(build(5, k5)._class_table)
+    assert {value for row in links for _, value in row} == {2}
+    assert (num, den) == (1, 1)
+    g = build(6, k5 + [(0, 5)] * 2)
+    nbr, links, num, den = degree_formula._star_mesh_reduce(g._class_table)
+    assert (nbr[5], links[5]) == (0, ())
+    assert {value for row in links for _, value in row} == {1}
+    assert (num, den) == (2 * 2**4, 1)
+    assert num * degree_formula._minor_det(0b11111, links) == tau_matrix_tree(g) * den
 
 
 def test_a_remainder_after_the_reduction_is_an_error(monkeypatch):

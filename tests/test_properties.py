@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,6 +13,7 @@ from oracles import (
     identity_rhs_by_subtrees,
     multiply_forms_by_tuples,
     pieces_by_choices,
+    star_mesh_reduce_by_scaling,
     tau_dc_by_edges,
     tree_sum_by_induced,
     tree_sum_by_stripping,
@@ -662,12 +664,29 @@ def series_chain_multigraphs(draw):
     return build(n, draw(st.permutations(edges)))
 
 
+@st.composite
+def cored_multigraphs(draw):
+    """A K5 or K6 of classes of 1 to 3 edges, with one to four more
+    vertices each joined by classes of 1 to 3 edges to one to three
+    vertices before it, at shuffled labels and edge indices: graphs the
+    star-mesh rule leaves a core of, with fractional values on it."""
+    k = draw(st.integers(5, 6))
+    edges = [pair for pair in combinations(range(k), 2) for _ in range(draw(st.integers(1, 3)))]
+    n = k
+    for _ in range(draw(st.integers(1, 4))):
+        for w in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)):
+            edges += [(w, n)] * draw(st.integers(1, 3))
+        n += 1
+    label = draw(st.permutations(range(n)))
+    return build(n, draw(st.permutations([(label[a], label[b]) for a, b in edges])))
+
+
 # two vertices joined by three paths of 2, 3 and 3 edges
 THETA = build(7, [(0, 2), (2, 1), (0, 3), (3, 4), (4, 1), (0, 5), (5, 6), (6, 1)])
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(series_chain_multigraphs(), glued_multigraphs()))
+@given(st.one_of(series_chain_multigraphs(), glued_multigraphs(), cored_multigraphs()))
 @example(build(6, [(v, (v + 1) % 6) for v in range(6)]))
 @example(THETA)
 # a doubled K4: every vertex meshes away by the star-mesh rule
@@ -686,6 +705,42 @@ def test_series_reduced_routes_match_the_unreduced_block_products(g):
         assert tau_via_grouped_formula(g, u) == tau_via_direct_formula(g, u) == tau
     masks = _star_mesh_reduce(links)[0]
     assert not any(masks) or all(mask.bit_count() >= 4 for mask in masks if mask)
+
+
+# vertex 0 is in series between 1 (a double class) and 2, so its step
+# leaves 1-2 a class of 2/3, an arm of vertex 1's three-neighbour step
+FRACTIONAL_ARM = build(5, [(0, 1), (0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(
+        st.one_of(
+            parallel_multigraphs(max_n=8, max_m=20, connected=True),
+            series_chain_multigraphs(),
+            glued_multigraphs(),
+            cored_multigraphs(),
+        ),
+        st.integers(1, 3),
+    ).map(lambda case: build(case[0].n, list(case[0].edges) * case[1]))
+)
+@example(FRACTIONAL_ARM)
+# the same series vertex ahead of a K5 whose vertex 2 meshes away
+@example(build(7, [(a, b) for a in range(2, 7) for b in range(a + 1, 7)]
+               + [(1, 3), (1, 4), (0, 1), (0, 1), (0, 2)]))
+# a doubled K5 with a double pendant class: the K5's values of 2 go to 1
+@example(build(6, [(a, b) for a in range(5) for b in range(a + 1, 5)] * 2 + [(0, 5)] * 2))
+def test_star_mesh_reduction_matches_the_integer_scaling_reference(g):
+    # the per-class fractions against the reference that scales every value
+    # at every step: the same masks and table, num / den the same ratio,
+    # and a table of gcd 1 once a vertex went. Every class may be repeated
+    # up to three times, so the values left can share a factor
+    masks, table, num, den = _star_mesh_reduce(g._class_table)
+    ref_masks, ref_table, ref_num, ref_den = star_mesh_reduce_by_scaling(g._class_table)
+    assert (masks, table) == (ref_masks, ref_table)
+    assert num * ref_den == ref_num * den
+    if any(table) and masks != list(g._neighbor_masks):
+        assert math.gcd(*(c for row in table for _, c in row)) == 1
 
 
 @settings(max_examples=80, deadline=None)
