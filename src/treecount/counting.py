@@ -10,7 +10,9 @@ count tau, class weight sums give the weighted tree sum. `_laplacian_minor`
 builds any vertex set's minor from it; `_tree_sum` walks the spanning trees
 of the simple graph underlying a vertex set, one class per edge, over int
 masks (bit v for vertex v, one bit per class), each tree contributing the
-product of its class values (a class valued 0 is skipped). The degree
+product of its class values (a class valued 0 is skipped). It grows its
+trees from the set's sparsest vertex, taking the sparsest vertices' classes
+first, so fewer branches end without a tree. The degree
 routes count the leafless core of each set their walk cannot carry with
 one of the two: the grouped formula and the identity by its minor's
 determinant (`_minor_det`), the direct formula by walking its trees.
@@ -20,10 +22,12 @@ pair. Delete/contract reads that grouping, not the table, so a fault in
 the table shows up as a disagreement between methods;
 `enumerate_spanning_trees`, the public reference walk with one edge-index
 set per tree, reads the raw edges, so a fault in the grouping does too.
-Both walks are sized by one rule (`_walk_size`): the minor's determinant
-counts the trees the walk would visit (the simple graph's for the class
-walk, tau for the reference walk), more than ENUM_TREE_BUDGET are refused
-before the walk starts, and a count of 0 returns without walking.
+Both walks are sized by one rule (`_walk_size`) on the trees they would
+visit (the simple graph's for the class walk, tau for the reference walk):
+a disconnected graph returns without walking, and the degree product at
+the best root, an upper bound, admits the walk within ENUM_TREE_BUDGET;
+only past that is the minor's determinant taken, and more than
+ENUM_TREE_BUDGET trees are refused before the walk starts.
 
 Delete/contract holds a fresh (lo, hi) -> multiplicity dict, one entry
 per class of `g._classes`, and recurses on contractions only: pendant
@@ -254,30 +258,35 @@ def _tau_dc(n: int, classes: _Classes, pick: _Pick, memo: dict) -> int:
 def _tree_sum(s: int, links: _ClassTable) -> int:
     # Sum over the spanning trees of the simple graph underlying G[S] of the
     # product of their class values; `links` holds each vertex's ascending
-    # (neighbour, value) pairs, and classes leaving S are ignored. The walk
-    # (Gabow & Myers, SIAM J. Comput. 7(3), 1978) grows a tree from the
-    # lowest vertex of S. The lowest frontier class is either included,
-    # which recurses with its outer vertex added, or excluded, which loops
-    # in place, so the recursion depth stays below |S|. The tree's vertex
-    # mask, its frontier class mask and the excluded class mask carry the
-    # state; once an excluded class's outer vertex has no class left, no
-    # tree remains and the branch stops.
+    # (neighbour, value) pairs, and classes leaving S are ignored. S's
+    # vertices are ordered by how many nonzero classes each has inside S,
+    # ties by label, and the classes are numbered in that order, each at its
+    # earlier endpoint. The walk (Gabow & Myers, SIAM J. Comput. 7(3), 1978)
+    # grows a tree from the first vertex of that order, so the classes of the
+    # sparsest vertices, the ones most often forced, are decided first; the
+    # order changes which branches are tried, not the sum. The lowest
+    # frontier class is either included, which recurses with its outer
+    # vertex added, or excluded, which loops in place, so the recursion depth
+    # stays below |S|. The tree's vertex mask, its frontier class mask and
+    # the excluded class mask carry the state; once an excluded class's outer
+    # vertex has no class left, no tree remains and the branch stops.
     if not s & (s - 1):
         return 1
+    # a class valued 0 adds no tree
+    near = {v: [(w, c) for w, c in links[v] if c and s >> w & 1] for v in _members(s)}
     inc = [0] * len(links)
     ends: list[int] = []
     values: list[int] = []
-    rest = s
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        v = low.bit_length() - 1
-        for w, c in links[v]:
-            if w > v and s >> w & 1 and c:  # a class valued 0 adds no tree
+    order = sorted(near, key=lambda v: len(near[v]) << 6 | v)
+    placed = 0
+    for v in order:
+        placed |= 1 << v
+        for w, c in near[v]:
+            if not placed >> w & 1:
                 bit = 1 << len(values)
                 inc[v] |= bit
                 inc[w] |= bit
-                ends.append(low | 1 << w)
+                ends.append(1 << v | 1 << w)
                 values.append(c)
 
     def walk(tree: int, frontier: int, excluded: int) -> int:
@@ -298,9 +307,9 @@ def _tree_sum(s: int, links: _ClassTable) -> int:
                 break
         return total
 
-    root = s & -s
+    root = order[0]
     try:
-        return walk(root, inc[root.bit_length() - 1], 0)
+        return walk(1 << root, inc[root], 0)
     finally:
         del walk  # free the closure cycle through which walk recurses
 
@@ -311,10 +320,18 @@ ENUM_TREE_BUDGET = 10**7
 
 
 def _walk_size(g: Multigraph, links: _ClassTable, walk: str) -> int:
-    # the trees a walk of g would visit, g's tree sum over `links`, refused
-    # past ENUM_TREE_BUDGET before the walk starts
+    # at most ENUM_TREE_BUDGET and at least the trees a walk of g would
+    # visit, g's tree sum over `links`: 0 when g is disconnected, else the
+    # degree product at the best root (the row sums of `links` multiplied
+    # over every vertex but the largest). Only past the budget is the sum
+    # itself taken, as a determinant, and refused if it passes too
     if g.n == 0:
         raise EmptyGraphError("spanning trees need at least one vertex")
+    if not g.is_connected():
+        return 0
+    trees = math.prod(sorted(sum(c for _, c in row) for row in links)[:-1])
+    if trees <= ENUM_TREE_BUDGET:
+        return trees
     trees = _spanning_minor_det(g, links)
     if trees > ENUM_TREE_BUDGET:
         raise BudgetExceededError(
@@ -330,11 +347,15 @@ def count_spanning_trees(g: Multigraph) -> int:
     Walks the spanning trees of the simple graph underlying g, each parallel
     class standing for all its edges, and adds up the products of their
     class multiplicities: one leaf of the walk per simple spanning tree.
-    The number of leaves grows superexponentially, so it is taken first, as
-    the simple graph's Laplacian minor (every class valued 1); more than
-    ENUM_TREE_BUDGET raise BudgetExceededError before the walk starts. That
-    figure only decides whether the walk runs: it is 0 exactly when g is
-    disconnected, whose count is then 0 with no walk.
+    The number of leaves grows superexponentially, so it is bounded first:
+    a disconnected g counts 0 with no walk; otherwise the simple graph's
+    degree product at its best root (the distinct-neighbour counts
+    multiplied over every vertex but the one with most) bounds the leaves
+    from above and admits the walk when it is within ENUM_TREE_BUDGET. Only
+    past that is the number itself taken, as the simple graph's Laplacian
+    minor (every class valued 1), and more than ENUM_TREE_BUDGET raise
+    BudgetExceededError before the walk starts. These figures only decide
+    whether the walk runs.
     """
     unit = [[(w, 1) for w, _ in row] for row in g._class_table]
     if not _walk_size(g, unit, "enumeration"):
@@ -346,9 +367,12 @@ def enumerate_spanning_trees(g: Multigraph) -> Iterator[frozenset[int]]:
     """Yield every spanning tree as an edge-index set, exactly once.
 
     Order is lexicographic on the sorted index sequence. The walk visits
-    tau(G) trees, so tau is taken first, as the Laplacian minor: past
-    ENUM_TREE_BUDGET it raises BudgetExceededError before the first tree,
-    and at 0 (g disconnected) nothing is yielded and nothing walked.
+    tau(G) trees. A disconnected g yields nothing and walks nothing;
+    otherwise the degree product at the best root (degrees multiplied over
+    every vertex but the one of highest degree), at least tau, admits the
+    walk when it is within ENUM_TREE_BUDGET. Only past that is tau taken, as
+    the Laplacian minor, and past ENUM_TREE_BUDGET it raises
+    BudgetExceededError before the first tree.
     """
     if not _walk_size(g, g._class_table, "reference enumeration"):
         return

@@ -320,10 +320,40 @@ MUTANTS = (
     Mutant(
         "spanning-tree enumeration lets the empty graph through",
         "src/treecount/counting.py",
-        "    # past ENUM_TREE_BUDGET before the walk starts\n    if g.n == 0:\n",
-        "    # past ENUM_TREE_BUDGET before the walk starts\n    if g.n < 0:\n",
+        "    # itself taken, as a determinant, and refused if it passes too\n    if g.n == 0:\n",
+        "    # itself taken, as a determinant, and refused if it passes too\n    if g.n < 0:\n",
         ("tests/test_counting.py::test_enumeration_rejects_the_empty_graph",
          "tests/test_counting.py::test_class_walk_rejects_the_empty_graph"),
+    ),
+    Mutant(
+        "walk size takes the determinant when the degree product fits",
+        "src/treecount/counting.py",
+        "    if trees <= ENUM_TREE_BUDGET:\n",
+        "    if trees > ENUM_TREE_BUDGET:\n",
+        ("tests/test_counting.py::test_walk_size_of_a_pool_sized_graph_takes_no_determinant",
+         "tests/test_counting.py::test_walk_size_bound_leaves_out_the_largest_row"),
+    ),
+    Mutant(
+        "walk size drops the connectivity test",
+        "src/treecount/counting.py",
+        "    if not g.is_connected():\n        return 0\n",
+        "",
+        ("tests/test_counting.py::test_enumeration_of_a_disconnected_graph_does_not_walk",),
+    ),
+    Mutant(
+        "degree product keeps the largest row",
+        "src/treecount/counting.py",
+        "for row in links)[:-1])\n",
+        "for row in links))\n",
+        ("tests/test_counting.py::test_walk_size_bound_leaves_out_the_largest_row",),
+    ),
+    Mutant(
+        "class walk numbers each class at both endpoints",
+        "src/treecount/counting.py",
+        "            if not placed >> w & 1:\n",
+        "            if w != v:\n",
+        ("tests/test_counting.py::test_class_walk_roots_a_sub_mask_at_its_sparsest_vertex",
+         "tests/test_counting.py::test_class_walk_value_does_not_depend_on_the_labels"),
     ),
     Mutant(
         "reference walk not held to the tree budget",

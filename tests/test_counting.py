@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import random
 import sys
+from itertools import permutations
 
 import pytest
 
@@ -9,17 +11,20 @@ from oracles import spanning_tree_count_brute
 from treecount import (
     FamilySpec,
     Multigraph,
+    RandomSpec,
     build,
     closed_form_tau,
     count_spanning_trees,
     enumerate_spanning_trees,
     generate_family,
+    random_multigraph,
     tau_deletion_contraction,
     tau_matrix_tree,
     tau_weighted_matrix_tree,
 )
 from treecount import counting
 from treecount.counting import (
+    _minor_det,
     _pick_first_edge,
     _pick_min_degree,
     _tau_dc,
@@ -229,6 +234,18 @@ def test_deletion_contraction_budget_names_its_limit(monkeypatch):
     assert tau_deletion_contraction(build(10, [(v, v + 1) for v in range(9)] * 2)) == 2**9
 
 
+def _count_determinants(monkeypatch):
+    taken = []
+    real = counting._spanning_minor_det
+
+    def spy(g, links):
+        taken.append(g.n)
+        return real(g, links)
+
+    monkeypatch.setattr(counting, "_spanning_minor_det", spy)
+    return taken
+
+
 def test_enumeration_refuses_k10_before_walking(monkeypatch):
     # K10 has 10^8 spanning trees: refused with the exact figure, no walk
     walked = []
@@ -242,21 +259,29 @@ def test_enumeration_refuses_k10_before_walking(monkeypatch):
 
 
 def test_enumeration_budget_admits_k9(monkeypatch):
-    # K9's 9^7 = 4,782,969 trees fit, so the walk is reached
+    # K9's degree product 8^8 = 16,777,216 passes the budget, so its
+    # 9^7 = 4,782,969 trees are counted by one determinant; they fit, so
+    # the walk is reached
     assert counting.ENUM_TREE_BUDGET == 10**7
+    taken = _count_determinants(monkeypatch)
     monkeypatch.setattr(counting, "_tree_sum", lambda s, links: ("walked", s))
     assert count_spanning_trees(complete(9)) == ("walked", (1 << 9) - 1)
+    assert taken == [9]
 
 
 def test_enumeration_of_a_disconnected_graph_does_not_walk(monkeypatch):
-    # the simple graph's minor is 0, so the count is 0 before any walk: K8
-    # plus an isolated vertex, two parallel components, and a lone edge
+    # the count is 0 before any walk or determinant: K8 plus an isolated
+    # vertex, two parallel components, a lone edge, and two components whose
+    # degree products are nonzero (the reference walk yields nothing there)
+    taken = _count_determinants(monkeypatch)
     walked = []
     monkeypatch.setattr(counting, "_tree_sum", lambda s, links: walked.append(s))
     k8 = complete(8).edges
-    for g in (build(9, k8), build(4, [(0, 1), (2, 3), (2, 3)]), build(3, [(0, 1)])):
+    two = build(5, [(0, 1), (0, 1), (2, 3), (3, 4), (2, 4)])
+    for g in (build(9, k8), build(4, [(0, 1), (2, 3), (2, 3)]), build(3, [(0, 1)]), two):
         assert count_spanning_trees(g) == 0
-    assert walked == []
+    assert list(enumerate_spanning_trees(two)) == []
+    assert (walked, taken) == ([], [])
     assert count_spanning_trees(build(1, [])) is None  # a connected graph is walked
     assert walked == [1]
 
@@ -273,6 +298,30 @@ def test_enumeration_budget_counts_the_simple_trees(monkeypatch):
         match="enumeration exceeds the 3-tree budget: the walk would visit 16 trees",
     ):
         count_spanning_trees(complete(4))
+
+
+def test_walk_size_of_a_pool_sized_graph_takes_no_determinant(monkeypatch):
+    # n = 10, m = 18: the degrees sum to 36, so both degree products are at
+    # most 4^9 = 262,144, far inside the budget
+    g = random_multigraph(RandomSpec(n=10, m=18, seed=1))
+    tau = tau_matrix_tree(g)
+    taken = _count_determinants(monkeypatch)
+    assert count_spanning_trees(g) == tau
+    assert next(enumerate_spanning_trees(g))
+    assert taken == []
+
+
+def test_walk_size_bound_leaves_out_the_largest_row(monkeypatch):
+    # K4 less 2-3 has distinct-neighbour counts 3, 3, 2, 2: its bound is
+    # 3 * 2 * 2 = 12, with no determinant at a budget of 12 and one below
+    taken = _count_determinants(monkeypatch)
+    g = build(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    monkeypatch.setattr(counting, "ENUM_TREE_BUDGET", 12)
+    assert count_spanning_trees(g) == 8
+    assert taken == []
+    monkeypatch.setattr(counting, "ENUM_TREE_BUDGET", 11)
+    assert count_spanning_trees(g) == 8
+    assert taken == [4]
 
 
 def test_reference_walk_refuses_k10_before_its_first_tree():
@@ -394,6 +443,59 @@ def test_class_walk_weighs_each_tree_by_its_class_sums(figure_one):
     w = [1, 1, 5, 6, 1, 1]
     assert _tree_sum(0b1111, figure_one._class_sums(w)) == 4 * 1 + 4 * 11
     assert tau_weighted_matrix_tree(figure_one, w) == 48
+
+
+def _relabelled(g, perm):
+    return build(g.n, [(perm[a], perm[b]) for a, b in g.edges])
+
+
+def test_class_walk_value_does_not_depend_on_the_labels():
+    # the walk starts at the sparsest vertex and numbers the classes in that
+    # order, so relabelling changes its branches but not its sum: under all
+    # 24 labellings of this multigraph, whose 1-2 class sums to 0 at the
+    # signed weights, every sub-mask agrees with its minor's determinant
+    g = build(4, [(0, 1), (0, 1), (0, 2), (1, 2), (1, 2), (1, 2), (2, 3), (1, 3)])
+    w = [2, -1, 3, 0, 2, -2, 4, -3]
+    for perm in permutations(range(4)):
+        h = _relabelled(g, perm)
+        assert count_spanning_trees(h) == 25
+        weighted = h._class_sums(w)
+        assert _tree_sum(0b1111, weighted) == -45
+        for s in range(1, 16):
+            assert _tree_sum(s, h._class_table) == _minor_det(s, h._class_table)
+            assert _tree_sum(s, weighted) == _minor_det(s, weighted)
+
+
+def test_class_walk_value_does_not_depend_on_the_labels_of_n8_draws():
+    rng = random.Random(8)
+    for seed in range(4):
+        g = random_multigraph(RandomSpec(n=8, m=14, seed=seed))
+        w = [rng.randint(-3, 3) for _ in range(g.m)]
+        tau, weighted = tau_matrix_tree(g), tau_weighted_matrix_tree(g, w)
+        for _ in range(6):
+            perm = list(range(8))
+            rng.shuffle(perm)
+            h = _relabelled(g, perm)
+            assert count_spanning_trees(h) == tau
+            assert _tree_sum(0xFF, h._class_sums(w)) == weighted
+
+
+def test_class_walk_roots_a_sub_mask_at_its_sparsest_vertex():
+    # S = {1, ..., 5} leaves out vertex 0. Inside S vertex 3 has one nonzero
+    # class, -2 to 1 (its classes to 2 and 5 are valued 0, its 7 to 0 leaves
+    # S), so the walk roots at 3, not at 1; 2, 4 and 5 have three classes
+    # each and 1 has four. Every tree takes 1-3, so the sum is -2 times the
+    # tree sum of the signed K4 on {1, 2, 4, 5}, which is -16
+    classes = {
+        (0, 1): 5, (0, 3): 7, (1, 2): 3, (1, 3): -2, (1, 4): -1, (1, 5): 2,
+        (2, 3): 0, (2, 4): 4, (2, 5): -3, (3, 5): 0, (4, 5): 1,
+    }
+    links = [[] for _ in range(6)]
+    for (a, b), c in sorted(classes.items()):
+        links[a].append((b, c))
+        links[b].append((a, c))
+    assert _minor_det(0b110110, links) == -16
+    assert _tree_sum(0b111110, links) == _minor_det(0b111110, links) == 32
 
 
 def test_class_walk_depth_stays_below_the_vertex_count():

@@ -14,6 +14,7 @@ from oracles import (
     direct_value_by_frozensets,
     is_tree_on,
     outside_degree_product,
+    star_mesh_reduce_by_scaling,
     subtrees_brute,
 )
 from treecount import (
@@ -761,6 +762,47 @@ def test_star_mesh_reduction_scales_the_table_once_a_vertex_went():
     assert {value for row in links for _, value in row} == {1}
     assert (num, den) == (2 * 2**4, 1)
     assert num * degree_formula._minor_det(0b11111, links) == tau_matrix_tree(g) * den
+
+
+_K5 = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+_OCTAHEDRON = [(a, b) for a in range(6) for b in range(a + 1, 6) if b - a != 3]
+
+
+@pytest.mark.parametrize(
+    "n, edges, kept, num, den",
+    [
+        # K5 with 0-1 subdivided by 5 and a pendant path 2-6-7: 5 goes by
+        # the series rule (0-1 becomes 1/2), 6 by the series rule (2-7
+        # becomes 1/2) and 7 as a pendant of value 1/2, so num 2 * 2 and den
+        # 2; the K5 is left with 0-1 at half the others, on the scale 2:
+        # values 1 and 2, den 2 * 2^4
+        (8, [e for e in _K5 if e != (0, 1)] + [(0, 5), (5, 1), (2, 6), (6, 7)],
+         0b11111, 4, 2 * 2**4),
+        # the octahedron (K6 less 0-3, 1-4 and 2-5) with 0-1 subdivided by 6
+        # and a vertex 7 with classes of value 1, 1 and 2 to 0, 3 and 5: 6
+        # goes by the series rule (s = 2, 0-1 becomes 1/2), then 7 by the
+        # star-mesh rule (s = 4), which gives 0-3 a class of 1/4 where the
+        # octahedron has none and 0-5 and 3-5 3/2 each; every vertex left
+        # has four or five neighbours. num 2 * 4; on the scale 4 the values
+        # are 2, 1, 6 and 6 there and 4 elsewhere, den 4^5
+        (8, [e for e in _OCTAHEDRON if e != (0, 1)] + [(0, 6), (6, 1), (7, 0), (7, 3)]
+         + [(7, 5)] * 2, 0b111111, 8, 4**5),
+    ],
+    ids=["k5-subdivided-with-a-pendant-path", "octahedron-with-a-series-and-a-wye-vertex"],
+)
+def test_star_mesh_reduction_keeps_a_core_after_some_vertices_go(n, edges, kept, num, den):
+    # a partial reduction, which no census graph reaches: it matches the
+    # integer-scaling reference and keeps the tree count
+    g = build(n, edges)
+    tau = tau_matrix_tree(g)
+    nbr, links, got_num, got_den = degree_formula._star_mesh_reduce(g._class_table)
+    ref_nbr, ref_links, ref_num, ref_den = star_mesh_reduce_by_scaling(g._class_table)
+    assert sum(1 << v for v, mask in enumerate(nbr) if mask) == kept
+    assert (list(nbr), list(links)) == (list(ref_nbr), list(ref_links))
+    assert (got_num, got_den) == (num, den)
+    assert got_num * ref_den == ref_num * got_den
+    assert num * degree_formula._minor_det(kept, links) == tau * den
+    assert tau_via_grouped_formula(g, 0) == tau_via_direct_formula(g, 0) == tau
 
 
 def test_a_remainder_after_the_reduction_is_an_error(monkeypatch):
