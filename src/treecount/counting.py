@@ -30,10 +30,10 @@ only past that is the minor's determinant taken, and more than
 ENUM_TREE_BUDGET trees are refused before the walk starts.
 
 Delete/contract holds a fresh (lo, hi) -> multiplicity dict, one entry
-per class of `g._classes`, and recurses on contractions only: pendant
-classes are contracted, a vertex v with two distinct neighbours a and b is
-deleted by the series rule (recursing once on (G - v)/ab, a minor of n - 2
-vertices) and deleted classes are dropped in place. Each minor
+per class of `g._classes`, and recurses on contractions only: a vertex v
+with one or two distinct neighbours is deleted in place by one rule, which
+recurses once on (G - v)/ab, a minor of n - 2 vertices, only when v has
+two neighbours a and b, and deleted classes are dropped in place. Each minor
 it counts is memoized, for the rest of one call, under its vertex count
 and its sorted classes, each packed into one int (c << 12 | lo << 6 | hi,
 labels being below 64); more than DEL_CON_NODE_BUDGET of them raise
@@ -119,19 +119,23 @@ _Classes = dict[tuple[int, int], int]
 
 # Distinct minors delete/contract may count in one call. Each stays in the
 # memo until the call returns, so the budget bounds memory as well as time:
-# K11 (4,535 minors), Q4 (8,983; 5,590 under "first-edge") and K12 (16,811)
+# K11 (4,535 minors), Q4 (8,976; 5,571 under "first-edge") and K12 (16,811)
 # fit, K13 (66,899) and larger complete graphs do not.
 DEL_CON_NODE_BUDGET = 50_000
-_Pick = Callable[[_Classes, list[int], list[int]], tuple[int, int]]
+_Pick = Callable[[_Classes, list[int]], tuple[int, int]]
 
 
-def _pick_min_degree(classes: _Classes, nbr: list[int], degrees: list[int]) -> tuple[int, int]:
+def _pick_min_degree(classes: _Classes, nbr: list[int]) -> tuple[int, int]:
+    degrees = [0] * len(nbr)
+    for (a, b), c in classes.items():
+        degrees[a] += c
+        degrees[b] += c
     v = min(range(len(degrees)), key=degrees.__getitem__)  # lowest label on ties
     w = (nbr[v] & -nbr[v]).bit_length() - 1
     return (v, w) if v < w else (w, v)
 
 
-def _pick_first_edge(classes: _Classes, nbr: list[int], degrees: list[int]) -> tuple[int, int]:
+def _pick_first_edge(classes: _Classes, nbr: list[int]) -> tuple[int, int]:
     return next(iter(classes))
 
 
@@ -146,21 +150,22 @@ def tau_deletion_contraction(g: Multigraph, heuristic: str = "min-degree") -> in
 
     Works on the parallel classes of `g._classes`, a whole class per
     step: tau(G) equals tau(G without the class) plus multiplicity times
-    tau(G with the class contracted). A class that is its vertex's only one
-    lies in every spanning tree, so it is contracted in place and its
-    multiplicity multiplied in. With none left, at the lowest vertex v with
-    two distinct neighbours a and b, by classes of multiplicity p and q, a
-    tree takes one of the two classes or both: tau(G) = (p + q) * tau(G - v)
-    + pq * tau((G - v)/ab), so G - v is counted in place and only
-    (G - v)/ab recurses. Neither rule divides, so both hold at any integer
-    class values. Disconnection short-circuits to 0 and graphs of at most 3
-    vertices are closed out directly. Deletion and contraction keep
-    vertices labelled in order of their least original vertex, so a minor
-    reached twice has one key, and its count is memoized for the rest of
-    the call (cf. Haggard, Pearce & Royle, ACM TOMS 37(3), 2010). More than
-    DEL_CON_NODE_BUDGET memoized minors raises BudgetExceededError. The
-    choice of class never changes the result; `heuristic` exists so tests
-    can run two orders and compare.
+    tau(G with the class contracted). One rule goes first, at the lowest
+    vertex v of fewest distinct neighbours a <= b when it has one or two,
+    by classes of multiplicity p and q (a = b and q = 0 for a pendant): a
+    tree takes one of v's classes or both, so tau(G) = (p + q) * tau(G - v)
+    + pq * tau((G - v)/ab). G - v is counted in place and only (G - v)/ab
+    recurses, when a < b. The rule does not divide, so it holds at any
+    integer class values. Otherwise the heuristic picks a class to delete
+    and contract; "min-degree" sums the weighted degrees itself.
+    Disconnection short-circuits to 0 and graphs of at most 3 vertices are
+    closed out directly. Deletion and contraction keep vertices labelled in
+    order of their least original vertex, so a minor reached twice has one
+    key, and its count is memoized for the rest of the call (cf. Haggard,
+    Pearce & Royle, ACM TOMS 37(3), 2010). More than DEL_CON_NODE_BUDGET
+    memoized minors raises BudgetExceededError. The choice of class never
+    changes the result; `heuristic` exists so tests can run two orders and
+    compare.
     """
     if g.n == 0:
         raise EmptyGraphError("tau needs at least one vertex")
@@ -192,9 +197,9 @@ def _contract(classes: _Classes, a: int, b: int) -> _Classes:
 
 def _tau_dc(n: int, classes: _Classes, pick: _Pick, memo: dict) -> int:
     # tau of the minor `classes` on n vertices, which this call consumes.
-    # It is total + scale * tau(current graph) throughout: pendant classes,
-    # series vertices and deleted classes change the graph in place and only
-    # contraction recurses, so the depth stays below n
+    # It is total + scale * tau(current graph) throughout: vertices with one
+    # or two distinct neighbours and deleted classes change the graph in
+    # place and only contraction recurses, so the depth stays below n
     key = (n, tuple(sorted(c << 12 | lo << 6 | hi for (lo, hi), c in classes.items())))
     known = memo.get(key)
     if known is not None:
@@ -215,40 +220,31 @@ def _tau_dc(n: int, classes: _Classes, pick: _Pick, memo: dict) -> int:
             total += scale
             break
         nbr = [0] * n
-        degrees = [0] * n
-        for (a, b), c in classes.items():
+        for a, b in classes:
             nbr[a] |= 1 << b
             nbr[b] |= 1 << a
-            degrees[a] += c
-            degrees[b] += c
         if not _connected(nbr):
             break
         distinct = [mask.bit_count() for mask in nbr]
         fewest = min(distinct)
-        if fewest == 1:
-            pendant = distinct.index(1)
-            w = nbr[pendant].bit_length() - 1
-            pair = (pendant, w) if pendant < w else (w, pendant)
-            scale *= classes[pair]
-            classes = _contract(classes, *pair)
-            n -= 1
-            continue
-        if fewest == 2:
-            # series: a tree of G takes one of v's classes and a tree of
-            # G - v, or both and a tree of (G - v)/ab; only the last recurses
-            v = distinct.index(2)
+        if fewest <= 2:
+            # v with neighbours a <= b by classes p and q (q = 0 and a == b
+            # for a pendant): a tree of G takes one of v's classes and a tree
+            # of G - v, or both and a tree of (G - v)/ab; only the last recurses
+            v = distinct.index(fewest)
             a, b = (nbr[v] & -nbr[v]).bit_length() - 1, nbr[v].bit_length() - 1
             p = classes[(a, v) if a < v else (v, a)]
-            q = classes[(v, b) if v < b else (b, v)]
+            q = classes[(v, b) if v < b else (b, v)] if a < b else 0
             classes = {
                 (x - (x > v), y - (y > v)): c for (x, y), c in classes.items() if x != v != y
             }
             n -= 1
-            joined = _contract(classes, a - (a > v), b - (b > v))
-            total += scale * p * q * _tau_dc(n - 1, joined, pick, memo)
+            if a < b:
+                joined = _contract(classes, a - (a > v), b - (b > v))
+                total += scale * p * q * _tau_dc(n - 1, joined, pick, memo)
             scale *= p + q
             continue
-        pair = pick(classes, nbr, degrees)
+        pair = pick(classes, nbr)
         c = classes.pop(pair)  # the delete branch: the loop goes on without it
         total += scale * c * _tau_dc(n - 1, _contract(classes, *pair), pick, memo)
     memo[key] = total

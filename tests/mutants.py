@@ -34,6 +34,8 @@ CLI = "src/treecount/cli.py"
 CLI_TESTS = "tests/test_cli.py"
 PROPS = "tests/test_properties.py"
 DC_SERIES = "tests/test_counting.py::test_deletion_contraction_deletes_a_series_vertex_in_place"
+DC_PENDANT = "tests/test_counting.py::test_deletion_contraction_deletes_a_pendant_below_its_neighbour"
+DC_CHAIN = "tests/test_counting.py::test_deletion_contraction_deletes_a_pendant_chain_in_place"
 
 MUTANTS = (
     Mutant(
@@ -380,23 +382,44 @@ MUTANTS = (
     Mutant(
         "series rule drops the pq term",
         "src/treecount/counting.py",
-        "            total += scale * p * q * _tau_dc(n - 1, joined, pick, memo)\n",
-        "            pass\n",
+        "                total += scale * p * q * _tau_dc(n - 1, joined, pick, memo)\n",
+        "                pass\n",
         (DC_SERIES,),
     ),
     Mutant(
         "series rule contracts at the labels before the deletion",
         "src/treecount/counting.py",
-        "            joined = _contract(classes, a - (a > v), b - (b > v))\n",
-        "            joined = _contract(classes, a, b)\n",
+        "                joined = _contract(classes, a - (a > v), b - (b > v))\n",
+        "                joined = _contract(classes, a, b)\n",
         (DC_SERIES,),
     ),
     Mutant(
         "series vertex's second class read as its first",
         "src/treecount/counting.py",
-        "            q = classes[(v, b) if v < b else (b, v)]\n",
-        "            q = p\n",
+        "            q = classes[(v, b) if v < b else (b, v)] if a < b else 0\n",
+        "            q = p if a < b else 0\n",
         (DC_SERIES,),
+    ),
+    Mutant(
+        "pendant vertex counts its one class twice",
+        "src/treecount/counting.py",
+        "            q = classes[(v, b) if v < b else (b, v)] if a < b else 0\n",
+        "            q = classes[(v, b) if v < b else (b, v)]\n",
+        (DC_PENDANT, DC_CHAIN),
+    ),
+    Mutant(
+        "pendant vertex also recurses",
+        "src/treecount/counting.py",
+        "            if a < b:\n                joined",
+        "            if True:\n                joined",
+        (DC_PENDANT, DC_CHAIN),
+    ),
+    Mutant(
+        "pendant vertex left to the pick",
+        "src/treecount/counting.py",
+        "        if fewest <= 2:\n",
+        "        if fewest == 2:\n",
+        (DC_PENDANT, DC_CHAIN),
     ),
     Mutant(
         "family vertex cap off by one",

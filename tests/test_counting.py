@@ -152,9 +152,10 @@ def test_deletion_contraction_reuses_minors_of_k5():
     assert memo.lookups > len(memo)
 
 
-def test_deletion_contraction_contracts_a_pendant_chain_in_place():
-    # a triangle with a 6-vertex tail of doubled classes: every tail class is
-    # pendant in turn, so only the root minor is counted, with no recursion
+def test_deletion_contraction_deletes_a_pendant_chain_in_place():
+    # a triangle with a 6-vertex tail of doubled classes: every tail vertex is
+    # pendant in turn and deleted, so only the root minor is counted, with no
+    # recursion
     edges = [(0, 1), (1, 2), (0, 2)] + [(v, v + 1) for v in range(2, 8)] * 2
     g = build(9, edges)
     memo = {}
@@ -178,6 +179,63 @@ def test_deletion_contraction_deletes_a_series_vertex_in_place():
         # (G - 1)/02, classes 1-2 of 1, 2-3 of 2, 0-3 of 3 and 0-1 of 4, as keyed
         assert memo[4, (1 << 12 | 1 << 6 | 2, 2 << 12 | 2 << 6 | 3, 3 << 12 | 3, 4 << 12 | 1)] == 50
     assert tau_matrix_tree(g) == 253
+
+
+def _unpacked(memo):
+    # each memo key as its vertex count and its (c, lo, hi) classes
+    return sorted((n, [(k >> 12, k >> 6 & 63, k & 63) for k in key]) for n, key in memo)
+
+
+@pytest.mark.parametrize(
+    "pick,minors",
+    [
+        (_pick_min_degree, [
+            (2, [(2, 0, 1)]),
+            (3, [(1, 0, 1), (1, 1, 2), (2, 0, 2)]),
+            (3, [(2, 0, 2), (2, 1, 2), (3, 0, 1)]),
+            (4, [(1, 0, 2), (1, 0, 3), (1, 1, 2), (1, 2, 3), (2, 0, 1), (2, 1, 3)]),
+        ]),
+        (_pick_first_edge, [
+            (2, [(2, 0, 1)]),
+            (3, [(1, 0, 1), (1, 0, 2), (2, 1, 2)]),
+            (3, [(1, 1, 2), (2, 0, 1), (3, 0, 2)]),
+            (4, [(1, 0, 1), (1, 0, 2), (1, 1, 2), (1, 1, 3), (1, 2, 3), (2, 0, 3)]),
+        ]),
+    ],
+    ids=["min-degree", "first-edge"],
+)
+def test_deletion_contraction_deletes_a_pendant_below_its_neighbour(pick, minors):
+    # vertex 0 hangs off hub 5 of a wheel on 1..5 (rim 1-2-3-4, 1-2 doubled)
+    # by a class of 3. Deleting 0 relabels the wheel 0..4 with the hub last;
+    # contracting 0-5 would have put the hub at 0, keying every minor below
+    # differently. The pendant recurses on nothing, so the minors past the
+    # root are those of the wheel alone
+    edges = [(0, 5)] * 3 + [(1, 2)] * 2 + [(2, 3), (3, 4), (1, 4)] + [(v, 5) for v in range(1, 5)]
+    g = build(6, edges)
+    root = (6, [(1, 1, 4), (1, 1, 5), (1, 2, 3), (1, 2, 5), (1, 3, 4), (1, 3, 5), (1, 4, 5),
+                (2, 1, 2), (3, 0, 5)])
+    memo = {}
+    assert _tau_dc(6, {pair: len(js) for pair, js in g._classes}, pick, memo) == 3 * 69
+    assert _unpacked(memo) == sorted(minors + [root])
+    assert tau_matrix_tree(g) == 207
+
+
+@pytest.mark.parametrize(
+    "spec,heuristic,minors",
+    [
+        (FamilySpec("complete", (11,)), "min-degree", 4_535),
+        (FamilySpec("hypercube", (4,)), "min-degree", 8_976),
+        (FamilySpec("hypercube", (4,)), "first-edge", 5_571),
+    ],
+    ids=["K11", "Q4", "Q4-first-edge"],
+)
+def test_deletion_contraction_counts_the_documented_minors(spec, heuristic, minors):
+    # the minor counts that DEL_CON_NODE_BUDGET's comment and the README quote
+    g = generate_family(spec)
+    memo = {}
+    pick = counting.DELETION_CONTRACTION_HEURISTICS[heuristic]
+    assert _tau_dc(g.n, {pair: len(js) for pair, js in g._classes}, pick, memo) == closed_form_tau(spec)
+    assert len(memo) == minors
 
 
 @pytest.mark.parametrize(
@@ -220,7 +278,7 @@ def test_first_edge_takes_the_class_of_edge_zero():
     classes = {pair: len(js) for pair, js in g._classes}
     assert list(classes) == [(2, 3), (0, 1), (1, 2), (0, 3), (0, 2)]
     assert classes[1, 2] == 2
-    assert _pick_first_edge(classes, [], []) == (2, 3)
+    assert _pick_first_edge(classes, []) == (2, 3)
 
 
 def test_deletion_contraction_budget_names_its_limit(monkeypatch):
@@ -230,7 +288,7 @@ def test_deletion_contraction_budget_names_its_limit(monkeypatch):
         match="delete/contract exceeded the 3-node budget after counting 3 minors",
     ):
         tau_deletion_contraction(complete(6))
-    # a path is closed out by pendant contraction alone: one node
+    # a path is closed out by pendant deletion alone: one node
     assert tau_deletion_contraction(build(10, [(v, v + 1) for v in range(9)] * 2)) == 2**9
 
 

@@ -163,6 +163,10 @@ def test_class_level_deletion_contraction_matches_the_edge_route(g):
 @example((build(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (0, 1)]), [2, 1, 3, 1, -1, -2]))
 # vertex 0 is a series vertex whose class values 2 and -2 sum to 0
 @example((build(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]), [2, 1, 3, -2, 1]))
+# vertex 0 is pendant to 4 by a class whose weights 2 and -2 sum to 0
+@example((build(5, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3), (0, 4), (0, 4)]), [1, 2, 1, 3, 1, 2, -2]))
+# vertex 4 is pendant to 3 by a class whose weights 1 and -3 sum to -2
+@example((build(5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (3, 4), (3, 4)]), [2, 1, 3, 1, 2, 1, -3]))
 def test_deletion_contraction_at_class_weight_sums_is_the_weighted_tree_sum(case):
     # delete/contract reads only each class's value, so run at the class
     # weight sums, added up here from the raw edges, it gives the weighted
