@@ -377,19 +377,18 @@ def enumerate_spanning_trees(g: Multigraph) -> Iterator[frozenset[int]]:
     m = g.m
     chosen: list[int] = []
 
-    def find(parent: list[int], x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     def extend(start: int, parent: list[int], count: int) -> Iterator[frozenset[int]]:
         if count == need:
             yield frozenset(chosen)
             return
+        # each level links in its own copy of the parents, so path halving
+        # would pay off only within this loop: the roots are chased plainly
         for j in range(start, m - (need - count) + 1):
-            a, b = edges[j]
-            ra, rb = find(parent, a), find(parent, b)
+            ra, rb = edges[j]
+            while parent[ra] != ra:
+                ra = parent[ra]
+            while parent[rb] != rb:
+                rb = parent[rb]
             if ra == rb:
                 continue
             child = parent.copy()

@@ -33,17 +33,22 @@ never built past the budget.
 monomials into a sorted `CoverTerm` list, which the `*_from_f` readers
 work on; it serves a full listing of the terms, which expands the product
 once more after the summary, and callers that want the terms themselves.
-It decodes each distinct squared part and each distinct single part once,
-into one frozenset shared by every term that has it, and ranks each kind
-in the order of its index tuples; the terms are then sorted on one integer
-each, the squared part's rank times the number of single parts plus the
-single part's rank.
+It numbers the edges from the top, edge j as variable m - 1 - j, so that
+a part mask's integer value carries the order of its index tuple:
+ascending index tuples, a prefix first, are the masks by descending
+r + (r & -r), with the empty mask first. Each kind of part, squared and
+single, is ranked by one integer sort of its distinct masks, and each
+distinct mask is decoded once, into one frozenset shared by every term
+that has it; the terms are then sorted on one integer each, the squared
+part's rank times the number of single parts plus the single part's rank,
+and built in one pass.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Sequence
+from functools import partial
 from itertools import combinations, product
 from math import prod
 
@@ -174,15 +179,21 @@ def expand_f(g: Multigraph, budget: int = DEFAULT_TERM_BUDGET) -> list[CoverTerm
     identically zero then). The expansion is inherently exponential, so
     graphs above DEFAULT_MAX_VERTICES vertices raise BudgetExceededError.
     """
-    poly = _incidence_poly(g, budget, g._incidence)
+    # edge j is variable m - 1 - j, so that a part mask's integer value
+    # carries the order of its index tuple (see `_ranked`)
+    top = g.m - 1
+    poly = _incidence_poly(g, budget, [[top - j for j in row] for row in g._incidence])
     return [] if poly is None else _cover_terms(poly, g.m)
+
+
+_cover_term = partial(tuple.__new__, CoverTerm)
 
 
 def _cover_terms(poly: dict[Monomial, int], m: int) -> list[CoverTerm]:
     squared = _squared_bits(m)
     single = squared >> 1
-    drank, dsets = _ranked({mono & squared for mono in poly})
-    srank, ssets = _ranked({mono & single for mono in poly})
+    drank, dsets = _ranked({mono & squared for mono in poly}, m)
+    srank, ssets = _ranked({mono & single for mono in poly}, m)
     # each (doubled, single) pair occurs once, so these keys are distinct and
     # their order is that of the (doubled, single) index tuples
     width = len(ssets)
@@ -190,18 +201,44 @@ def _cover_terms(poly: dict[Monomial, int], m: int) -> list[CoverTerm]:
         drank[mono & squared] * width + srank[mono & single]: coef
         for mono, coef in poly.items()
     }
-    return [
-        CoverTerm(dsets[key // width], ssets[key % width], keyed[key])
-        for key in sorted(keyed)
-    ]
+    keys = sorted(keyed)
+    # CoverTerm(dsets[key // width], ssets[key % width], keyed[key]) for each
+    # key, built without a Python frame per term
+    return list(map(_cover_term, zip(
+        map(dsets.__getitem__, map(width.__rfloordiv__, keys)),
+        map(ssets.__getitem__, map(width.__rmod__, keys)),
+        map(keyed.__getitem__, keys),
+    )))
 
 
-def _ranked(masks: set[int]) -> tuple[dict[int, int], list[frozenset[int]]]:
-    # each distinct mask decoded once: its rank in index-tuple order, and by
-    # rank the one frozenset every term with that mask shares
-    decoded = sorted((_fields(mask), mask) for mask in masks)
-    rank = {mask: r for r, (_, mask) in enumerate(decoded)}
-    return rank, [frozenset(fields) for fields, _ in decoded]
+def _ranked(masks: set[int], m: int) -> tuple[dict[int, int], list[frozenset[int]]]:
+    # Each distinct mask ranked in the order of its index tuple and decoded
+    # once, into the one frozenset every term with that mask shares. Edge j
+    # is variable m - 1 - j, so lower indices weigh more: of two sets whose
+    # least differing index is i, the one holding i has the larger mask,
+    # since all the fields past i weigh less than a third of i's. A prefix
+    # must come first all the same, and adding its lowest set field puts it
+    # there: that field weighs more than all the longer set adds, plus that
+    # set's own lowest field.
+    # So the masks go by descending r + (r & -r), and the empty mask, a
+    # prefix of all with key 0, goes first by hand
+    keyed = {r + (r & -r): r for r in masks}
+    order = [keyed[key] for key in sorted(keyed, reverse=True)]
+    if not order[-1]:
+        order.insert(0, order.pop())
+    top = m - 1
+    return dict(zip(order, range(len(order)))), [_edge_set(r, top) for r in order]
+
+
+def _edge_set(bits: int, top: int) -> frozenset[int]:
+    # the edges of a part mask in which edge j is variable top - j; a field
+    # holds one set bit at most
+    found = []
+    while bits:
+        low = bits & -bits
+        found.append(top - ((low.bit_length() - 1) >> 1))
+        bits ^= low
+    return frozenset(found)
 
 
 def matching_number_from_f(terms: Sequence[CoverTerm]) -> int:

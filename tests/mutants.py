@@ -183,6 +183,29 @@ MUTANTS = (
         ("tests/test_fpoly.py::test_expansion_summary_holds_the_perfect_matching_listing_to_the_budget",),
     ),
     Mutant(
+        "expand_f ranks part masks without their lowest set field",
+        "src/treecount/fpoly.py",
+        "    keyed = {r + (r & -r): r for r in masks}\n",
+        "    keyed = {r: r for r in masks}\n",
+        ("tests/test_fpoly.py::test_ranked_orders_masks_as_their_index_tuples",),
+    ),
+    Mutant(
+        "expand_f leaves the empty part mask last",
+        "src/treecount/fpoly.py",
+        "        order.insert(0, order.pop())\n",
+        "        pass\n",
+        ("tests/test_fpoly.py::test_ranked_orders_masks_as_their_index_tuples",
+         "tests/test_fpoly.py::test_expand_past_64_bits_matches_the_tuple_reference"),
+    ),
+    Mutant(
+        "expand_f decodes part masks without undoing the reversed numbering",
+        "src/treecount/fpoly.py",
+        "        found.append(top - ((low.bit_length() - 1) >> 1))\n",
+        "        found.append((low.bit_length() - 1) >> 1)\n",
+        ("tests/test_fpoly.py::test_ranked_orders_masks_as_their_index_tuples",
+         "tests/test_fpoly.py::test_expand_orders_terms_sharing_a_doubled_part_by_their_single_part"),
+    ),
+    Mutant(
         "tree sum carried as tree * abs(c)",
         DF,
         "                        child_tree = tree * c\n",

@@ -138,13 +138,16 @@ def test_expand_orders_terms_sharing_a_doubled_part_by_their_single_part():
 def test_expand_decodes_each_distinct_mask_once(figure_one, monkeypatch):
     decoded = []
 
-    def spy(bits):
+    def spy(bits, top):
         decoded.append(bits)
-        return fields(bits)
+        return edge_set(bits, top)
 
-    fields = fpoly._fields
-    monkeypatch.setattr(fpoly, "_fields", spy)
-    poly = multiply_forms([figure_one.incident_edges(v) for v in range(figure_one.n)])
+    edge_set = fpoly._edge_set
+    monkeypatch.setattr(fpoly, "_edge_set", spy)
+    # expand_f numbers edge j as variable m - 1 - j, so its part masks are
+    # those of the product over the rows numbered that way
+    top = figure_one.m - 1
+    poly = multiply_forms([{top - j for j in figure_one.incident_edges(v)} for v in range(figure_one.n)])
     squared = int("10" * figure_one.m, 2)
     terms = expand_f(figure_one)
     assert len(terms) == len(poly) == 51
@@ -154,6 +157,26 @@ def test_expand_decodes_each_distinct_mask_once(figure_one, monkeypatch):
     single = {mono & (squared >> 1) for mono in poly}
     assert 0 in doubled and 0 in single
     assert Counter(decoded) == Counter(doubled) + Counter(single)
+
+
+def _reversed_mask(indices, m, offset):
+    # the part mask of an index set when edge j is variable m - 1 - j
+    return sum(1 << 2 * (m - 1 - j) + offset for j in indices)
+
+
+@pytest.mark.parametrize("offset", [0, 1], ids=["single", "doubled"])
+def test_ranked_orders_masks_as_their_index_tuples(offset):
+    # ascending index tuples, a prefix before its extensions: the empty set
+    # first, {0} < {0, 3} < {1}, and sets whose masks run past bit 64
+    m = 40
+    ordered = [(), (0,), (0, 3), (0, 3, 39), (0, 4), (1,), (1, 2, 3), (1, 38),
+               (2,), (33, 39), (34,), (38,), (38, 39), (39,)]
+    assert ordered == sorted(ordered)
+    masks = [_reversed_mask(s, m, offset) for s in ordered]
+    assert max(masks).bit_length() > 64
+    rank, sets = fpoly._ranked(set(masks), m)
+    assert sets == [frozenset(s) for s in ordered]
+    assert rank == {mask: r for r, mask in enumerate(masks)}
 
 
 def test_expansion_summary_figure_one(figure_one):
