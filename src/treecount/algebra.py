@@ -69,15 +69,15 @@ def multiply_forms(
     or 1 when `coefficients` is None. Returns a dict from each monomial,
     packed as described in the module docstring, to its nonzero
     coefficient. The empty product is the constant 1; a form with empty
-    support collapses the whole product to 0. Raises BudgetExceeded when an
-    expansion, the starting constant 1 included, grows past `budget`
-    monomials, ExponentOverflow if a variable occurs in more than two forms
-    of a nonempty product: coefficients are positive, so that is read off a
-    count per variable, not a test per monomial. A step's expansion only
-    grows as each variable of its form is added in, so it is checked after
-    each one: a step past the budget stops after the variable that takes it
-    there. Any form order gives the same monomials, and smallest forms first
-    keeps the steps small.
+    support collapses the whole product to 0. Raises BudgetExceededError
+    when an expansion, the starting constant 1 included, grows past
+    `budget` monomials, ExponentOverflowError if a variable occurs in more
+    than two forms of a nonempty product: coefficients are positive, so
+    that is read off a count per variable, not a test per monomial. A
+    step's expansion only grows as each variable of its form is added in,
+    so it is checked after each one: a step past the budget stops after the
+    variable that takes it there. Any form order gives the same monomials,
+    and smallest forms first keeps the steps small.
     """
     terms = _within_budget({0: 1}, budget)
     seen: dict[int, int] = {}

@@ -53,6 +53,7 @@ from itertools import combinations, product
 from math import prod
 
 from .algebra import DEFAULT_TERM_BUDGET, Monomial, multiply_forms
+from .counting import _members
 from .errors import BudgetExceededError, EmptyExpansionError, IsolatedVertexError
 from .graph import Multigraph
 
@@ -106,16 +107,6 @@ def _squared_bits(m: int) -> int:
     return int("10" * m, 2) if m else 0
 
 
-def _fields(bits: int) -> tuple[int, ...]:
-    # ascending variable indices of the set bits; a field holds one set bit at most
-    found = []
-    while bits:
-        low = bits & -bits
-        found.append((low.bit_length() - 1) >> 1)
-        bits ^= low
-    return tuple(found)
-
-
 def expansion_summary(g: Multigraph, budget: int = DEFAULT_TERM_BUDGET) -> ExpansionSummary:
     """Term count, coefficient sum, matching and edge-cover numbers, and the
     perfect matchings, read in one pass over the class expansion.
@@ -161,9 +152,10 @@ def expansion_summary(g: Multigraph, budget: int = DEFAULT_TERM_BUDGET) -> Expan
     rho = min(map(int.bit_count, poly))
     perfect = []
     if 2 * rho == g.n:
+        # every set bit is a squared class's high bit, 2k + 1 for class k;
         # each listed matching is one edge monomial, so the listing is held
         # to the budget before it is built
-        chosen = [[classes[k] for k in _fields(mono)] for mono in poly if mono.bit_count() == rho]
+        chosen = [[classes[b >> 1] for b in _members(mono)] for mono in poly if mono.bit_count() == rho]
         if sum(prod(map(len, picks)) for picks in chosen) > budget:
             raise BudgetExceededError(f"perfect matchings exceeded the {budget}-monomial budget")
         perfect = sorted(

@@ -15,6 +15,7 @@ from .errors import (
     EdgeOutOfRangeError,
     EmptySetError,
     GraphTooLargeError,
+    LengthMismatchError,
     LoopEdgeError,
     ParseError,
     VertexOutOfRangeError,
@@ -106,6 +107,7 @@ class Multigraph:
     def _class_sums(self, weights: Sequence[int]) -> tuple[tuple[tuple[int, int], ...], ...]:
         # per vertex, ascending (neighbour, weight sum) pairs, one per parallel
         # class; a class whose sum is 0 is kept, so every class is listed
+        self._check_weights(weights)
         at = weights.__getitem__
         rows: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for (a, b), js in self._classes:
@@ -134,6 +136,11 @@ class Multigraph:
         if not (0 <= v < self.n):
             span = f"0..{self.n - 1}" if self.n else "the empty graph"
             raise VertexOutOfRangeError(f"vertex {v} not in {span}")
+
+    def _check_weights(self, weights: Sequence[int]) -> None:
+        # one weight per edge, by position
+        if len(weights) != self.m:
+            raise LengthMismatchError(f"expected {self.m} weights, got {len(weights)}")
 
     def degree(self, v: int) -> int:
         """Endpoint count at v; parallel edges count separately."""

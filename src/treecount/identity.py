@@ -14,10 +14,11 @@ sums kept, once: the weighted tree sum is the Laplacian minor of those
 sums, and the correction is the grouped correction at that class table,
 one walk of the kept vertex sets with its own cache of inside sums, the
 walk `degree` runs (see `degree_formula`). Neither a remainder graph nor
-an induced subgraph is built, and no tree is walked. `identity_rhs` checks
-the point's length, then graph and root by the degree walks' guard, before
-any sum; `check_identity` takes the left side, which checks the point's
-length and root, before the right side; k points are k calls.
+an induced subgraph is built, and no tree is walked. Both sides check the
+point's length by `Multigraph._check_weights`: `identity_rhs` through the
+class sums, then graph and root by the degree walks' guard, before any
+determinant or walk; `check_identity` takes the left side, which checks the
+point's length and root, before the right side; k points are k calls.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ def _weight_sums(g: Multigraph, weights: Sequence[int]) -> list[int]:
     # each vertex's incident weight sum, added up edge by edge from the raw
     # weights: the left side reads no class table, so a fault in the one
     # `identity_rhs` reads breaks the identity instead of cancelling out
-    if len(weights) != g.m:
-        raise LengthMismatchError(f"expected {g.m} weights, got {len(weights)}")
+    g._check_weights(weights)
     return [sum(weights[j] for j in edges) for edges in g._incidence]
 
 
@@ -82,10 +82,8 @@ def identity_rhs(g: Multigraph, u: int, weights: Sequence[int]) -> tuple[int, in
     whose remainder product is 0 at these weights, contribute nothing and
     their subtrees are never counted. Needs a connected graph.
     """
-    if len(weights) != g.m:
-        raise LengthMismatchError(f"expected {g.m} weights, got {len(weights)}")
-    _require_rooted(g, u, "subtree enumeration")
     links = g._class_sums(weights)
+    _require_rooted(g, u, "subtree enumeration")
     tau = _spanning_minor_det(g, links)
     return tau, _correction(g._neighbor_masks, u, links, (1 << g.n) - 1, _minor_det)
 

@@ -183,6 +183,13 @@ MUTANTS = (
         ("tests/test_fpoly.py::test_expansion_summary_holds_the_perfect_matching_listing_to_the_budget",),
     ),
     Mutant(
+        "the summary decodes a class by its bit, not its field",
+        "src/treecount/fpoly.py",
+        "classes[b >> 1] for b in _members(mono)",
+        "classes[b] for b in _members(mono)",
+        ("tests/test_fpoly.py::test_expansion_summary_matches_the_term_readers_on_suite",),
+    ),
+    Mutant(
         "expand_f ranks part masks without their lowest set field",
         "src/treecount/fpoly.py",
         "    keyed = {r + (r & -r): r for r in masks}\n",
@@ -305,21 +312,24 @@ MUTANTS = (
     Mutant(
         "`identity_rhs` takes its determinant before the guard",
         "src/treecount/identity.py",
-        "    _require_rooted(g, u, \"subtree enumeration\")\n"
-        "    links = g._class_sums(weights)\n    tau = _spanning_minor_det(g, links)\n",
-        "    links = g._class_sums(weights)\n    tau = _spanning_minor_det(g, links)\n"
-        "    _require_rooted(g, u, \"subtree enumeration\")\n",
+        "    _require_rooted(g, u, \"subtree enumeration\")\n    tau = _spanning_minor_det(g, links)\n",
+        "    tau = _spanning_minor_det(g, links)\n    _require_rooted(g, u, \"subtree enumeration\")\n",
         ("tests/test_identity.py::test_identity_rhs_refuses_its_input_before_the_determinant",),
     ),
     Mutant(
         "incident weight sums skip the length check",
         "src/treecount/identity.py",
-        "    if len(weights) != g.m:\n"
-        "        raise LengthMismatchError(f\"expected {g.m} weights, got {len(weights)}\")\n"
-        "    return [sum(",
+        "    g._check_weights(weights)\n    return [sum(",
         "    return [sum(",
         ("tests/test_identity.py::test_f_value_rejects_bad_length",
          "tests/test_identity.py::test_check_identity_checks_the_point_before_its_walk"),
+    ),
+    Mutant(
+        "`_class_sums` skips the weight check",
+        "src/treecount/graph.py",
+        "        self._check_weights(weights)\n",
+        "",
+        ("tests/test_counting.py::test_weighted_rejects_bad_length",),
     ),
     Mutant(
         "count names a root it does not have",

@@ -86,6 +86,11 @@ def test_weighted_accepts_negative_weights(triangle):
 def test_weighted_rejects_bad_length(triangle):
     with pytest.raises(LengthMismatchError):
         tau_weighted_matrix_tree(triangle, [1, 2])
+    # the class sums check the point themselves: a short one is no IndexError,
+    # a long one is not cut to its first m weights
+    for w in ([1, 2], [1, 2, 3, 4]):
+        with pytest.raises(LengthMismatchError, match=f"expected 3 weights, got {len(w)}"):
+            triangle._class_sums(w)
 
 
 def test_weighted_matches_explicit_tree_sum():
