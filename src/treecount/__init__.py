@@ -8,6 +8,8 @@ vertex-incidence expansion those formulas rest on.
 The record types are namedtuple subclasses, `Multigraph` is a plain class
 and no module imports `dataclasses` or `typing`: importing those and building
 frozen dataclasses would take more than half of every CLI start (Python 3.11).
+The CLI imports `json` only when a command renders `--json`: its decoder
+compiles regexes on import, which took about a fifth of the CLI's import.
 """
 
 from .algebra import bareiss_determinant, multiply_forms

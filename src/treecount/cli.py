@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import random
 import sys
@@ -563,6 +562,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"treecount {args.command}: {prefix}{exc}", file=sys.stderr)
         return EXIT_PARSE if parse_error else EXIT_USAGE
     if args.json:
+        import json  # json.decoder compiles its regexes on import: only --json pays for it
         print(json.dumps(doc, sort_keys=True))
     else:
         for line in quiet_lines if args.quiet else lines:

@@ -243,6 +243,13 @@ MUTANTS = (
         ("tests/test_cli.py::test_fpoly_dump_lists_the_expansion_under_its_summary",),
     ),
     Mutant(
+        "cli imports json at module level",
+        CLI,
+        "import functools\nimport math\n",
+        "import functools\nimport json\nimport math\n",
+        (f"{CLI_TESTS}::test_cli_loads_json_only_when_it_renders_json",),
+    ),
+    Mutant(
         "walk keeps the root set beside a banned isolated vertex",
         DF,
         "        if not iso:\n",

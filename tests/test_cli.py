@@ -756,6 +756,27 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     assert done.stdout.split() == []
 
 
+def test_cli_loads_json_only_when_it_renders_json(capsys, wheel4_file):
+    # json.decoder compiles its regexes on import, so only --json may load it;
+    # the probe prints whether json was loaded after the import and after a
+    # text call, then the --json document of the same process
+    probe = (
+        "import io, sys; sys.path.insert(0, sys.argv[1]); import treecount.cli; "
+        "loaded = ['json' in sys.modules]; out, sys.stdout = sys.stdout, io.StringIO(); "
+        "treecount.cli.main(['count', sys.argv[2]]); sys.stdout = out; "
+        "print(*loaded, 'json' in sys.modules); "
+        "treecount.cli.main(['count', sys.argv[2], '--json'])"
+    )
+    src = str(Path(treecount.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", probe, src, wheel4_file],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    flags, doc = done.stdout.split("\n", 1)
+    assert flags == "False False"
+    assert run(capsys, ["count", wheel4_file, "--json"]) == (0, doc, "")
+
+
 def test_count_reports_the_enum_budget_as_its_entry(capsys, tmp_path):
     path = tmp_path / "k10.graph"
     path.write_text(serialize(generate_family(FamilySpec("complete", (10,)))))

@@ -571,7 +571,10 @@ def test_class_walk_depth_stays_below_the_vertex_count():
         depth += 1
         frame = frame.f_back
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 72)
+    # a line tracer's call runs on top of the deepest walk frame: one that
+    # adds (file, line) pairs to a set needs 3 more levels (least passing
+    # headroom under `python -m pytest`: 72 untraced, 75 traced)
+    sys.setrecursionlimit(depth + 72 + (3 if sys.gettrace() else 0))
     try:
         assert count_spanning_trees(cycle) == 64
     finally:
